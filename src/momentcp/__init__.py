@@ -35,9 +35,7 @@ from momentcp.gmm import (
     similarity_score,
 )
 from momentcp.implicit import (
-    GramCache,
     SymKruskal,
-    build_gram_cache,
     data_norm_sq,
     kruskal_norm_sq,
     model_data_inner,
@@ -73,7 +71,6 @@ __all__ = [
     "DenseSymTensor",
     "FgResult",
     "GmmSpec",
-    "GramCache",
     "ObservationSet",
     "OptConfig",
     "ParseError",
@@ -82,7 +79,6 @@ __all__ = [
     "SolutionRecord",
     "SymKruskal",
     "adam_minimize",
-    "build_gram_cache",
     "build_moment",
     "check_symmetric",
     "correlated_means",

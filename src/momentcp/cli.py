@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 import momentcp
-from momentcp.dense import CapExceededError, ObservationSet, build_moment, element_cap
+from momentcp.dense import ObservationSet, build_moment, element_cap
 from momentcp.gmm import (
     GmmSpec,
     correlated_means,
@@ -246,8 +246,6 @@ def _write_trace_csv(path: str, runs) -> None:
 def cmd_decompose(args, parser) -> int:
     if args.method == "lbfgs" and args.batch is not None:
         parser.error("--batch only applies to --method adam")
-    if args.method == "adam" and args.mode == "explicit":
-        parser.error("--method adam requires --mode implicit")
     obs = read_observations(args.input)
     d, r_hat = args.order, args.rank
     alpha = data_norm_sq(obs, d) if args.alpha == "exact" else 0.0
@@ -260,13 +258,8 @@ def cmd_decompose(args, parser) -> int:
         def init(rng):
             return pack(lam0, gaussian_init(obs.n, r_hat, rng))
 
-    if args.mode == "explicit":
-        X = build_moment(obs, d)  # refuses with a size estimate above the cap
-        fg = packed_fg_explicit(X, r_hat, alpha)
-    else:
-        fg = packed_fg_implicit(obs, d, r_hat, alpha)
-
     if args.method == "lbfgs":
+        fg = packed_fg_implicit(obs, d, r_hat, alpha)
         cfg = OptConfig(pgtol=args.pgtol, seed=args.seed)
 
         def minimize(x0, rng):
@@ -288,8 +281,8 @@ def cmd_decompose(args, parser) -> int:
         final_f=float(best.f),
         alpha=float(alpha),
         grad_inf_norm=float(best.grad_inf_norm),
-        iterations=int(best.n_fg),
-        wall_time_s=float(best.wall_time),
+        iterations=int(sum(rp.n_fg for rp in best.runs)),
+        wall_time_s=float(sum(rp.wall_time for rp in best.runs)),
         seed=args.seed,
         tool_version=momentcp.__version__,
     )
@@ -366,7 +359,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_dec.add_argument("--seed", type=int, default=0)
     p_dec.add_argument("--method", choices=["lbfgs", "adam"], default="lbfgs")
     p_dec.add_argument("--batch", type=int, default=None, help="sample size per step (adam)")
-    p_dec.add_argument("--mode", choices=["implicit", "explicit"], default="implicit")
     p_dec.add_argument("--output", required=True, help="solution JSON path")
     p_dec.add_argument("--trace", default=None, help="optional per-run trace CSV path")
     p_dec.add_argument("--threads", type=int, default=1)
@@ -404,11 +396,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args, parser)
-    except CapExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ParseError, OSError, ValueError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ParseError, OSError, ValueError, RuntimeError, MemoryError) as exc:
+        # a bare MemoryError carries no message
+        print(f"error: {exc or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -63,22 +63,6 @@ class SymKruskal:
         return kruskal_norm_sq(self)
 
 
-@dataclass
-class GramCache:
-    """Shared intermediates of one function/gradient evaluation.
-
-    ``B = A.T @ A``; ``C = B ** (d-1)`` elementwise; ``u = (B * C) @ lam``;
-    ``Y`` holds the TTSV results (column ``j`` is the data tensor contracted
-    with ``a_j`` in all modes but one); ``w[j] = y_j.T @ a_j``.
-    """
-
-    B: np.ndarray
-    C: np.ndarray
-    u: np.ndarray
-    Y: np.ndarray
-    w: np.ndarray
-
-
 def _elementwise_power(M: np.ndarray, k: int) -> np.ndarray:
     """Elementwise integer power by repeated multiplication (exact for small k)."""
     if k < 0:
@@ -139,13 +123,3 @@ def model_data_inner(
     w = np.einsum("ij,ij->j", A, Y)
     return w, float(w @ lam)
 
-
-def build_gram_cache(
-    lam: np.ndarray, A: np.ndarray, d: int, Y: np.ndarray
-) -> GramCache:
-    """Assemble the reusable intermediates for one evaluation at ``(lam, A)``."""
-    B = A.T @ A
-    C = _elementwise_power(B, d - 1)
-    u = (B * C) @ lam
-    w, _ = model_data_inner(Y, A, lam)
-    return GramCache(B=B, C=C, u=u, Y=Y, w=w)

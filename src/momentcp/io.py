@@ -104,6 +104,8 @@ class SolutionRecord:
     """Self-describing record of one decomposition solution.
 
     ``A_row_major`` flattens the ``n x r_hat`` factor matrix row by row.
+    ``iterations`` and ``wall_time_s`` are sums over every start that
+    returned a run, not only the best one.
     """
 
     d: int

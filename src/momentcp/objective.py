@@ -15,13 +15,12 @@ observation matrix (implicit), or from a random subsample of observations
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from momentcp.dense import DenseSymTensor, ObservationSet, ttsv_all_but_one
-from momentcp.implicit import build_gram_cache, ttsv_batch
+from momentcp.implicit import _elementwise_power, model_data_inner, ttsv_batch
 
 
 @dataclass
@@ -31,8 +30,6 @@ class FgResult:
     f: float
     g_lam: np.ndarray
     g_A: np.ndarray
-    eval_time: float
-    eval_kind: str
 
 
 def _validate_variables(lam: np.ndarray, A: np.ndarray, n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
@@ -48,12 +45,17 @@ def _validate_variables(lam: np.ndarray, A: np.ndarray, n: int, alpha: float) ->
     return lam, A
 
 
-def _finish(Y: np.ndarray, lam: np.ndarray, A: np.ndarray, d: int, alpha: float):
-    cache = build_gram_cache(lam, A, d, Y)
-    f = alpha + float(lam @ cache.u) - 2.0 * float(cache.w @ lam)
-    g_lam = -2.0 * (cache.w - cache.u)
-    g_A = -2.0 * d * (Y - (A * lam) @ cache.C) * lam
-    return f, g_lam, g_A
+def _finish(Y: np.ndarray, lam: np.ndarray, A: np.ndarray, d: int, alpha: float) -> FgResult:
+    """Objective and gradients from the TTSVs ``Y`` through the ``r x r`` Gram
+    tail: ``||M||^2 = lam.T @ u`` and ``<X, M> = w.T @ lam``."""
+    B = A.T @ A
+    C = _elementwise_power(B, d - 1)
+    u = (B * C) @ lam
+    w, _ = model_data_inner(Y, A, lam)
+    f = alpha + float(lam @ u) - 2.0 * float(w @ lam)
+    g_lam = -2.0 * (w - u)
+    g_A = -2.0 * d * (Y - (A * lam) @ C) * lam
+    return FgResult(f, g_lam, g_A)
 
 
 def fg_explicit(
@@ -65,13 +67,10 @@ def fg_explicit(
     reference route for :func:`fg_implicit`.
     """
     lam, A = _validate_variables(lam, A, X.dim, alpha)
-    start = time.perf_counter()
-    d = X.order
     Y = np.empty_like(A)
     for j in range(lam.size):
         Y[:, j] = ttsv_all_but_one(X, A[:, j])
-    f, g_lam, g_A = _finish(Y, lam, A, d, alpha)
-    return FgResult(f, g_lam, g_A, time.perf_counter() - start, "explicit")
+    return _finish(Y, lam, A, X.order, alpha)
 
 
 def fg_implicit(
@@ -80,7 +79,6 @@ def fg_implicit(
     A: np.ndarray,
     d: int,
     alpha: float = 0.0,
-    eval_kind: str = "implicit",
 ) -> FgResult:
     """Objective and gradients computed from ``(V, nu)`` alone, in O(p n r + n r^2).
 
@@ -88,10 +86,7 @@ def fg_implicit(
     but no object of size n^d is ever formed.
     """
     lam, A = _validate_variables(lam, A, obs.n, alpha)
-    start = time.perf_counter()
-    Y = ttsv_batch(obs, A, d)
-    f, g_lam, g_A = _finish(Y, lam, A, d, alpha)
-    return FgResult(f, g_lam, g_A, time.perf_counter() - start, eval_kind)
+    return _finish(ttsv_batch(obs, A, d), lam, A, d, alpha)
 
 
 def sample_observations(

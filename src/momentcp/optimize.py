@@ -9,8 +9,9 @@ estimate that triggers one learning-rate reduction and then termination.
 ``multistart`` fans a solver out over independently seeded initial guesses
 and keeps the run with the lowest final objective.
 
-All routines are deterministic given (seed, config, data); randomness only
-enters through explicitly passed generators.
+All routines are deterministic given (seed, config, data) for a fixed BLAS
+build and thread count; randomness only enters through explicitly passed
+generators.
 """
 
 from __future__ import annotations
@@ -256,7 +257,7 @@ def lbfgs_minimize(
     fg: FgCallback,
     x0: np.ndarray,
     cfg: OptConfig,
-    shape: tuple[int, int] | None = None,
+    shape: tuple[int, int],
     iterate_hook: Callable[[np.ndarray], None] | None = None,
 ) -> RunReport:
     """Minimize a smooth function with limited-memory BFGS.
@@ -272,9 +273,7 @@ def lbfgs_minimize(
         to ``cfg.pgtol``, when an iteration cap is hit, or when the line
         search cannot make progress.
     shape:
-        Optional ``(n, r)`` used to unpack the final iterate into the report;
-        when omitted the report stores the flat vector in ``lam`` and an
-        empty ``A``.
+        ``(n, r)`` used to unpack the final iterate into the report.
     iterate_hook:
         Optional callable invoked with each accepted iterate (used by the
         benchmark harness to collect points for paired checks).
@@ -340,7 +339,7 @@ def lbfgs_minimize(
         if iterate_hook is not None:
             iterate_hook(x.copy())
 
-    lam, A = _split_report_vars(x, shape)
+    lam, A = unpack(x, *shape)
     return RunReport(
         lam=lam,
         A=A,
@@ -353,13 +352,6 @@ def lbfgs_minimize(
         seed=cfg.seed,
         trace=trace,
     )
-
-
-def _split_report_vars(x, shape):
-    if shape is None:
-        return x.copy(), np.empty((0, 0))
-    n, r = shape
-    return unpack(x, n, r)
 
 
 def adam_minimize(
@@ -388,13 +380,7 @@ def adam_minimize(
         raise ValueError(f"x0 has length {x.size}, expected {r_hat + n * r_hat}")
 
     est_idx = rng.choice(p, size=min(cfg.estimate_samples, p), replace=False)
-    est_obs = ObservationSet(obs.V[:, est_idx])
-
-    def estimate(xv: np.ndarray) -> tuple[float, np.ndarray]:
-        lam, A = unpack(xv, n, r_hat)
-        res = fg_implicit(est_obs, lam, A, d, 0.0, eval_kind="stochastic")
-        return res.f, pack(res.g_lam, res.g_A)
-
+    estimate = packed_fg_implicit(ObservationSet(obs.V[:, est_idx]), d, r_hat)
     f_best, _ = estimate(x)
     x_best = x.copy()
     trace = [(f_best, time.perf_counter() - start)]
@@ -409,9 +395,7 @@ def adam_minimize(
     for _ in range(cfg.max_epochs):
         for _ in range(cfg.epoch_len):
             batch = sample_observations(obs, cfg.batch, rng)
-            lam, A = unpack(x, n, r_hat)
-            res = fg_implicit(batch, lam, A, d, 0.0, eval_kind="stochastic")
-            grad = pack(res.g_lam, res.g_A)
+            _, grad = packed_fg_implicit(batch, d, r_hat)(x)
             t += 1
             m1 = cfg.beta1 * m1 + (1.0 - cfg.beta1) * grad
             m2 = cfg.beta2 * m2 + (1.0 - cfg.beta2) * grad * grad
@@ -472,33 +456,26 @@ def multistart(
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     children = root.spawn(k)
 
-    def one(i: int) -> RunReport:
-        rng = np.random.default_rng(children[i])
-        x0 = init(rng)
-        report = minimize(x0, rng)
+    def one(i: int) -> RunReport | str:
+        try:
+            rng = np.random.default_rng(children[i])
+            report = minimize(init(rng), rng)
+        except Exception as exc:  # noqa: BLE001 - aggregated below
+            return f"run {i}: {exc}"
         report.run_index = i
         return report
 
-    results: list[RunReport | None] = [None] * k
-    errors: list[str] = []
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {pool.submit(one, i): i for i in range(k)}
-            for fut, i in futures.items():
-                try:
-                    results[i] = fut.result()
-                except Exception as exc:  # noqa: BLE001 - aggregated below
-                    errors.append(f"run {i}: {exc}")
+            results = list(pool.map(one, range(k)))
     else:
-        for i in range(k):
-            try:
-                results[i] = one(i)
-            except Exception as exc:  # noqa: BLE001 - aggregated below
-                errors.append(f"run {i}: {exc}")
+        # stay in the calling thread so that Ctrl-C stops a run at once
+        results = list(map(one, range(k)))
 
-    successes = [r for r in results if r is not None]
+    successes = [r for r in results if not isinstance(r, str)]
+    errors = [r for r in results if isinstance(r, str)]
     if not successes:
         raise RuntimeError("all multistart runs failed: " + "; ".join(errors))
     best = min(successes, key=lambda rp: (rp.f, rp.run_index))

@@ -6,7 +6,6 @@ import pytest
 from momentcp import (
     ObservationSet,
     SymKruskal,
-    build_gram_cache,
     build_moment,
     data_norm_sq,
     inner,
@@ -148,27 +147,6 @@ class TestModelDataInner:
             model_data_inner(np.ones((3, 2)), np.ones((3, 3)), np.ones(3))
         with pytest.raises(ValueError):
             model_data_inner(np.ones((3, 2)), np.ones((3, 2)), np.ones(3))
-
-
-class TestGramCache:
-    def test_fields_consistent(self):
-        rng = np.random.default_rng(16)
-        obs, lam, A, d = random_instance(rng)
-        Y = ttsv_batch(obs, A, d)
-        cache = build_gram_cache(lam, A, d, Y)
-        B = A.T @ A
-        assert np.allclose(cache.B, B, rtol=1e-14)
-        assert np.allclose(cache.C, B ** (d - 1), rtol=1e-13, atol=1e-15)
-        assert np.allclose(cache.u, (B * cache.C) @ lam, rtol=1e-13, atol=1e-15)
-        for j in range(lam.size):
-            assert cache.w[j] == pytest.approx(float(A[:, j] @ Y[:, j]), rel=1e-13, abs=1e-15)
-
-    def test_gram_matrix_psd(self):
-        rng = np.random.default_rng(17)
-        _, lam, A, d = random_instance(rng)
-        cache = build_gram_cache(lam, A, d, np.zeros_like(A))
-        eigvals = np.linalg.eigvalsh(cache.B)
-        assert eigvals.min() >= -1e-12 * max(1.0, eigvals.max())
 
 
 class TestSymKruskal:

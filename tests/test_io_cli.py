@@ -181,29 +181,47 @@ class TestDecomposeCommand:
             outs.append(payload)
         assert outs[0] == outs[1]
 
-    def test_explicit_mode_cap_error(self, tmp_path, monkeypatch, capsys):
-        data = tmp_path / "obs.csv"
-        rng = np.random.default_rng(81)
-        write_observations_csv(str(data), ObservationSet(rng.standard_normal((3, 4))))
-        monkeypatch.setenv("MOMENTCP_ELEMENT_CAP", "8")  # 3**3 = 27 > 8
-        code = main([
-            "decompose", "--input", str(data), "--order", "3", "--rank", "1",
-            "--mode", "explicit", "--output", str(tmp_path / "o.json"),
-        ])
-        assert code == 1
-        assert "GB" in capsys.readouterr().err
+    def test_iterations_sum_over_starts(self, tmp_path):
+        from momentcp import OptConfig, lbfgs_minimize, multistart, pack, rrf_init
+        from momentcp.optimize import packed_fg_implicit
 
-    def test_explicit_mode_small_instance(self, tmp_path):
+        rng = np.random.default_rng(83)
         data = tmp_path / "obs.csv"
         out = tmp_path / "sol.json"
-        _write_rank_one_csv(data)
+        write_observations_csv(str(data), ObservationSet(rng.standard_normal((5, 30))))
         code = main([
-            "decompose", "--input", str(data), "--order", "3", "--rank", "1",
-            "--starts", "1", "--mode", "explicit", "--alpha", "exact",
-            "--pgtol", "1e-9", "--output", str(out),
+            "decompose", "--input", str(data), "--order", "3", "--rank", "2",
+            "--starts", "3", "--seed", "6", "--output", str(out),
         ])
         assert code == 0
-        assert SolutionRecord.load(str(out)).final_f <= 1e-8
+        obs = read_observations(str(data))
+        fg = packed_fg_implicit(obs, 3, 2)
+        cfg = OptConfig(pgtol=1e-4, seed=6)
+        best = multistart(
+            3,
+            lambda g: pack(np.full(2, 0.5), rrf_init(obs, 2, g)),
+            lambda x0, g: lbfgs_minimize(fg, x0, cfg, shape=(5, 2)),
+            6,
+        )
+        assert len(best.runs) == 3
+        rec = SolutionRecord.load(str(out))
+        assert rec.iterations == sum(rp.n_fg for rp in best.runs)
+        assert rec.iterations > best.n_fg
+
+    def test_memory_error_is_runtime_error(self, tmp_path, monkeypatch, capsys):
+        data = tmp_path / "obs.csv"
+        _write_rank_one_csv(data)
+
+        def out_of_memory(obs, d):
+            raise MemoryError()
+
+        monkeypatch.setattr("momentcp.cli.data_norm_sq", out_of_memory)
+        code = main([
+            "decompose", "--input", str(data), "--order", "3", "--rank", "1",
+            "--alpha", "exact", "--output", str(tmp_path / "o.json"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_adam_path_runs(self, tmp_path):
         rng = np.random.default_rng(82)

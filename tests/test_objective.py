@@ -120,13 +120,6 @@ class TestFgImplicit:
         assert np.array_equal(r0.g_lam, r1.g_lam)
         assert np.array_equal(r0.g_A, r1.g_A)
 
-    def test_eval_kind_recorded(self):
-        rng = np.random.default_rng(26)
-        obs, lam, A, d = _small(rng)
-        assert fg_implicit(obs, lam, A, d).eval_kind == "implicit"
-        X = build_moment(obs, d)
-        assert fg_explicit(X, lam, A).eval_kind == "explicit"
-
 
 class TestGradients:
     def test_finite_differences(self):

@@ -65,8 +65,8 @@ class TestLbfgs:
         def fg(x):
             return float(np.sum((x - c) ** 2)), 2.0 * (x - c)
 
-        rep = lbfgs_minimize(fg, rng.standard_normal(6), OptConfig(pgtol=1e-9))
-        assert np.linalg.norm(rep.lam - c) <= 1e-6
+        rep = lbfgs_minimize(fg, rng.standard_normal(6), OptConfig(pgtol=1e-9), shape=(5, 1))
+        assert np.linalg.norm(pack(rep.lam, rep.A) - c) <= 1e-6
         assert rep.n_steps <= 50
         assert rep.reason == "tolerance"
 
@@ -84,7 +84,8 @@ class TestLbfgs:
         def fg(x):
             return float(x @ x), 2.0 * x
 
-        rep = lbfgs_minimize(fg, np.ones(3), OptConfig(pgtol=np.inf))
+        rep = lbfgs_minimize(fg, np.ones(3), OptConfig(pgtol=np.inf), shape=(2, 1))
+        assert np.array_equal(pack(rep.lam, rep.A), np.ones(3))
         assert rep.reason == "tolerance"
         assert rep.n_steps == 0
         assert rep.n_fg == 1
@@ -126,7 +127,7 @@ class TestLbfgs:
             return np.inf, np.zeros_like(x)
 
         with pytest.raises(ValueError):
-            lbfgs_minimize(fg, np.ones(2), OptConfig(pgtol=1e-6))
+            lbfgs_minimize(fg, np.ones(2), OptConfig(pgtol=1e-6), shape=(1, 1))
 
 
 def dense_bfgs_direction(g, s_list, y_list, gamma):
@@ -255,10 +256,24 @@ class TestMultistart:
 
     def test_threaded_matches_sequential(self):
         init, minimize = self._setup()
-        rep_seq = multistart(4, init, minimize, seed=11, threads=1)
-        rep_par = multistart(4, init, minimize, seed=11, threads=4)
-        assert rep_seq.f == rep_par.f
-        assert np.array_equal(rep_seq.A, rep_par.A)
+        bad_x0 = init(np.random.default_rng(np.random.SeedSequence(11).spawn(4)[2]))
+
+        def flaky(x0, rng):
+            if np.array_equal(x0, bad_x0):
+                raise ValueError("start 2 dies")
+            return minimize(x0, rng)
+
+        for fn in (minimize, flaky):
+            rep_seq = multistart(4, init, fn, seed=11, threads=1)
+            rep_par = multistart(4, init, fn, seed=11, threads=3)
+            assert rep_seq.f == rep_par.f
+            assert np.array_equal(rep_seq.A, rep_par.A)
+            assert [(rp.run_index, rp.f, rp.n_fg) for rp in rep_seq.runs] == [
+                (rp.run_index, rp.f, rp.n_fg) for rp in rep_par.runs
+            ]
+            assert rep_seq.failures == rep_par.failures
+        assert rep_seq.failures == ["run 2: start 2 dies"]
+        assert [rp.run_index for rp in rep_seq.runs] == [0, 1, 3]
 
     def test_all_failures_aggregate(self):
         def init(rng):
