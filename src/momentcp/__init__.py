@@ -50,7 +50,7 @@ from momentcp.io import (
     write_observations_binary,
     write_observations_csv,
 )
-from momentcp.objective import FgResult, fg_explicit, fg_implicit, sample_observations
+from momentcp.objective import FgResult, fg_explicit, fg_implicit, packed_fg, sample_observations
 from momentcp.optimize import (
     AdamConfig,
     OptConfig,
@@ -59,7 +59,6 @@ from momentcp.optimize import (
     lbfgs_minimize,
     multistart,
     pack,
-    packed_fg_explicit,
     packed_fg_implicit,
     two_loop_direction,
     unpack,
@@ -95,7 +94,7 @@ __all__ = [
     "multistart",
     "outer_power",
     "pack",
-    "packed_fg_explicit",
+    "packed_fg",
     "packed_fg_implicit",
     "read_observations",
     "read_observations_binary",

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 import momentcp
-from momentcp.dense import ObservationSet, build_moment, element_cap
+from momentcp.dense import ObservationSet, build_moment, element_cap, ttsv_batch_dense
 from momentcp.gmm import (
     GmmSpec,
     correlated_means,
@@ -26,6 +26,7 @@ from momentcp.gmm import (
 )
 from momentcp.implicit import data_norm_sq
 from momentcp.io import ParseError, SolutionRecord, read_observations
+from momentcp.objective import packed_fg
 from momentcp.optimize import (
     AdamConfig,
     OptConfig,
@@ -33,7 +34,6 @@ from momentcp.optimize import (
     lbfgs_minimize,
     multistart,
     pack,
-    packed_fg_explicit,
     packed_fg_implicit,
 )
 
@@ -54,24 +54,25 @@ class BenchScenario:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if min(self.d, self.n, self.p, self.r, self.runs) < 1:
-            raise ValueError("scenario dimensions must be positive")
-        if self.d < 2:
-            raise ValueError(f"order must be >= 2, got {self.d}")
+        if min(self.n, self.p, self.r, self.runs) < 1 or self.d < 2:
+            raise ValueError(f"need positive dimensions and order >= 2, got {self}")
 
 
 def _stats(values: list[float]) -> tuple[float, float]:
+    """Mean and sample standard deviation; NaN for a route that did not run."""
     arr = np.asarray(values, dtype=float)
-    std = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
-    return float(arr.mean()), std
+    if arr.size == 0:
+        return float("nan"), float("nan")
+    return float(arr.mean()), float(arr.std(ddof=1)) if arr.size > 1 else 0.0
 
 
 def run_bench(scenario: BenchScenario) -> dict:
     """Optimize the same random instances via both routes and compare timings.
 
     Per run: one shared initial guess, a full L-BFGS optimization with each
-    evaluation route, and a paired objective check at iterates sampled from
-    the implicit trajectory (both routes must agree to ``PAIRED_CHECK_RTOL``).
+    evaluation route, and a paired objective check at points sampled from
+    the implicit run's evaluations (both routes must agree to
+    ``PAIRED_CHECK_RTOL``).
     The explicit route is skipped with a notice when n**d exceeds the element
     cap.
     """
@@ -83,7 +84,7 @@ def run_bench(scenario: BenchScenario) -> dict:
     fg_exp = None
     if explicit_ok:
         X = build_moment(obs, sc.d)
-        fg_exp = packed_fg_explicit(X, sc.r)
+        fg_exp = packed_fg(lambda A: ttsv_batch_dense(X, A), sc.n, sc.r, sc.d)
 
     cfg = OptConfig(pgtol=sc.pgtol, seed=sc.seed)
     children = np.random.SeedSequence(sc.seed).spawn(sc.runs)
@@ -95,29 +96,29 @@ def run_bench(scenario: BenchScenario) -> dict:
         run_rng = np.random.default_rng(children[i])
         x0 = pack(np.full(sc.r, 1.0 / sc.r), gaussian_init(sc.n, sc.r, run_rng))
 
-        iterates: list[np.ndarray] = []
-        rep_imp = lbfgs_minimize(
-            fg_imp, x0, cfg, shape=(sc.n, sc.r), iterate_hook=iterates.append
-        )
+        points: list[np.ndarray] = []
+
+        def fg_recorded(x):
+            points.append(x)
+            return fg_imp(x)
+
+        rep_imp = lbfgs_minimize(fg_recorded, x0, cfg, shape=(sc.n, sc.r))
         times["implicit"].append(rep_imp.wall_time)
         iters["implicit"].append(rep_imp.n_fg)
 
         if not explicit_ok:
             continue
-        sink: list[np.ndarray] = []
-        rep_exp = lbfgs_minimize(
-            fg_exp, x0, cfg, shape=(sc.n, sc.r), iterate_hook=sink.append
-        )
+        rep_exp = lbfgs_minimize(fg_exp, x0, cfg, shape=(sc.n, sc.r))
         times["explicit"].append(rep_exp.wall_time)
         iters["explicit"].append(rep_exp.n_fg)
         max_final_abs = max(max_final_abs, abs(rep_exp.f - rep_imp.f))
 
         picks = np.unique(
-            np.linspace(0, len(iterates) - 1, PAIRED_CHECK_POINTS).astype(int)
+            np.linspace(0, len(points) - 1, PAIRED_CHECK_POINTS).astype(int)
         )
         for idx in picks:
-            f_i, _ = fg_imp(iterates[idx])
-            f_e, _ = fg_exp(iterates[idx])
+            f_i, _ = fg_imp(points[idx])
+            f_e, _ = fg_exp(points[idx])
             rel = abs(f_e - f_i) / max(1.0, abs(f_e), abs(f_i))
             max_paired_rel = max(max_paired_rel, rel)
             if rel > PAIRED_CHECK_RTOL:
@@ -134,20 +135,11 @@ def run_bench(scenario: BenchScenario) -> dict:
         "max_final_abs_fdiff": max_final_abs if explicit_ok else float("nan"),
     }
     for method in ("explicit", "implicit"):
-        if times[method]:
-            t_mean, t_std = _stats(times[method])
-            i_mean, i_std = _stats([float(v) for v in iters[method]])
-            per_iter = sum(times[method]) / sum(iters[method])
-            _, per_iter_std = _stats([t / i for t, i in zip(times[method], iters[method])])
-        else:
-            t_mean = t_std = i_mean = i_std = float("nan")
-            per_iter = per_iter_std = float("nan")
-        report[f"{method}_time_per_iter_s"] = per_iter
-        report[f"{method}_time_per_iter_std_s"] = per_iter_std
-        report[f"{method}_total_time_mean_s"] = t_mean
-        report[f"{method}_total_time_std_s"] = t_std
-        report[f"{method}_iters_mean"] = i_mean
-        report[f"{method}_iters_std"] = i_std
+        t, its = times[method], iters[method]
+        report[f"{method}_time_per_iter_s"] = sum(t) / sum(its) if t else float("nan")
+        _, report[f"{method}_time_per_iter_std_s"] = _stats([a / b for a, b in zip(t, its)])
+        report[f"{method}_total_time_mean_s"], report[f"{method}_total_time_std_s"] = _stats(t)
+        report[f"{method}_iters_mean"], report[f"{method}_iters_std"] = _stats(its)
     return report
 
 
@@ -189,11 +181,9 @@ def run_gmm_sweep(
     error ``||X - M|| / ||X||`` computed entirely matrix-free, the similarity
     score against the true means, and the summed optimization time.
     """
-    if r > n:
-        raise ValueError(f"need r <= n, got r={r}, n={n}")
     if rank_min < 1 or rank_max < rank_min:
         raise ValueError(f"bad rank range [{rank_min}, {rank_max}]")
-    spec = GmmSpec(n=n, r=r, sigma=sigma, congruence=congruence)
+    spec = GmmSpec(n=n, r=r, sigma=sigma, congruence=congruence)  # checks 1 <= r <= n
     ranks = list(range(rank_min, rank_max + 1))
     ss_means, ss_data, *ss_runs = np.random.SeedSequence(seed).spawn(2 + len(ranks))
     means = correlated_means(n, r, congruence, np.random.default_rng(ss_means))
@@ -246,17 +236,18 @@ def _write_trace_csv(path: str, runs) -> None:
 def cmd_decompose(args, parser) -> int:
     if args.method == "lbfgs" and args.batch is not None:
         parser.error("--batch only applies to --method adam")
+    if args.rank < 1:
+        parser.error(f"--rank must be >= 1, got {args.rank}")
     obs = read_observations(args.input)
     d, r_hat = args.order, args.rank
     alpha = data_norm_sq(obs, d) if args.alpha == "exact" else 0.0
 
     lam0 = np.full(r_hat, 1.0 / r_hat)
-    if args.init == "rrf":
-        def init(rng):
+
+    def init(rng):
+        if args.init == "rrf":
             return pack(lam0, rrf_init(obs, r_hat, rng))
-    else:
-        def init(rng):
-            return pack(lam0, gaussian_init(obs.n, r_hat, rng))
+        return pack(lam0, gaussian_init(obs.n, r_hat, rng))
 
     if args.method == "lbfgs":
         fg = packed_fg_implicit(obs, d, r_hat, alpha)

@@ -205,11 +205,7 @@ def outer_power(a: np.ndarray, d: int, cap: int | None = None) -> DenseSymTensor
         raise ValueError("a must be a nonempty 1-D vector")
     if d < 2:
         raise ValueError(f"order must be >= 2, got {d}")
-    n = a.size
-    _check_cap(n, d, cap)
-    parts, inverse = _multiset_index(n, d)
-    vals = _multiset_products(a, parts)
-    return DenseSymTensor(d, n, vals[inverse], cap=cap)
+    return _sum_outer_powers(a[:, None], np.ones(1), d, cap)
 
 
 def build_moment(obs: ObservationSet, d: int, cap: int | None = None) -> DenseSymTensor:
@@ -220,24 +216,22 @@ def build_moment(obs: ObservationSet, d: int, cap: int | None = None) -> DenseSy
     """
     if d < 2:
         raise ValueError(f"order must be >= 2, got {d}")
-    n, p = obs.V.shape
-    _check_cap(n, d, cap)
-    parts, inverse = _multiset_index(n, d)
-    acc = np.zeros(parts.shape[1])
-    for ell in range(p):
-        acc += obs.nu[ell] * _multiset_products(obs.V[:, ell], parts)
-    return DenseSymTensor(d, n, acc[inverse], cap=cap)
+    return _sum_outer_powers(obs.V, obs.nu, d, cap)
 
 
 def kruskal_to_dense(model: "SymKruskal", cap: int | None = None) -> DenseSymTensor:
     """Expand a symmetric Kruskal model ``sum_j lam_j * a_j^{outer d}`` to dense form."""
-    d = model.order
-    n, r = model.A.shape
+    return _sum_outer_powers(model.A, model.lam, model.order, cap)
+
+
+def _sum_outer_powers(M: np.ndarray, w: np.ndarray, d: int, cap: int | None) -> DenseSymTensor:
+    """``sum_j w[j] * M[:, j]^{outer d}``, accumulated in column order."""
+    n = M.shape[0]
     _check_cap(n, d, cap)
     parts, inverse = _multiset_index(n, d)
     acc = np.zeros(parts.shape[1])
-    for j in range(r):
-        acc += model.lam[j] * _multiset_products(model.A[:, j], parts)
+    for j in range(M.shape[1]):
+        acc += w[j] * _multiset_products(M[:, j], parts)
     return DenseSymTensor(d, n, acc[inverse], cap=cap)
 
 
@@ -264,6 +258,15 @@ def ttsv_all_but_one(X: DenseSymTensor, a: np.ndarray) -> np.ndarray:
     for _ in range(X.order - 1):
         out = out @ a
     return out
+
+
+def ttsv_batch_dense(X: DenseSymTensor, A: np.ndarray) -> np.ndarray:
+    """:func:`ttsv_all_but_one` against every column of ``A``, in O(r n^d):
+    the dense counterpart of ``momentcp.implicit.ttsv_batch``."""
+    Y = np.empty_like(A)
+    for j in range(A.shape[1]):
+        Y[:, j] = ttsv_all_but_one(X, A[:, j])
+    return Y
 
 
 def ttsv_all(X: DenseSymTensor, a: np.ndarray) -> float:

@@ -22,6 +22,8 @@ import numpy as np
 
 from momentcp.dense import ObservationSet
 
+NORM_BLOCK = 256  # rows of V'V per block in data_norm_sq; a few blocks live at once
+
 
 @dataclass
 class SymKruskal:
@@ -87,8 +89,12 @@ def ttsv_batch(obs: ObservationSet, A: np.ndarray, d: int) -> np.ndarray:
         raise ValueError(f"order must be >= 2, got {d}")
     if A.ndim != 2 or A.shape[0] != obs.n:
         raise ValueError(f"A must be {obs.n} x r, got shape {A.shape}")
-    P = _elementwise_power(obs.V.T @ A, d - 1)
-    return obs.V @ (obs.nu[:, None] * P)
+    return _ttsv(obs.V, obs.nu, A, d)
+
+
+def _ttsv(V: np.ndarray, nu: np.ndarray, A: np.ndarray, d: int) -> np.ndarray:
+    """The kernel of :func:`ttsv_batch` on arguments the caller has checked."""
+    return V @ (nu[:, None] * _elementwise_power(V.T @ A, d - 1))
 
 
 def kruskal_norm_sq(model: SymKruskal) -> float:
@@ -98,11 +104,16 @@ def kruskal_norm_sq(model: SymKruskal) -> float:
 
 
 def data_norm_sq(obs: ObservationSet, d: int) -> float:
-    """Squared norm of the order-``d`` weighted moment tensor in O(n p^2)."""
+    """Squared norm of the order-``d`` weighted moment tensor in O(n p^2) time
+    and O(NORM_BLOCK p) memory: ``V.T @ V`` is formed a row block at a time."""
     if d < 2:
         raise ValueError(f"order must be >= 2, got {d}")
-    G = _elementwise_power(obs.V.T @ obs.V, d)
-    return float(obs.nu @ G @ obs.nu)
+    V, nu = obs.V, obs.nu
+    total = 0.0
+    for i in range(0, obs.p, NORM_BLOCK):
+        G = _elementwise_power(V[:, i : i + NORM_BLOCK].T @ V, d)
+        total += float(nu[i : i + NORM_BLOCK] @ G @ nu)
+    return total
 
 
 def model_data_inner(

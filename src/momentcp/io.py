@@ -125,9 +125,6 @@ class SolutionRecord:
     def factor_matrix(self) -> np.ndarray:
         return np.asarray(self.A_row_major, dtype=float).reshape(self.n, self.r_hat)
 
-    def weights(self) -> np.ndarray:
-        return np.asarray(self.lam, dtype=float)
-
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
 

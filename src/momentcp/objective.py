@@ -7,20 +7,26 @@ same function shifted by a constant, which leaves the gradients (and hence
 any optimizer trajectory) untouched while avoiding the cost of the data
 norm.
 
-Three evaluation routes share one algebraic tail and differ only in how the
-TTSV matrix ``Y`` is produced: from a dense tensor (explicit), from the
-observation matrix (implicit), or from a random subsample of observations
-(stochastic, an unbiased estimator of the implicit route).
+Every route shares one algebraic tail and differs only in how the TTSV
+matrix ``Y`` is produced: from a dense tensor (explicit, the oracle), from
+the observation matrix (implicit), or from a random subsample of
+observations (stochastic, an unbiased estimator of the implicit route).
+The solvers call one packed evaluator, :func:`packed_fg`, which checks the
+problem once when it is built and then only that each point is finite;
+:func:`fg_explicit` and :func:`fg_implicit` check their arguments per call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from momentcp.dense import DenseSymTensor, ObservationSet, ttsv_all_but_one
-from momentcp.implicit import _elementwise_power, model_data_inner, ttsv_batch
+from momentcp.dense import DenseSymTensor, ObservationSet, ttsv_batch_dense
+from momentcp.implicit import _elementwise_power, _ttsv, ttsv_batch
+
+FgCallback = Callable[[np.ndarray], tuple[float, np.ndarray]]
 
 
 @dataclass
@@ -51,7 +57,7 @@ def _finish(Y: np.ndarray, lam: np.ndarray, A: np.ndarray, d: int, alpha: float)
     B = A.T @ A
     C = _elementwise_power(B, d - 1)
     u = (B * C) @ lam
-    w, _ = model_data_inner(Y, A, lam)
+    w = np.einsum("ij,ij->j", A, Y)  # w_j = a_j.T y_j, as in model_data_inner
     f = alpha + float(lam @ u) - 2.0 * float(w @ lam)
     g_lam = -2.0 * (w - u)
     g_A = -2.0 * d * (Y - (A * lam) @ C) * lam
@@ -67,10 +73,7 @@ def fg_explicit(
     reference route for :func:`fg_implicit`.
     """
     lam, A = _validate_variables(lam, A, X.dim, alpha)
-    Y = np.empty_like(A)
-    for j in range(lam.size):
-        Y[:, j] = ttsv_all_but_one(X, A[:, j])
-    return _finish(Y, lam, A, X.order, alpha)
+    return _finish(ttsv_batch_dense(X, A), lam, A, X.order, alpha)
 
 
 def fg_implicit(
@@ -87,6 +90,54 @@ def fg_implicit(
     """
     lam, A = _validate_variables(lam, A, obs.n, alpha)
     return _finish(ttsv_batch(obs, A, d), lam, A, d, alpha)
+
+
+def pack(lam: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """Flatten ``(lam, A)`` into one vector: lam first, then A column-major."""
+    lam = np.asarray(lam, dtype=float)
+    A = np.asarray(A, dtype=float)
+    if A.ndim != 2 or lam.ndim != 1 or A.shape[1] != lam.size:
+        raise ValueError(f"inconsistent shapes: lam {lam.shape}, A {A.shape}")
+    return np.concatenate([lam, A.ravel(order="F")])
+
+
+def unpack(x: np.ndarray, n: int, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Invert :func:`pack` for an ``n x r`` factor matrix."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (r + n * r,):
+        raise ValueError(f"expected packed length {r + n * r}, got {x.shape}")
+    return x[:r].copy(), x[r:].reshape((n, r), order="F").copy()
+
+
+def packed_fg(
+    ttsv: Callable[[np.ndarray], np.ndarray], n: int, r: int, d: int, alpha: float = 0.0
+) -> FgCallback:
+    """The objective as a callback ``x -> (f, pack(g_lam, g_A))`` on the float
+    vector ``x = pack(lam, A)``, where ``ttsv(A)`` makes ``Y`` for an ``n x r``
+    factor matrix.  The problem is checked here, once; a call raises
+    ``ValueError`` on a non-finite ``x`` and gives the per-point route's bits.
+    """
+    if min(n, r) < 1 or d < 2 or not np.isfinite(alpha):
+        raise ValueError(f"need n, r >= 1, d >= 2 and a finite alpha, got {n}, {r}, {d}, {alpha}")
+
+    def fg(x: np.ndarray) -> tuple[float, np.ndarray]:
+        # fail fast rather than letting NaN leak into a line search
+        if not np.isfinite(x).all():
+            raise ValueError("model variables must be finite")
+        # A is copied C-contiguous, as unpack does: the GEMMs' bits depend on it
+        A = x[r:].reshape((n, r), order="F").copy()
+        res = _finish(ttsv(A), x[:r], A, d, alpha)
+        return res.f, np.concatenate([res.g_lam, res.g_A.ravel(order="F")])
+
+    return fg
+
+
+def packed_fg_implicit(
+    obs: ObservationSet, d: int, r: int, alpha: float = 0.0
+) -> FgCallback:
+    """:func:`packed_fg` on the matrix-free TTSVs of ``obs``."""
+    V, nu = obs.V, obs.nu
+    return packed_fg(lambda A: _ttsv(V, nu, A, d), obs.n, r, d, alpha)
 
 
 def sample_observations(

@@ -24,9 +24,8 @@ from typing import Callable
 import numpy as np
 
 from momentcp.dense import ObservationSet
-from momentcp.objective import fg_explicit, fg_implicit, sample_observations
-
-FgCallback = Callable[[np.ndarray], tuple[float, np.ndarray]]
+from momentcp.implicit import _ttsv
+from momentcp.objective import FgCallback, pack, packed_fg, packed_fg_implicit, unpack  # noqa: F401
 
 
 @dataclass
@@ -43,7 +42,7 @@ class OptConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.pgtol <= 0:
+        if not self.pgtol > 0:  # also rejects NaN; inf stops at once
             raise ValueError(f"pgtol must be > 0, got {self.pgtol}")
         if self.memory < 1:
             raise ValueError(f"memory must be >= 1, got {self.memory}")
@@ -100,51 +99,6 @@ class RunReport:
     run_index: int | None = None
     runs: list["RunReport"] | None = None
     failures: list[str] = field(default_factory=list)
-
-
-def pack(lam: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """Flatten ``(lam, A)`` into one vector: lam first, then A column-major."""
-    lam = np.asarray(lam, dtype=float)
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or lam.ndim != 1 or A.shape[1] != lam.size:
-        raise ValueError(f"inconsistent shapes: lam {lam.shape}, A {A.shape}")
-    return np.concatenate([lam, A.ravel(order="F")])
-
-
-def unpack(x: np.ndarray, n: int, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """Invert :func:`pack` for an ``n x r`` factor matrix."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (r + n * r,):
-        raise ValueError(f"expected packed length {r + n * r}, got {x.shape}")
-    lam = x[:r].copy()
-    A = x[r:].reshape((n, r), order="F").copy()
-    return lam, A
-
-
-def packed_fg_implicit(
-    obs: ObservationSet, d: int, r: int, alpha: float = 0.0
-) -> FgCallback:
-    """Adapter: matrix-free objective as a callback on packed variables."""
-    n = obs.n
-
-    def fg(x: np.ndarray) -> tuple[float, np.ndarray]:
-        lam, A = unpack(x, n, r)
-        res = fg_implicit(obs, lam, A, d, alpha)
-        return res.f, pack(res.g_lam, res.g_A)
-
-    return fg
-
-
-def packed_fg_explicit(X, r: int, alpha: float = 0.0) -> FgCallback:
-    """Adapter: dense-tensor objective as a callback on packed variables."""
-    n = X.dim
-
-    def fg(x: np.ndarray) -> tuple[float, np.ndarray]:
-        lam, A = unpack(x, n, r)
-        res = fg_explicit(X, lam, A, alpha)
-        return res.f, pack(res.g_lam, res.g_A)
-
-    return fg
 
 
 def two_loop_direction(
@@ -221,13 +175,9 @@ def _wolfe_line_search(fg, x, f0, g0, direction, step0, c1, c2, max_trials):
             break
         a_prev, f_prev, d_prev = a, fa, da
         a = min(2.0 * a, 1e20)
-    if lo is None:
-        if best is not None:
-            return best[3], best[1], best[2], evals
-        return None, f0, g0, evals
 
-    # zoom phase
-    while evals < max_trials:
+    # zoom phase, when the bracketing phase found an interval
+    while lo is not None and evals < max_trials:
         a_lo, f_lo, d_lo = lo
         a_hi, f_hi, _ = hi
         width = a_hi - a_lo
@@ -258,7 +208,6 @@ def lbfgs_minimize(
     x0: np.ndarray,
     cfg: OptConfig,
     shape: tuple[int, int],
-    iterate_hook: Callable[[np.ndarray], None] | None = None,
 ) -> RunReport:
     """Minimize a smooth function with limited-memory BFGS.
 
@@ -274,9 +223,6 @@ def lbfgs_minimize(
         search cannot make progress.
     shape:
         ``(n, r)`` used to unpack the final iterate into the report.
-    iterate_hook:
-        Optional callable invoked with each accepted iterate (used by the
-        benchmark harness to collect points for paired checks).
     """
     start = time.perf_counter()
     x = np.asarray(x0, dtype=float).copy()
@@ -285,8 +231,6 @@ def lbfgs_minimize(
     if not (np.isfinite(f) and np.isfinite(g).all()):
         raise ValueError("objective is not finite at the starting point")
     trace = [(f, time.perf_counter() - start)]
-    if iterate_hook is not None:
-        iterate_hook(x.copy())
 
     s_hist: deque[np.ndarray] = deque(maxlen=cfg.memory)
     y_hist: deque[np.ndarray] = deque(maxlen=cfg.memory)
@@ -336,8 +280,6 @@ def lbfgs_minimize(
         x, f, g = x_new, f_new, g_new
         n_steps += 1
         trace.append((f, time.perf_counter() - start))
-        if iterate_hook is not None:
-            iterate_hook(x.copy())
 
     lam, A = unpack(x, *shape)
     return RunReport(
@@ -364,12 +306,13 @@ def adam_minimize(
 ) -> RunReport:
     """Stochastic minimization of the shifted objective with Adam.
 
-    Every inner iteration draws a fresh ``cfg.batch``-observation sample and
-    takes one bias-corrected Adam step.  After each epoch the objective is
-    estimated on a fixed subset; a non-decreasing estimate first reduces the
-    step size (rewinding to the prior epoch's iterate and restarting the
-    moment accumulators), and on a second occurrence the run terminates with
-    the prior epoch's iterate.
+    Every inner iteration draws a fresh ``cfg.batch``-observation sample (the
+    draw :func:`~momentcp.objective.sample_observations` makes) and takes one
+    bias-corrected Adam step.  Uniform weights are checked once, here.  After
+    each epoch the objective is estimated on a fixed subset; a non-decreasing
+    estimate first reduces the step size (rewinding to the prior epoch's
+    iterate and restarting the moment accumulators), and on a second
+    occurrence the run terminates with the prior epoch's iterate.
     """
     start = time.perf_counter()
     n, p = obs.V.shape
@@ -381,6 +324,10 @@ def adam_minimize(
 
     est_idx = rng.choice(p, size=min(cfg.estimate_samples, p), replace=False)
     estimate = packed_fg_implicit(ObservationSet(obs.V[:, est_idx]), d, r_hat)
+    # each step rebinds V_batch to its sample, which batch_fg reads at call time
+    V_batch = None
+    nu_batch = np.full(cfg.batch, 1.0 / cfg.batch)
+    batch_fg = packed_fg(lambda A: _ttsv(V_batch, nu_batch, A, d), n, r_hat, d)
     f_best, _ = estimate(x)
     x_best = x.copy()
     trace = [(f_best, time.perf_counter() - start)]
@@ -394,8 +341,8 @@ def adam_minimize(
     reason = "iteration cap"
     for _ in range(cfg.max_epochs):
         for _ in range(cfg.epoch_len):
-            batch = sample_observations(obs, cfg.batch, rng)
-            _, grad = packed_fg_implicit(batch, d, r_hat)(x)
+            V_batch = obs.V[:, rng.integers(0, p, size=cfg.batch)]
+            _, grad = batch_fg(x)
             t += 1
             m1 = cfg.beta1 * m1 + (1.0 - cfg.beta1) * grad
             m2 = cfg.beta2 * m2 + (1.0 - cfg.beta2) * grad * grad

@@ -1,5 +1,7 @@
 """Matrix-free kernels verified against the dense oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -114,6 +116,22 @@ class TestDataNormSq:
             assert data_norm_sq(obs, d) == pytest.approx(
                 want, rel=1e-12, abs=1e-12 * max(1.0, abs(want))
             )
+
+
+    def test_memory_bounded_in_p(self):
+        # the whole p x p Gram matrix takes 8 p^2 bytes; blocks take a fraction
+        rng = np.random.default_rng(15)
+        n, p, d = 50, 4000, 3
+        obs = ObservationSet(rng.standard_normal((n, p)) / np.sqrt(n))
+        tracemalloc.start()
+        try:
+            got = data_norm_sq(obs, d)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * p * p / 4
+        X = build_moment(obs, d)
+        assert got == pytest.approx(inner(X, X), rel=1e-12, abs=0)
 
 
 class TestModelDataInner:

@@ -165,6 +165,27 @@ class TestDecomposeCommand:
             ])
         assert exc.value.code == 2
 
+    def test_rank_below_one_is_usage_error(self, tmp_path):
+        data = tmp_path / "obs.csv"
+        _write_rank_one_csv(data)
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "decompose", "--input", str(data), "--order", "3", "--rank", "0",
+                "--output", str(tmp_path / "o.json"),
+            ])
+        assert exc.value.code == 2
+
+    def test_nan_pgtol_is_runtime_error(self, tmp_path, capsys):
+        data = tmp_path / "obs.csv"
+        _write_rank_one_csv(data)
+        code = main([
+            "decompose", "--input", str(data), "--order", "3", "--rank", "1",
+            "--pgtol", "nan", "--output", str(tmp_path / "o.json"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "o.json").exists()
+
     def test_same_seed_identical_output_modulo_timing(self, tmp_path):
         data = tmp_path / "obs.csv"
         _write_rank_one_csv(data)

@@ -14,6 +14,8 @@ from momentcp import (
     ttsv_batch,
     SymKruskal,
 )
+from momentcp.dense import ttsv_batch_dense
+from momentcp.objective import packed_fg
 from momentcp.optimize import pack, packed_fg_implicit
 
 
@@ -144,6 +146,54 @@ class TestGradients:
                 fd[i] = (fg(x + e)[0] - fg(x - e)[0]) / (2.0 * h)
             scale = np.maximum(np.abs(g), np.abs(g).max())
             assert np.all(np.abs(fd - g) <= 1e-5 * np.maximum(scale, 1e-12))
+
+
+class TestPackedEvaluator:
+    """The one packed evaluator must give the per-point routes' bits."""
+
+    def _instance(self, rng, n=40, p=200, r=5):
+        # V column-major, as the file readers give it: at this size a change
+        # in the layout of A changes the GEMMs' bits
+        V = np.asfortranarray(rng.standard_normal((n, p)))
+        obs = ObservationSet(V, rng.random(p) + 0.5)
+        return obs, rng.standard_normal(r), rng.standard_normal((n, r)), n, r
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_implicit_bitwise(self, d):
+        rng = np.random.default_rng(100 + d)
+        obs, lam, A, _, r = self._instance(rng)
+        fg = packed_fg_implicit(obs, d, r, alpha=2.5)
+        for _ in range(3):
+            ref = fg_implicit(obs, lam, A, d, alpha=2.5)
+            f, g = fg(pack(lam, A))
+            assert f == ref.f
+            assert np.array_equal(g, pack(ref.g_lam, ref.g_A))
+            lam, A = rng.standard_normal(lam.shape), rng.standard_normal(A.shape)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_dense_oracle_bitwise(self, d):
+        rng = np.random.default_rng(110 + d)
+        obs, lam, A, n, r = self._instance(rng, n=7, p=60, r=3)
+        X = build_moment(obs, d)
+        f, g = packed_fg(lambda B: ttsv_batch_dense(X, B), n, r, d, alpha=-1.5)(pack(lam, A))
+        ref = fg_explicit(X, lam, A, alpha=-1.5)
+        assert f == ref.f
+        assert np.array_equal(g, pack(ref.g_lam, ref.g_A))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_point_raises(self, bad):
+        rng = np.random.default_rng(120)
+        obs, lam, A, _, r = self._instance(rng)
+        x = pack(lam, A)
+        x[4] = bad
+        with pytest.raises(ValueError):
+            packed_fg_implicit(obs, 3, r)(x)
+
+    def test_problem_checked_when_built(self):
+        obs = ObservationSet(np.ones((2, 3)))
+        for d, r, alpha in [(1, 2, 0.0), (3, 0, 0.0), (3, 2, np.nan), (3, 2, np.inf)]:
+            with pytest.raises(ValueError):
+                packed_fg_implicit(obs, d, r, alpha)
 
 
 class _FixedDrawRng:

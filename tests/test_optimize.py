@@ -1,5 +1,7 @@
 """Solvers: packing, L-BFGS behavior, Adam epoch protocol, multistart."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from momentcp import (
     unpack,
 )
 from momentcp.gmm import correlated_means, sample_gmm
+from momentcp import fg_implicit, sample_observations
 from momentcp.optimize import packed_fg_implicit
 
 
@@ -205,6 +208,41 @@ class TestAdam:
         assert np.array_equal(rep.lam, lam0)
         assert np.array_equal(rep.A, A0)
 
+    def test_step_gradient_matches_sample_observations(self, monkeypatch):
+        # record every mini-batch gradient Adam takes, then replay the same
+        # draws from a copied generator through sample_observations
+        import momentcp.optimize as optimize
+
+        steps = []
+        real_packed_fg = optimize.packed_fg
+
+        def recording_packed_fg(*args, **kwargs):
+            fg = real_packed_fg(*args, **kwargs)
+
+            def recorded(x):
+                f, g = fg(x)
+                steps.append((x.copy(), g))
+                return f, g
+
+            return recorded
+
+        monkeypatch.setattr(optimize, "packed_fg", recording_packed_fg)
+        rng = np.random.default_rng(42)
+        obs, x0, r = _adam_problem(rng, n=40, r=5, p=400)
+        # column-major, as the file readers give it: then a change in the
+        # layout of A changes the gradient's bits at this size
+        obs = ObservationSet(np.asfortranarray(obs.V))
+        cfg = AdamConfig(epoch_len=4, batch=50, estimate_samples=100, max_epochs=3)
+        replay = copy.deepcopy(rng)
+        rep = adam_minimize(obs, 3, r, x0, cfg, rng)
+        assert len(steps) == rep.n_fg > 0
+
+        replay.choice(obs.p, size=cfg.estimate_samples, replace=False)
+        for x, g in steps:
+            lam, A = unpack(x, obs.n, r)
+            ref = fg_implicit(sample_observations(obs, cfg.batch, replay), lam, A, 3)
+            assert np.array_equal(g, pack(ref.g_lam, ref.g_A))
+
     def test_requires_uniform_weights(self):
         rng = np.random.default_rng(41)
         V = rng.standard_normal((3, 4))
@@ -312,6 +350,8 @@ class TestConfigs:
     def test_optconfig_validation(self):
         with pytest.raises(ValueError):
             OptConfig(pgtol=0.0)
+        with pytest.raises(ValueError):
+            OptConfig(pgtol=float("nan"))
         with pytest.raises(ValueError):
             OptConfig(memory=0)
 
