@@ -24,7 +24,7 @@ from momentcp.gmm import (
     sample_gmm,
     similarity_score,
 )
-from momentcp.implicit import data_norm_sq
+from momentcp.implicit import data_norm_sq, ttsv_batch
 from momentcp.io import ParseError, SolutionRecord, read_observations
 from momentcp.objective import packed_fg
 from momentcp.optimize import (
@@ -70,8 +70,9 @@ def run_bench(scenario: BenchScenario) -> dict:
     """Optimize the same random instances via both routes and compare timings.
 
     Per run: one shared initial guess, a full L-BFGS optimization with each
-    evaluation route, and a paired objective check at points sampled from
-    the implicit run's evaluations (both routes must agree to
+    evaluation route (both minimize the reduced objective over ``A``), and a
+    paired check of that objective at factor matrices sampled from the
+    implicit run's evaluations (both routes must agree to
     ``PAIRED_CHECK_RTOL``).
     The explicit route is skipped with a notice when n**d exceeds the element
     cap.
@@ -80,7 +81,13 @@ def run_bench(scenario: BenchScenario) -> dict:
     rng = np.random.default_rng(sc.seed)
     obs = ObservationSet(rng.random((sc.n, sc.p)))
     explicit_ok = sc.n**sc.d <= element_cap()
-    fg_imp = packed_fg_implicit(obs, sc.d, sc.r)
+    points: list[np.ndarray] = []  # every A the implicit route evaluates
+
+    def ttsv_recorded(A):
+        points.append(A)
+        return ttsv_batch(obs, A, sc.d)
+
+    fg_imp = packed_fg(ttsv_recorded, sc.n, sc.r, sc.d)
     fg_exp = None
     if explicit_ok:
         X = build_moment(obs, sc.d)
@@ -96,13 +103,8 @@ def run_bench(scenario: BenchScenario) -> dict:
         run_rng = np.random.default_rng(children[i])
         x0 = pack(np.full(sc.r, 1.0 / sc.r), gaussian_init(sc.n, sc.r, run_rng))
 
-        points: list[np.ndarray] = []
-
-        def fg_recorded(x):
-            points.append(x)
-            return fg_imp(x)
-
-        rep_imp = lbfgs_minimize(fg_recorded, x0, cfg, shape=(sc.n, sc.r))
+        points.clear()
+        rep_imp = lbfgs_minimize(fg_imp, x0, cfg, shape=(sc.n, sc.r))
         times["implicit"].append(rep_imp.wall_time)
         iters["implicit"].append(rep_imp.n_fg)
 
@@ -117,8 +119,9 @@ def run_bench(scenario: BenchScenario) -> dict:
             np.linspace(0, len(points) - 1, PAIRED_CHECK_POINTS).astype(int)
         )
         for idx in picks:
-            f_i, _ = fg_imp(points[idx])
-            f_e, _ = fg_exp(points[idx])
+            x = pack(np.zeros(sc.r), points[idx])
+            f_i, _ = fg_imp.reduced(x)
+            f_e, _ = fg_exp.reduced(x)
             rel = abs(f_e - f_i) / max(1.0, abs(f_e), abs(f_i))
             max_paired_rel = max(max_paired_rel, rel)
             if rel > PAIRED_CHECK_RTOL:

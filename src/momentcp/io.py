@@ -37,28 +37,33 @@ def read_observations(path: str) -> ObservationSet:
 
 
 def read_observations_csv(path: str) -> ObservationSet:
-    rows: list[list[float]] = []
-    width = None
+    """Parse rows straight into a preallocated ``p x n`` array, one row at a
+    time, so that the read needs little more memory than ``V`` itself."""
     with open(path, newline="") as fh:
+        lines = sum(1 for _ in fh)  # rows are at most lines
+        fh.seek(0)
+        M = None
+        k = 0
         for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row or all(cell.strip() == "" for cell in row):
+            if not "".join(row).strip():
                 continue
+            if M is None:
+                M = np.empty((lines - lineno + 1, len(row)))
+            elif len(row) != M.shape[1]:
+                raise ParseError(
+                    f"{path}: row {lineno}: expected {M.shape[1]} values, got {len(row)}"
+                )
             try:
-                values = [float(cell) for cell in row]
+                M[k] = row
             except ValueError:
                 if lineno == 1:
-                    continue  # optional header
+                    M = None  # optional header, which sets no width
+                    continue
                 raise ParseError(f"{path}: row {lineno}: non-numeric value") from None
-            if width is None:
-                width = len(values)
-            elif len(values) != width:
-                raise ParseError(
-                    f"{path}: row {lineno}: expected {width} values, got {len(values)}"
-                )
-            rows.append(values)
-    if not rows:
+            k += 1
+    if not k:
         raise ParseError(f"{path}: no observations found")
-    M = np.asarray(rows, dtype=float)
+    M = M[:k]
     if not np.isfinite(M).all():
         bad = np.argwhere(~np.isfinite(M))[0]
         raise ValueError(f"{path}: non-finite value at row {bad[0] + 1}, column {bad[1] + 1}")

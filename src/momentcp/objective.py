@@ -14,6 +14,13 @@ observations (stochastic, an unbiased estimator of the implicit route).
 The solvers call one packed evaluator, :func:`packed_fg`, which checks the
 problem once when it is built and then only that each point is finite;
 :func:`fg_explicit` and :func:`fg_implicit` check their arguments per call.
+
+For fixed ``A`` the objective is quadratic in ``lam``, minimized by
+``lam* = G^{-1} w`` with ``G = (A'A)^d`` (elementwise) and ``w_j = a_j'y_j``.
+The packed evaluator also has a reduced route over ``A`` alone (variable
+projection): ``f(lam*(A), A)`` and, by the envelope theorem, ``g_A`` at
+``(lam*, A)``.  L-BFGS minimizes it; Adam, whose sampled ``lam`` gradients
+must stay unbiased, keeps the full ``(lam, A)`` route.
 """
 
 from __future__ import annotations
@@ -22,11 +29,15 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.linalg import cho_solve
 
 from momentcp.dense import DenseSymTensor, ObservationSet, ttsv_batch_dense
 from momentcp.implicit import _elementwise_power, _ttsv, ttsv_batch
 
 FgCallback = Callable[[np.ndarray], tuple[float, np.ndarray]]
+
+# least share of its diagonal entry that a Cholesky pivot of G may keep
+_PIVOT_FLOOR = float(np.sqrt(np.finfo(float).eps))
 
 
 @dataclass
@@ -62,6 +73,27 @@ def _finish(Y: np.ndarray, lam: np.ndarray, A: np.ndarray, d: int, alpha: float)
     g_lam = -2.0 * (w - u)
     g_A = -2.0 * d * (Y - (A * lam) @ C) * lam
     return FgResult(f, g_lam, g_A)
+
+
+def _lam_star(G: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``lam* = G^{-1} w`` for the positive semidefinite ``G = (A'A)^d``.
+
+    Cholesky while every pivot keeps more than ``sqrt(eps)`` of its diagonal
+    entry; otherwise ``G`` is singular to working precision (duplicate or
+    zero columns, ``r`` above the dimension of the symmetric tensors) and the
+    minimum-norm least-squares solution, which gives the same ``f``, is taken.
+    An overflowed ``G`` or ``w`` gives NaN weights, hence a non-finite ``f``,
+    from which a line search steps back as it does on the full route.
+    """
+    if not (np.isfinite(G).all() and np.isfinite(w).all()):
+        return np.full_like(w, np.nan)
+    try:
+        L = np.linalg.cholesky(G)
+    except np.linalg.LinAlgError:
+        L = None
+    if L is not None and (np.diagonal(L) ** 2 > _PIVOT_FLOOR * np.diagonal(G)).all():
+        return cho_solve((L, True), w, check_finite=False)
+    return np.linalg.lstsq(G, w, rcond=None)[0]
 
 
 def fg_explicit(
@@ -116,19 +148,42 @@ def packed_fg(
     vector ``x = pack(lam, A)``, where ``ttsv(A)`` makes ``Y`` for an ``n x r``
     factor matrix.  The problem is checked here, once; a call raises
     ``ValueError`` on a non-finite ``x`` and gives the per-point route's bits.
+
+    The reduced route ignores ``x``'s ``lam`` and makes ``Y`` once per call:
+    ``fg.project(x)`` gives ``(pack(lam*, A), f, gradient)`` at the optimal
+    weights ``lam* = G^{-1} w``, and ``fg.reduced(x)`` gives ``(f, gradient)``
+    there with the gradient's ``lam`` slots exactly 0.
     """
     if min(n, r) < 1 or d < 2 or not np.isfinite(alpha):
         raise ValueError(f"need n, r >= 1, d >= 2 and a finite alpha, got {n}, {r}, {d}, {alpha}")
 
-    def fg(x: np.ndarray) -> tuple[float, np.ndarray]:
+    def unpack_A(x: np.ndarray) -> np.ndarray:
         # fail fast rather than letting NaN leak into a line search
         if not np.isfinite(x).all():
             raise ValueError("model variables must be finite")
         # A is copied C-contiguous, as unpack does: the GEMMs' bits depend on it
-        A = x[r:].reshape((n, r), order="F").copy()
+        return x[r:].reshape((n, r), order="F").copy()
+
+    def fg(x: np.ndarray) -> tuple[float, np.ndarray]:
+        A = unpack_A(x)
         res = _finish(ttsv(A), x[:r], A, d, alpha)
         return res.f, np.concatenate([res.g_lam, res.g_A.ravel(order="F")])
 
+    def project(x: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
+        A = unpack_A(x)
+        Y = ttsv(A)
+        lam = _lam_star(_elementwise_power(A.T @ A, d), np.einsum("ij,ij->j", A, Y))
+        res = _finish(Y, lam, A, d, alpha)
+        return (np.concatenate([lam, x[r:]]), res.f,
+                np.concatenate([res.g_lam, res.g_A.ravel(order="F")]))
+
+    def reduced(x: np.ndarray) -> tuple[float, np.ndarray]:
+        _, f, g = project(x)
+        g[:r] = 0.0
+        return f, g
+
+    fg.project = project
+    fg.reduced = reduced
     return fg
 
 

@@ -3,7 +3,9 @@
 The solvers operate on a flat variable vector ``x = pack(lam, A)`` (weights
 first, then the factor matrix column-major); gradients are packed the same
 way.  ``lbfgs_minimize`` is a plain two-loop L-BFGS with a strong-Wolfe line
-search and an infinity-norm gradient stopping rule.  ``adam_minimize`` runs
+search and an infinity-norm gradient stopping rule; on a moment objective it
+eliminates ``lam`` (variable projection), searching over ``A`` alone and
+reporting ``lam = G^{-1} w``.  Adam does not.  ``adam_minimize`` runs
 stochastic gradients in fixed-length epochs with a monitored function
 estimate that triggers one learning-rate reduction and then termination.
 ``multistart`` fans a solver out over independently seeded initial guesses
@@ -82,8 +84,9 @@ class RunReport:
 
     ``trace`` rows are ``(f, seconds_since_start)`` at the initial point and
     after every accepted step (for Adam: after every epoch).  ``n_fg`` counts
-    inner iterations, i.e. function/gradient evaluations (for Adam:
-    mini-batch gradient steps).
+    inner iterations, i.e. function/gradient evaluations, the final ``lam``
+    solve of a reduced L-BFGS run included (for Adam: mini-batch gradient
+    steps).
     """
 
     lam: np.ndarray
@@ -214,7 +217,11 @@ def lbfgs_minimize(
     Parameters
     ----------
     fg:
-        Callback returning ``(f, gradient)`` at a packed point.
+        Callback returning ``(f, gradient)`` at a packed point.  One from
+        :func:`~momentcp.objective.packed_fg` is minimized over ``A`` alone
+        on its reduced route, ignoring ``x0``'s weights; the report carries
+        ``lam = G^{-1} w`` at the final ``A``, with ``f`` and the full
+        gradient's norm there.
     x0:
         Starting point; ``fg`` must be finite there.
     cfg:
@@ -225,8 +232,10 @@ def lbfgs_minimize(
         ``(n, r)`` used to unpack the final iterate into the report.
     """
     start = time.perf_counter()
+    project = getattr(fg, "project", None)
+    search = fg if project is None else fg.reduced
     x = np.asarray(x0, dtype=float).copy()
-    f, g = fg(x)
+    f, g = search(x)
     n_fg = 1
     if not (np.isfinite(f) and np.isfinite(g).all()):
         raise ValueError("objective is not finite at the starting point")
@@ -261,7 +270,7 @@ def lbfgs_minimize(
 
         budget = min(cfg.max_line_steps, cfg.max_total_iters - n_fg)
         x_new, f_new, g_new, evals = _wolfe_line_search(
-            fg, x, f, g, direction, step0,
+            search, x, f, g, direction, step0,
             cfg.sufficient_decrease, cfg.curvature, budget,
         )
         n_fg += evals
@@ -281,6 +290,9 @@ def lbfgs_minimize(
         n_steps += 1
         trace.append((f, time.perf_counter() - start))
 
+    if project is not None:
+        x, f, g = project(x)
+        n_fg += 1
     lam, A = unpack(x, *shape)
     return RunReport(
         lam=lam,

@@ -57,6 +57,31 @@ class TestCsv:
         with pytest.raises(ValueError, match="non-finite"):
             read_observations_csv(str(path))
 
+    def test_blank_rows_and_header_skipped(self, tmp_path):
+        path = tmp_path / "obs.csv"
+        path.write_text("a,b,c\n1,2\n\n , \n3,4\n")
+        obs = read_observations_csv(str(path))
+        assert np.array_equal(obs.V, [[1.0, 3.0], [2.0, 4.0]])
+
+    def test_read_memory_bounded(self, tmp_path):
+        # parsed straight into the array: no per-value Python objects
+        import tracemalloc
+
+        rng = np.random.default_rng(71)
+        n, p = 40, 2000
+        obs = ObservationSet(rng.standard_normal((n, p)))
+        path = tmp_path / "big.csv"
+        write_observations_csv(str(path), obs)
+        tracemalloc.start()
+        try:
+            back = read_observations_csv(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back.V, obs.V)
+        assert back.V.flags.f_contiguous
+        assert peak <= 3 * 8 * n * p
+
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(70)
         obs = ObservationSet(rng.standard_normal((3, 5)))
@@ -243,6 +268,31 @@ class TestDecomposeCommand:
         ])
         assert code == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("case", ["identical-variables", "rank-above-n"])
+    def test_degenerate_input_finite_or_error(self, tmp_path, capsys, case):
+        # a singular Gram matrix in the weight solve must not escape as a
+        # LinAlgError traceback; at n=2, d=2 a rank of 4 exceeds the
+        # dimension 3 of the symmetric matrices, so G is singular
+        rng = np.random.default_rng(84)
+        if case == "identical-variables":
+            V, order, rank = rng.standard_normal((4, 60)), 3, 3
+            V[1] = V[0]
+        else:
+            V, order, rank = rng.standard_normal((2, 60)), 2, 4
+        data = tmp_path / "obs.csv"
+        out = tmp_path / "sol.json"
+        write_observations_csv(str(data), ObservationSet(V))
+        code = main([
+            "decompose", "--input", str(data), "--order", str(order), "--rank", str(rank),
+            "--starts", "3", "--alpha", "exact", "--seed", "2", "--output", str(out),
+        ])
+        if code == 0:
+            rec = SolutionRecord.load(str(out))
+            assert np.isfinite(rec.lam + rec.A_row_major + [rec.final_f, rec.grad_inf_norm]).all()
+        else:
+            assert code == 1
+            assert capsys.readouterr().err.startswith("error: ")
 
     def test_adam_path_runs(self, tmp_path):
         rng = np.random.default_rng(82)

@@ -148,15 +148,18 @@ class TestGradients:
             assert np.all(np.abs(fd - g) <= 1e-5 * np.maximum(scale, 1e-12))
 
 
+def packed_instance(rng, n=40, p=200, r=5):
+    # V column-major, as the file readers give it: at this size a change
+    # in the layout of A changes the GEMMs' bits
+    V = np.asfortranarray(rng.standard_normal((n, p)))
+    obs = ObservationSet(V, rng.random(p) + 0.5)
+    return obs, rng.standard_normal(r), rng.standard_normal((n, r)), n, r
+
+
 class TestPackedEvaluator:
     """The one packed evaluator must give the per-point routes' bits."""
 
-    def _instance(self, rng, n=40, p=200, r=5):
-        # V column-major, as the file readers give it: at this size a change
-        # in the layout of A changes the GEMMs' bits
-        V = np.asfortranarray(rng.standard_normal((n, p)))
-        obs = ObservationSet(V, rng.random(p) + 0.5)
-        return obs, rng.standard_normal(r), rng.standard_normal((n, r)), n, r
+    _instance = staticmethod(packed_instance)
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_implicit_bitwise(self, d):
@@ -194,6 +197,101 @@ class TestPackedEvaluator:
         for d, r, alpha in [(1, 2, 0.0), (3, 0, 0.0), (3, 2, np.nan), (3, 2, np.inf)]:
             with pytest.raises(ValueError):
                 packed_fg_implicit(obs, d, r, alpha)
+
+
+class TestReducedRoute:
+    """Variable projection: ``lam`` eliminated as ``lam* = G^{-1} w``."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_finite_differences_over_A(self, d):
+        rng = np.random.default_rng(130 + d)
+        n, r, h = 6, 3, 1e-6
+        obs = ObservationSet(rng.standard_normal((n, 40)))
+        reduced = packed_fg_implicit(obs, d, r).reduced
+        for _ in range(5):
+            A = rng.standard_normal((n, r))
+            A /= np.linalg.norm(A, axis=0)
+            x = pack(np.zeros(r), A)
+            _, g = reduced(x)
+            fd = np.zeros_like(x)
+            for i in range(r, x.size):
+                e = np.zeros_like(x)
+                e[i] = h
+                fd[i] = (reduced(x + e)[0] - reduced(x - e)[0]) / (2.0 * h)
+            assert np.abs(fd - g).max() <= 1e-5 * np.abs(g).max()
+
+    def test_lam_slots_exactly_zero_and_lam_ignored(self):
+        rng = np.random.default_rng(140)
+        obs, lam, A, _, r = packed_instance(rng)
+        reduced = packed_fg_implicit(obs, 3, r).reduced
+        f, g = reduced(pack(lam, A))
+        assert np.all(g[:r] == 0.0)
+        f2, g2 = reduced(pack(-3.0 * lam, A))
+        assert f2 == f and np.array_equal(g2, g)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_equals_per_point_route_at_lam_star(self, d):
+        rng = np.random.default_rng(150 + d)
+        obs, lam, A, _, r = packed_instance(rng)
+        fg = packed_fg_implicit(obs, d, r, alpha=2.5)
+        x_star, f, g = fg.project(pack(lam, A))
+        lam_star = x_star[:r]
+        assert np.array_equal(x_star[r:], pack(lam, A)[r:])
+        ref = fg_implicit(obs, lam_star, A, d, alpha=2.5)
+        assert f == ref.f
+        assert np.array_equal(g, pack(ref.g_lam, ref.g_A))
+        f_red, g_red = fg.reduced(pack(lam, A))
+        assert f_red == ref.f
+        assert np.array_equal(g_red[r:], ref.g_A.ravel(order="F"))
+        # lam* is the optimum: the full gradient's lam part vanishes there
+        assert np.abs(ref.g_lam).max() <= 1e-10 * np.abs(ref.g_A).max()
+
+    @pytest.mark.parametrize("delta", [0.0, 1e-10, None])
+    def test_degenerate_columns(self, delta):
+        # G is singular to working precision: a duplicate column (Cholesky
+        # fails), one 1e-10 away (Cholesky passes on rounding, with a pivot
+        # below the floor) or a zero column.  The minimum-norm weights give
+        # the objective of the model without the redundant column.
+        rng = np.random.default_rng(160)
+        n, d = 5, 3
+        obs = ObservationSet(rng.standard_normal((n, 30)))
+        A2 = rng.standard_normal((n, 2))
+        if delta is None:
+            extra = np.zeros((n, 1))
+        else:
+            extra = A2[:, :1] + delta * rng.standard_normal((n, 1))
+        A3 = np.hstack([A2, extra])
+        x_star, f3, g3 = packed_fg_implicit(obs, d, 3).project(pack(np.ones(3), A3))
+        _, f2, _ = packed_fg_implicit(obs, d, 2).project(pack(np.ones(2), A2))
+        assert np.isfinite(x_star).all() and np.isfinite(g3).all()
+        assert f3 == pytest.approx(f2, rel=1e-9)
+        lam3 = x_star[:3]
+        G = (A3.T @ A3) ** d
+        w = np.einsum("ij,ij->j", A3, ttsv_batch(obs, A3, d))
+        assert np.abs(G @ lam3 - w).max() <= 1e-10 * np.abs(w).max()
+
+    def test_overflow_gives_nonfinite_f(self):
+        # as on the full route: a line search steps back from such a point
+        rng = np.random.default_rng(165)
+        obs = ObservationSet(rng.standard_normal((5, 30)))
+        x = pack(np.ones(2), 1e80 * rng.standard_normal((5, 2)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            f, _ = packed_fg_implicit(obs, 3, 2).reduced(x)
+        assert not np.isfinite(f)
+
+    @pytest.mark.parametrize("r", [3, 4])
+    def test_rank_above_dimension_is_flat(self, r):
+        # at n=2, d=2 the symmetric matrices have dimension 3: three generic
+        # rank-1 terms span them (G nonsingular), four make G singular; either
+        # way every A fits X exactly, so the reduced objective is flat
+        rng = np.random.default_rng(170 + r)
+        obs = ObservationSet(rng.standard_normal((2, 10)))
+        A = rng.standard_normal((2, r))
+        f, g = packed_fg_implicit(obs, 2, r).reduced(pack(np.zeros(r), A))
+        x_norm_sq = float(np.sum(build_moment(obs, 2).entries ** 2))
+        assert np.isfinite(g).all()
+        assert f == pytest.approx(-x_norm_sq, rel=1e-10)
+        assert np.abs(g).max() <= 1e-10 * x_norm_sq
 
 
 class _FixedDrawRng:

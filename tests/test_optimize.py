@@ -18,7 +18,7 @@ from momentcp import (
     unpack,
 )
 from momentcp.gmm import correlated_means, sample_gmm
-from momentcp import fg_implicit, sample_observations
+from momentcp import fg_implicit, sample_observations, ttsv_batch
 from momentcp.optimize import packed_fg_implicit
 
 
@@ -124,6 +124,26 @@ class TestLbfgs:
         assert np.array_equal(rep1.lam, rep2.lam)
         assert np.array_equal(rep1.A, rep2.A)
         assert [f for f, _ in rep1.trace] == [f for f, _ in rep2.trace]
+
+    def test_reduced_route_reports_lam_star(self):
+        rng = np.random.default_rng(37)
+        n, r, d = 6, 3, 3
+        obs = ObservationSet(rng.standard_normal((n, 40)))
+        fg = packed_fg_implicit(obs, d, r)
+        A0 = rng.standard_normal((n, r))
+        rep = lbfgs_minimize(fg, pack(np.ones(r), A0), OptConfig(pgtol=1e-8), shape=(n, r))
+        assert rep.reason == "tolerance"
+        G = (rep.A.T @ rep.A) ** d
+        w = np.einsum("ij,ij->j", rep.A, ttsv_batch(obs, rep.A, d))
+        assert np.allclose(rep.lam, np.linalg.solve(G, w), rtol=1e-10, atol=0.0)
+        ref = fg_implicit(obs, rep.lam, rep.A, d)
+        assert rep.f == ref.f
+        full_inf = max(np.abs(ref.g_lam).max(), np.abs(ref.g_A).max())
+        assert rep.grad_inf_norm == pytest.approx(full_inf, rel=1e-12)
+        assert rep.grad_inf_norm <= 1e-8
+        # lam is eliminated: the starting weights do not matter
+        again = lbfgs_minimize(fg, pack(-5.0 * np.ones(r), A0), OptConfig(pgtol=1e-8), shape=(n, r))
+        assert np.array_equal(again.lam, rep.lam) and np.array_equal(again.A, rep.A)
 
     def test_nonfinite_start_rejected(self):
         def fg(x):
