@@ -60,7 +60,6 @@ from momentcp.optimize import (
     multistart,
     pack,
     packed_fg_implicit,
-    two_loop_direction,
     unpack,
 )
 
@@ -106,7 +105,6 @@ __all__ = [
     "ttsv_all",
     "ttsv_all_but_one",
     "ttsv_batch",
-    "two_loop_direction",
     "unique_entries",
     "unpack",
     "write_observations_binary",

@@ -239,8 +239,6 @@ def _write_trace_csv(path: str, runs) -> None:
 def cmd_decompose(args, parser) -> int:
     if args.method == "lbfgs" and args.batch is not None:
         parser.error("--batch only applies to --method adam")
-    if args.rank < 1:
-        parser.error(f"--rank must be >= 1, got {args.rank}")
     obs = read_observations(args.input)
     d, r_hat = args.order, args.rank
     alpha = data_norm_sq(obs, d) if args.alpha == "exact" else 0.0
@@ -333,6 +331,13 @@ def cmd_gmm(args, parser) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="momentcp",
@@ -344,18 +349,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p_dec = sub.add_parser("decompose", help="fit a rank-r model to an observation file")
     p_dec.add_argument("--input", required=True, help="observation file (CSV or MOMV binary)")
     p_dec.add_argument("--order", type=int, required=True, help="moment order d")
-    p_dec.add_argument("--rank", type=int, required=True, help="target rank r")
-    p_dec.add_argument("--starts", type=int, default=10)
+    p_dec.add_argument("--rank", type=_positive_int, required=True, help="target rank r")
+    p_dec.add_argument("--starts", type=_positive_int, default=10)
     p_dec.add_argument("--init", choices=["rrf", "gaussian"], default="rrf")
     p_dec.add_argument("--pgtol", type=float, default=1e-4)
     p_dec.add_argument("--alpha", choices=["zero", "exact"], default="zero",
                        help="objective constant: 0 (shifted) or the data norm")
     p_dec.add_argument("--seed", type=int, default=0)
     p_dec.add_argument("--method", choices=["lbfgs", "adam"], default="lbfgs")
-    p_dec.add_argument("--batch", type=int, default=None, help="sample size per step (adam)")
+    p_dec.add_argument("--batch", type=_positive_int, default=None, help="sample size per step (adam)")
     p_dec.add_argument("--output", required=True, help="solution JSON path")
     p_dec.add_argument("--trace", default=None, help="optional per-run trace CSV path")
-    p_dec.add_argument("--threads", type=int, default=1)
+    p_dec.add_argument("--threads", type=_positive_int, default=1)
     p_dec.set_defaults(handler=cmd_decompose)
 
     p_bench = sub.add_parser("bench", help="time explicit vs implicit evaluation")
@@ -376,10 +381,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gmm.add_argument("--order", type=int, required=True)
     p_gmm.add_argument("--rank-min", type=int, required=True)
     p_gmm.add_argument("--rank-max", type=int, required=True)
-    p_gmm.add_argument("--starts", type=int, default=10)
+    p_gmm.add_argument("--starts", type=_positive_int, default=10)
     p_gmm.add_argument("--seed", type=int, default=0)
     p_gmm.add_argument("--pgtol", type=float, default=1e-4)
-    p_gmm.add_argument("--threads", type=int, default=1)
+    p_gmm.add_argument("--threads", type=_positive_int, default=1)
     p_gmm.add_argument("--output", default=None, help="sweep CSV path")
     p_gmm.set_defaults(handler=cmd_gmm)
     return parser

@@ -83,7 +83,7 @@ def _lam_star(G: np.ndarray, w: np.ndarray) -> np.ndarray:
     zero columns, ``r`` above the dimension of the symmetric tensors) and the
     minimum-norm least-squares solution, which gives the same ``f``, is taken.
     An overflowed ``G`` or ``w`` gives NaN weights, hence a non-finite ``f``,
-    from which a line search steps back as it does on the full route.
+    which ends an L-BFGS run at its last finite iterate.
     """
     if not (np.isfinite(G).all() and np.isfinite(w).all()):
         return np.full_like(w, np.nan)

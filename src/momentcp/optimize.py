@@ -2,10 +2,10 @@
 
 The solvers operate on a flat variable vector ``x = pack(lam, A)`` (weights
 first, then the factor matrix column-major); gradients are packed the same
-way.  ``lbfgs_minimize`` is a plain two-loop L-BFGS with a strong-Wolfe line
-search and an infinity-norm gradient stopping rule; on a moment objective it
-eliminates ``lam`` (variable projection), searching over ``A`` alone and
-reporting ``lam = G^{-1} w``.  Adam does not.  ``adam_minimize`` runs
+way.  ``lbfgs_minimize`` runs scipy's L-BFGS-B without bounds, stopping on
+the gradient's infinity norm; on a moment objective it eliminates ``lam``
+(variable projection), searching over ``A`` alone and reporting
+``lam = G^{-1} w``.  Adam does not.  ``adam_minimize`` runs
 stochastic gradients in fixed-length epochs with a monitored function
 estimate that triggers one learning-rate reduction and then termination.
 ``multistart`` fans a solver out over independently seeded initial guesses
@@ -19,11 +19,11 @@ generators.
 from __future__ import annotations
 
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+from scipy.optimize import minimize
 
 from momentcp.dense import ObservationSet
 from momentcp.implicit import _ttsv
@@ -32,22 +32,31 @@ from momentcp.objective import FgCallback, pack, packed_fg, packed_fg_implicit, 
 
 @dataclass
 class OptConfig:
-    """L-BFGS settings; defaults follow common practice for this problem class."""
+    """L-BFGS settings, each passed to scipy's L-BFGS-B as the option named.
+
+    ``memory`` (``maxcor``) is the number of stored correction pairs;
+    ``pgtol`` (``gtol``) bounds the gradient's infinity norm at a solution;
+    ``max_iters`` (``maxiter``) caps iterations and ``max_total_iters``
+    (``maxfun``) function/gradient evaluations; ``max_line_steps``
+    (``maxls``) caps the evaluations of one line search.  The evaluation cap
+    is checked between iterations, so a run makes at most
+    ``max_total_iters + max_line_steps`` evaluations, plus one for the final
+    ``lam`` solve of a reduced run.  ``seed`` is only recorded in the report.
+    """
 
     memory: int = 5
     pgtol: float = 1e-4
     max_iters: int = 10_000
     max_total_iters: int = 50_000
-    sufficient_decrease: float = 1e-4
-    curvature: float = 0.9
     max_line_steps: int = 20
     seed: int = 0
 
     def __post_init__(self) -> None:
         if not self.pgtol > 0:  # also rejects NaN; inf stops at once
             raise ValueError(f"pgtol must be > 0, got {self.pgtol}")
-        if self.memory < 1:
-            raise ValueError(f"memory must be >= 1, got {self.memory}")
+        for name in ("memory", "max_iters", "max_total_iters", "max_line_steps"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 @dataclass
@@ -104,115 +113,13 @@ class RunReport:
     failures: list[str] = field(default_factory=list)
 
 
-def two_loop_direction(
-    g: np.ndarray,
-    s_list: list[np.ndarray],
-    y_list: list[np.ndarray],
-    gamma: float,
-) -> np.ndarray:
-    """L-BFGS two-loop recursion: returns ``-H @ g`` for the implicit inverse
-    Hessian built from the stored ``(s, y)`` pairs on top of ``gamma * I``."""
-    q = g.copy()
-    alphas = []
-    rhos = [1.0 / float(y @ s) for s, y in zip(s_list, y_list)]
-    for s, y, rho in zip(reversed(s_list), reversed(y_list), reversed(rhos)):
-        a = rho * float(s @ q)
-        q -= a * y
-        alphas.append(a)
-    q *= gamma
-    for (s, y, rho), a in zip(zip(s_list, y_list, rhos), reversed(alphas)):
-        b = rho * float(y @ q)
-        q += (a - b) * s
-    return -q
-
-
-def _quad_interp(a_lo, f_lo, d_lo, a_hi, f_hi):
-    denom = f_hi - f_lo - d_lo * (a_hi - a_lo)
-    if denom == 0 or not np.isfinite(denom):
-        return None
-    cand = a_lo - 0.5 * d_lo * (a_hi - a_lo) ** 2 / denom
-    return cand if np.isfinite(cand) else None
-
-
-def _wolfe_line_search(fg, x, f0, g0, direction, step0, c1, c2, max_trials):
-    """Strong-Wolfe line search (bracket + zoom with safeguarded interpolation).
-
-    Returns ``(x_new, f_new, g_new, evals)`` on success, or the best point
-    satisfying sufficient decrease if the trial budget runs out with the
-    curvature condition unmet, or ``(None, ..., evals)`` if no acceptable
-    step was found at all.
-    """
-    d0 = float(g0 @ direction)
-    evals = 0
-    best = None  # best trial satisfying sufficient decrease: (a, f, g, x)
-
-    def trial(a):
-        nonlocal evals, best
-        xa = x + a * direction
-        fa, ga = fg(xa)
-        evals += 1
-        if np.isfinite(fa) and fa <= f0 + c1 * a * d0:
-            if best is None or fa < best[1]:
-                best = (a, fa, ga, xa)
-        return fa, ga, xa
-
-    # bracketing phase
-    a_prev, f_prev, d_prev = 0.0, f0, d0
-    a = step0
-    lo = hi = None
-    for _ in range(max_trials):
-        fa, ga, xa = trial(a)
-        da = float(ga @ direction) if np.isfinite(fa) else np.nan
-        armijo_fail = not np.isfinite(fa) or fa > f0 + c1 * a * d0 or (
-            a_prev > 0.0 and fa >= f_prev
-        )
-        if armijo_fail:
-            lo = (a_prev, f_prev, d_prev)
-            hi = (a, fa, da)
-            break
-        if abs(da) <= -c2 * d0:
-            return xa, fa, ga, evals
-        if da >= 0.0:
-            lo = (a, fa, da)
-            hi = (a_prev, f_prev, d_prev)
-            break
-        a_prev, f_prev, d_prev = a, fa, da
-        a = min(2.0 * a, 1e20)
-
-    # zoom phase, when the bracketing phase found an interval
-    while lo is not None and evals < max_trials:
-        a_lo, f_lo, d_lo = lo
-        a_hi, f_hi, _ = hi
-        width = a_hi - a_lo
-        cand = _quad_interp(a_lo, f_lo, d_lo, a_hi, f_hi) if np.isfinite(f_hi) else None
-        lo_bound = a_lo + 0.1 * width
-        hi_bound = a_hi - 0.1 * width
-        if cand is None or not (min(lo_bound, hi_bound) <= cand <= max(lo_bound, hi_bound)):
-            cand = a_lo + 0.5 * width
-        fa, ga, xa = trial(cand)
-        da = float(ga @ direction) if np.isfinite(fa) else np.nan
-        if not np.isfinite(fa) or fa > f0 + c1 * cand * d0 or fa >= f_lo:
-            hi = (cand, fa, da)
-        else:
-            if abs(da) <= -c2 * d0:
-                return xa, fa, ga, evals
-            if da * (a_hi - a_lo) >= 0.0:
-                hi = lo
-            lo = (cand, fa, da)
-        if abs(hi[0] - lo[0]) < 1e-16 * max(1.0, abs(lo[0])):
-            break
-    if best is not None:
-        return best[3], best[1], best[2], evals
-    return None, f0, g0, evals
-
-
 def lbfgs_minimize(
     fg: FgCallback,
     x0: np.ndarray,
     cfg: OptConfig,
     shape: tuple[int, int],
 ) -> RunReport:
-    """Minimize a smooth function with limited-memory BFGS.
+    """Minimize a smooth function with scipy's L-BFGS-B, without bounds.
 
     Parameters
     ----------
@@ -227,80 +134,54 @@ def lbfgs_minimize(
     cfg:
         Solver settings; the run stops when the gradient infinity norm drops
         to ``cfg.pgtol``, when an iteration cap is hit, or when the line
-        search cannot make progress.
+        search cannot make progress.  A non-finite ``f`` counts as ``+inf``,
+        which ends the run at the last finite iterate.
     shape:
         ``(n, r)`` used to unpack the final iterate into the report.
     """
     start = time.perf_counter()
     project = getattr(fg, "project", None)
     search = fg if project is None else fg.reduced
-    x = np.asarray(x0, dtype=float).copy()
-    f, g = search(x)
-    n_fg = 1
-    if not (np.isfinite(f) and np.isfinite(g).all()):
-        raise ValueError("objective is not finite at the starting point")
-    trace = [(f, time.perf_counter() - start)]
+    trace: list[tuple[float, float]] = []
+    n_fg = 0
 
-    s_hist: deque[np.ndarray] = deque(maxlen=cfg.memory)
-    y_hist: deque[np.ndarray] = deque(maxlen=cfg.memory)
-    n_steps = 0
-    reason = "iteration cap"
-    while True:
-        if float(np.abs(g).max()) <= cfg.pgtol:
-            reason = "tolerance"
-            break
-        if n_steps >= cfg.max_iters or n_fg >= cfg.max_total_iters:
-            reason = "iteration cap"
-            break
+    def fun(x):
+        nonlocal n_fg
+        f, g = search(x)
+        n_fg += 1
+        if not trace:
+            if not (np.isfinite(f) and np.isfinite(g).all()):
+                raise ValueError("objective is not finite at the starting point")
+            trace.append((f, time.perf_counter() - start))
+        return (f if np.isfinite(f) else np.inf), g
 
-        if s_hist:
-            y_last = y_hist[-1]
-            gamma = float(s_hist[-1] @ y_last) / float(y_last @ y_last)
-            direction = two_loop_direction(g, list(s_hist), list(y_hist), gamma)
-            step0 = 1.0
-        else:
-            direction = -g
-            step0 = min(1.0, 1.0 / max(float(np.abs(g).sum()), 1e-12))
-        if float(direction @ g) >= 0.0:
-            # rounding produced a non-descent direction: restart from steepest descent
-            s_hist.clear()
-            y_hist.clear()
-            direction = -g
-            step0 = min(1.0, 1.0 / max(float(np.abs(g).sum()), 1e-12))
+    def callback(intermediate_result):
+        trace.append((intermediate_result.fun, time.perf_counter() - start))
 
-        budget = min(cfg.max_line_steps, cfg.max_total_iters - n_fg)
-        x_new, f_new, g_new, evals = _wolfe_line_search(
-            search, x, f, g, direction, step0,
-            cfg.sufficient_decrease, cfg.curvature, budget,
-        )
-        n_fg += evals
-        if x_new is None:
-            # distinguish a genuinely failed search from one starved by the
-            # evaluation budget
-            reason = "iteration cap" if n_fg >= cfg.max_total_iters else "line-search failure"
-            break
-
-        s = x_new - x
-        y = g_new - g
-        sy = float(s @ y)
-        if sy > 1e-12 * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
-            s_hist.append(s)
-            y_hist.append(y)
-        x, f, g = x_new, f_new, g_new
-        n_steps += 1
-        trace.append((f, time.perf_counter() - start))
-
+    res = minimize(
+        fun, np.asarray(x0, dtype=float), jac=True, method="L-BFGS-B", callback=callback,
+        options={
+            "maxcor": cfg.memory, "gtol": cfg.pgtol, "ftol": 0.0, "maxiter": cfg.max_iters,
+            "maxfun": cfg.max_total_iters, "maxls": cfg.max_line_steps,
+        },
+    )
+    x, f, g = res.x, float(res.fun), res.jac
     if project is not None:
         x, f, g = project(x)
         n_fg += 1
+    grad_inf_norm = float(np.abs(g).max())
+    if grad_inf_norm <= cfg.pgtol:
+        reason = "tolerance"
+    else:
+        reason = "iteration cap" if res.status == 1 else "line-search failure"
     lam, A = unpack(x, *shape)
     return RunReport(
         lam=lam,
         A=A,
         f=f,
-        grad_inf_norm=float(np.abs(g).max()),
+        grad_inf_norm=grad_inf_norm,
         n_fg=n_fg,
-        n_steps=n_steps,
+        n_steps=res.nit,
         wall_time=time.perf_counter() - start,
         reason=reason,
         seed=cfg.seed,

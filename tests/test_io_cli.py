@@ -1,6 +1,7 @@
 """File formats, solution records, and the command-line surface."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -199,6 +200,50 @@ class TestDecomposeCommand:
                 "--output", str(tmp_path / "o.json"),
             ])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("decompose", "--starts", "0"),
+        ("decompose", "--threads", "0"),
+        ("decompose", "--threads", "-2"),
+        ("decompose", "--batch", "0"),
+        ("gmm", "--starts", "0"),
+        ("gmm", "--threads", "0"),
+    ])
+    def test_count_below_one_is_usage_error(self, tmp_path, capsys, command, flag, value):
+        data = tmp_path / "obs.csv"
+        _write_rank_one_csv(data)
+        if command == "decompose":
+            argv = ["decompose", "--input", str(data), "--order", "3", "--rank", "1",
+                    "--method", "adam", "--output", str(tmp_path / "o.json")]
+        else:
+            argv = ["gmm", "--n", "4", "--r", "1", "--sigma", "0", "--order", "3",
+                    "--rank-min", "1", "--rank-max", "1"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [flag, value])
+        assert exc.value.code == 2
+        assert f"argument {flag}: must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "o.json").exists()
+
+    @pytest.mark.parametrize("case", ["csv-nan", "csv-inf", "momv-nan"])
+    def test_nonfinite_data_is_runtime_error(self, tmp_path, capsys, case):
+        V = np.random.default_rng(85).standard_normal((3, 20))
+        V[1, 7] = np.inf if case == "csv-inf" else np.nan
+        if case == "momv-nan":
+            data = tmp_path / "obs.momv"
+            with open(data, "wb") as fh:
+                fh.write(b"MOMV" + struct.pack("<IQQ", 1, 3, 20))
+                V.ravel(order="F").astype("<f8").tofile(fh)
+        else:
+            data = tmp_path / "obs.csv"
+            data.write_text("\n".join(",".join(repr(float(v)) for v in row) for row in V.T))
+        code = main([
+            "decompose", "--input", str(data), "--order", "3", "--rank", "1",
+            "--output", str(tmp_path / "o.json"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not (tmp_path / "o.json").exists()
 
     def test_nan_pgtol_is_runtime_error(self, tmp_path, capsys):
         data = tmp_path / "obs.csv"

@@ -271,7 +271,7 @@ class TestReducedRoute:
         assert np.abs(G @ lam3 - w).max() <= 1e-10 * np.abs(w).max()
 
     def test_overflow_gives_nonfinite_f(self):
-        # as on the full route: a line search steps back from such a point
+        # lbfgs_minimize ends a run at its last finite iterate on such a point
         rng = np.random.default_rng(165)
         obs = ObservationSet(rng.standard_normal((5, 30)))
         x = pack(np.ones(2), 1e80 * rng.standard_normal((5, 2)))
