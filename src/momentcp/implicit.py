@@ -12,6 +12,15 @@ matrix products:
 
 where ``**`` is the elementwise integer power.  Each kernel is verified
 against its dense counterpart in the test suite.
+
+When the rank ``r`` is small, both GEMMs of the TTSV are narrow and bound by
+memory bandwidth, not arithmetic.  The TTSV therefore walks ``V`` in column
+blocks of about ``TTSV_BLOCK_BYTES``: each block goes through the forward
+GEMM, the power and the back GEMM while it is still in cache, so ``V`` is
+read from memory once per call, and the temporaries take ``O(B r)`` memory
+for a block of ``B`` columns, not ``O(p r)``.  The data norm forms
+``V.T @ V`` a row block at a time and, since it is symmetric, only the
+blocks on and right of the diagonal.
 """
 
 from __future__ import annotations
@@ -23,6 +32,9 @@ import numpy as np
 from momentcp.dense import ObservationSet
 
 NORM_BLOCK = 256  # rows of V'V per block in data_norm_sq; a few blocks live at once
+# bytes of V per column block in _ttsv: a block and its B x r temporaries stay
+# in a 2 MiB L2 cache; a V under twice this size is one block
+TTSV_BLOCK_BYTES = 512 * 1024
 
 
 @dataclass
@@ -82,7 +94,9 @@ def ttsv_batch(obs: ObservationSet, A: np.ndarray, d: int) -> np.ndarray:
 
     Column ``j`` of the result equals the order-``d`` moment tensor of
     ``obs`` contracted with ``A[:, j]`` in all modes but one, computed in
-    O(n p r) as ``V @ diag(nu) @ (V.T @ A) ** (d-1)``.
+    O(n p r) time as ``V @ diag(nu) @ (V.T @ A) ** (d-1)``, summed over
+    column blocks of ``V`` (see :func:`_ttsv`), with O(n r + B r) memory
+    besides ``V`` for blocks of ``B`` columns.
     """
     A = np.asarray(A, dtype=float)
     if d < 2:
@@ -93,8 +107,28 @@ def ttsv_batch(obs: ObservationSet, A: np.ndarray, d: int) -> np.ndarray:
 
 
 def _ttsv(V: np.ndarray, nu: np.ndarray, A: np.ndarray, d: int) -> np.ndarray:
-    """The kernel of :func:`ttsv_batch` on arguments the caller has checked."""
-    return V @ (nu[:, None] * _elementwise_power(V.T @ A, d - 1))
+    """The kernel of :func:`ttsv_batch` on arguments the caller has checked.
+
+    ``V`` is split into ``k = min(p, max(1, V.nbytes // TTSV_BLOCK_BYTES))``
+    near-equal column blocks ``V_b``, cut at ``j * p // k``, and
+    ``Y = sum_b V_b @ (nu_b * (V_b.T @ A) ** (d-1))``: each block is read
+    from memory once and reused from cache by the back GEMM, and the
+    temporaries are ``B x r`` for a block of ``B`` columns.  ``Y``'s bits
+    depend on the split, and the split only on ``V``'s shape, so a call is
+    deterministic.  A ``V`` under ``2 * TTSV_BLOCK_BYTES`` is one block.
+    """
+    p = V.shape[1]
+    k = min(p, max(1, V.nbytes // TTSV_BLOCK_BYTES))
+    Y = None
+    for j in range(k):
+        b = slice(j * p // k, (j + 1) * p // k)
+        Vb = V[:, b]
+        Yb = Vb @ (nu[b, None] * _elementwise_power(Vb.T @ A, d - 1))
+        if Y is None:
+            Y = Yb
+        else:
+            Y += Yb
+    return Y
 
 
 def kruskal_norm_sq(model: SymKruskal) -> float:
@@ -105,14 +139,23 @@ def kruskal_norm_sq(model: SymKruskal) -> float:
 
 def data_norm_sq(obs: ObservationSet, d: int) -> float:
     """Squared norm of the order-``d`` weighted moment tensor in O(n p^2) time
-    and O(NORM_BLOCK p) memory: ``V.T @ V`` is formed a row block at a time."""
+    and O(NORM_BLOCK p) memory.
+
+    ``V.T @ V`` is formed a row block at a time, and only its upper block
+    triangle: row block ``i`` forms ``V_i.T @ V[:, i:]``, whose diagonal block
+    counts once and the rest twice, by the symmetry of ``V.T @ V``.  That
+    halves the flops of forming ``V.T @ V``.
+    """
     if d < 2:
         raise ValueError(f"order must be >= 2, got {d}")
     V, nu = obs.V, obs.nu
     total = 0.0
     for i in range(0, obs.p, NORM_BLOCK):
-        G = _elementwise_power(V[:, i : i + NORM_BLOCK].T @ V, d)
-        total += float(nu[i : i + NORM_BLOCK] @ G @ nu)
+        b = slice(i, i + NORM_BLOCK)
+        G = _elementwise_power(V[:, b].T @ V[:, i:], d)
+        B = G.shape[0]
+        total += float(nu[b] @ G[:, :B] @ nu[b])
+        total += 2.0 * float(nu[b] @ G[:, B:] @ nu[i + B :])
     return total
 
 

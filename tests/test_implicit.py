@@ -17,6 +17,7 @@ from momentcp import (
     ttsv_all_but_one,
     ttsv_batch,
 )
+from momentcp.implicit import _elementwise_power, _ttsv
 
 
 def random_instance(rng, d_choices=(2, 3, 4)):
@@ -77,6 +78,82 @@ class TestTtsvBatch:
             ttsv_batch(obs, np.ones((3, 2)), 3)
 
 
+def assert_matches_oracle(Y, obs, A, d):
+    """Column ``j`` of ``Y`` is the dense TTSV against ``A[:, j]``, at the
+    tolerances of ``test_matches_dense_oracle_columnwise``."""
+    X = build_moment(obs, d)
+    for j in range(A.shape[1]):
+        want = ttsv_all_but_one(X, A[:, j])
+        scale = max(float(np.abs(want).max()), 1.0)
+        assert np.allclose(Y[:, j], want, rtol=1e-12, atol=1e-12 * scale)
+
+
+class TestBlockedTtsv:
+    """``_ttsv`` sums over column blocks of ``V`` once ``V`` outgrows the budget."""
+
+    @pytest.mark.parametrize("order", ["F", "C"])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_many_uneven_blocks(self, monkeypatch, d, order):
+        rng = np.random.default_rng(20 + d)
+        n, p, r = 5, 103, 3
+        V = np.asarray(rng.standard_normal((n, p)), order=order)
+        obs = ObservationSet(V, rng.random(p) + 0.5)
+        A = rng.standard_normal((n, r))
+        one_block = ttsv_batch(obs, A, d)
+        budget = 8 * n * 7
+        k = V.nbytes // budget
+        assert k > 1 and p % k != 0
+        monkeypatch.setattr("momentcp.implicit.TTSV_BLOCK_BYTES", budget)
+        Y = ttsv_batch(obs, A, d)
+        assert_matches_oracle(Y, obs, A, d)
+        scale = float(np.abs(one_block).max())
+        assert np.allclose(Y, one_block, rtol=1e-13, atol=1e-13 * scale)
+
+    def test_more_blocks_than_columns(self, monkeypatch):
+        # 8 bytes a block asks for n * p blocks; the split stops at one column each
+        rng = np.random.default_rng(24)
+        obs = ObservationSet(rng.standard_normal((4, 3)), rng.random(3) + 0.5)
+        A = rng.standard_normal((4, 2))
+        monkeypatch.setattr("momentcp.implicit.TTSV_BLOCK_BYTES", 8)
+        blocks = []
+
+        def power(M, k):
+            blocks.append(M.shape[0])
+            return _elementwise_power(M, k)
+
+        monkeypatch.setattr("momentcp.implicit._elementwise_power", power)
+        Y = ttsv_batch(obs, A, 3)
+        assert blocks == [1, 1, 1]
+        assert_matches_oracle(Y, obs, A, 3)
+
+    def test_one_block_is_bitwise_the_unblocked_product(self):
+        rng = np.random.default_rng(25)
+        cases = [random_instance(rng) for _ in range(20)]
+        # 40 x 3000 doubles is 960 KB, just under two blocks' worth
+        big = ObservationSet(rng.standard_normal((40, 3000)), rng.random(3000) + 0.5)
+        cases.append((big, None, rng.standard_normal((40, 5)), 4))
+        for obs, _, A, d in cases:
+            V, nu = obs.V, obs.nu
+            want = V @ (nu[:, None] * _elementwise_power(V.T @ A, d - 1))
+            assert np.array_equal(_ttsv(V, nu, A, d), want)
+
+    def test_memory_bounded_in_p(self):
+        # the p x r product and its power take 4 MB each; blocks take B x r
+        rng = np.random.default_rng(26)
+        n, p, r, d = 100, 50_000, 10, 3
+        obs = ObservationSet(rng.standard_normal((n, p)) / np.sqrt(n))
+        A = rng.standard_normal((n, r))
+        tracemalloc.start()
+        try:
+            Y = ttsv_batch(obs, A, d)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+        want = obs.V @ (obs.nu[:, None] * _elementwise_power(obs.V.T @ A, d - 1))
+        assert np.allclose(Y, want, rtol=1e-13, atol=1e-13 * float(np.abs(want).max()))
+
+
 class TestKruskalNormSq:
     def test_rank_one_value(self):
         model = SymKruskal(3, np.array([2.0]), np.array([[1.0], [1.0]]))
@@ -132,6 +209,19 @@ class TestDataNormSq:
         assert peak <= 8 * p * p / 4
         X = build_moment(obs, d)
         assert got == pytest.approx(inner(X, X), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_many_row_blocks_match_dense(self, monkeypatch, d):
+        # blocks of 3 rows: diagonal blocks, off-diagonal blocks and a short last block
+        monkeypatch.setattr("momentcp.implicit.NORM_BLOCK", 3)
+        rng = np.random.default_rng(16 + d)
+        for p in (1, 3, 7, 11):
+            obs = ObservationSet(rng.standard_normal((4, p)), rng.random(p) + 0.5)
+            X = build_moment(obs, d)
+            want = inner(X, X)
+            assert data_norm_sq(obs, d) == pytest.approx(
+                want, rel=1e-12, abs=1e-12 * max(1.0, abs(want))
+            )
 
 
 class TestModelDataInner:
