@@ -1,18 +1,25 @@
 """Observation file formats and result serialization.
 
 CSV files hold one observation per row (``p`` rows of ``n`` comma-separated
-values, optional header row), i.e. the transpose of the in-memory matrix
-``V``.  The binary format is: magic ``MOMV``, little-endian u32 version (1),
-u64 ``n``, u64 ``p``, then ``n * p`` little-endian float64 values in
-column-major order (each observation contiguous).  Solutions are written as
-a self-describing JSON record; round-trips are lossless for finite doubles.
+values), i.e. the transpose of the in-memory matrix ``V``.  numpy's C reader
+parses them: fields may be quoted and padded with whitespace, line ends may
+be LF or CRLF, and numbers follow C's syntax (``1_000`` does not parse).
+Rows of only commas, whitespace and quotes are skipped, and line 1 is a
+header when it does not parse as numbers.  The binary format is: magic
+``MOMV``, little-endian u32 version (1), u64 ``n``, u64 ``p``, then
+``n * p`` little-endian float64 values in column-major order (each
+observation contiguous).  Solutions are written as a self-describing JSON
+record; round-trips are lossless for finite doubles.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
+import string
 import struct
+from array import array
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -36,37 +43,74 @@ def read_observations(path: str) -> ObservationSet:
     return read_observations_csv(path)
 
 
+# numpy's C reader, with the quoting of the csv module and no comment character
+_CSV = dict(delimiter=",", quotechar='"', comments=None)
+# a row made only of these characters holds no values and is skipped
+_BLANK = string.whitespace + ',"'
+
+
+def _parses(line: str) -> bool:
+    """Whether ``line`` on its own is a row of numbers.  A quote left open
+    would join it to the next line, which fails only when read together."""
+    if line.count('"') % 2:
+        return False
+    try:
+        np.loadtxt([line], **_CSV)
+    except ValueError:
+        return False
+    return True
+
+
+def _data_lines(fh, path: str, linenos: array):
+    """Yield the data rows of ``fh`` and append each one's file line number
+    to ``linenos``: blank rows are dropped, and line 1 is a header when it
+    does not parse as numbers.  Commas are counted to reject ragged rows."""
+    width = None
+    for lineno, line in enumerate(fh, start=1):
+        if not line.strip(_BLANK) or (lineno == 1 and not _parses(line)):
+            continue
+        commas = line.count(",")
+        if width is None:
+            width = commas
+        elif commas != width:
+            raise ParseError(
+                f"{path}: row {lineno}: expected {width + 1} values, got {commas + 1}"
+            )
+        linenos.append(lineno)
+        yield line
+
+
 def read_observations_csv(path: str) -> ObservationSet:
-    """Parse rows straight into a preallocated ``p x n`` array, one row at a
-    time, so that the read needs little more memory than ``V`` itself."""
-    with open(path, newline="") as fh:
-        lines = sum(1 for _ in fh)  # rows are at most lines
+    """Parse the data rows with numpy's C reader straight into one ``p x n``
+    array, so that the read needs little more memory than ``V`` itself."""
+    linenos = array("q")  # 8 bytes a row, not a list's 40
+    with open(path) as fh:
+        # rows are at most lines: with max_rows, loadtxt allocates M once, and
+        # numpy advises so large a block into huge pages (each TTSV sweeps V)
+        max_rows = sum(1 for _ in fh)
         fh.seek(0)
-        M = None
-        k = 0
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not "".join(row).strip():
-                continue
-            if M is None:
-                M = np.empty((lines - lineno + 1, len(row)))
-            elif len(row) != M.shape[1]:
-                raise ParseError(
-                    f"{path}: row {lineno}: expected {M.shape[1]} values, got {len(row)}"
-                )
-            try:
-                M[k] = row
-            except ValueError:
-                if lineno == 1:
-                    M = None  # optional header, which sets no width
-                    continue
-                raise ParseError(f"{path}: row {lineno}: non-numeric value") from None
-            k += 1
-    if not k:
-        raise ParseError(f"{path}: no observations found")
-    M = M[:k]
+        rows = _data_lines(fh, path, linenos)
+        first = next(rows, None)
+        if first is None:
+            raise ParseError(f"{path}: no observations found")
+        try:
+            M = np.loadtxt(itertools.chain([first], rows), ndmin=2, max_rows=max_rows, **_CSV)
+        except ParseError:  # a ragged row, from _data_lines
+            raise
+        except ValueError:
+            # the C reader reads ahead, so find the row again, one row at a time
+            fh.seek(0)
+            recorded = set(linenos)
+            bad = next(
+                k for k, line in enumerate(fh, start=1)
+                if k in recorded and not _parses(line)
+            )
+            raise ParseError(f"{path}: row {bad}: non-numeric value") from None
     if not np.isfinite(M).all():
         bad = np.argwhere(~np.isfinite(M))[0]
-        raise ValueError(f"{path}: non-finite value at row {bad[0] + 1}, column {bad[1] + 1}")
+        raise ValueError(
+            f"{path}: non-finite value at row {linenos[bad[0]]}, column {bad[1] + 1}"
+        )
     return ObservationSet(M.T)
 
 

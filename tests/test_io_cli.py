@@ -83,6 +83,61 @@ class TestCsv:
         assert back.V.flags.f_contiguous
         assert peak <= 3 * 8 * n * p
 
+    @pytest.mark.parametrize("text, V", [
+        ('"1","2"\n"3",4\n', [[1.0, 3.0], [2.0, 4.0]]),
+        (" 1 , 2\n3,\t4 \n", [[1.0, 3.0], [2.0, 4.0]]),
+        ("1,2\r\n3,4\r\n", [[1.0, 3.0], [2.0, 4.0]]),
+        ("1\n2\n3\n", [[1.0, 2.0, 3.0]]),
+        ("1,2,3\n", [[1.0], [2.0], [3.0]]),
+        ('x,"y"\n\n-1.5e-3,+2\n', [[-1.5e-3], [2.0]]),
+    ], ids=["quoted", "spaces", "crlf", "one-column", "one-row", "header-quoted"])
+    def test_accepted_layouts(self, tmp_path, text, V):
+        path = tmp_path / "obs.csv"
+        path.write_bytes(text.encode())
+        obs = read_observations_csv(str(path))
+        assert np.array_equal(obs.V, V)
+        assert obs.V.flags.f_contiguous
+
+    def test_header_only_on_line_one(self, tmp_path):
+        path = tmp_path / "obs.csv"
+        path.write_text("\nx,y\n1,2\n")
+        with pytest.raises(ParseError, match="row 2: non-numeric"):
+            read_observations_csv(str(path))
+        path.write_text("1,2\nx,y\n")
+        with pytest.raises(ParseError, match="row 2: non-numeric"):
+            read_observations_csv(str(path))
+
+    @pytest.mark.parametrize("last, error, message", [
+        ("5,6,7", ParseError, "row 6: expected 2 values, got 3"),
+        ("5", ParseError, "row 6: expected 2 values, got 1"),
+        ("5,x", ParseError, "row 6: non-numeric value"),
+        ('5,"6', ParseError, "row 6: non-numeric value"),
+        ("5,inf", ValueError, "non-finite value at row 6, column 2"),
+        ("nan,6", ValueError, "non-finite value at row 6, column 1"),
+    ])
+    def test_errors_name_file_lines(self, tmp_path, last, error, message):
+        # a header, blank rows and a row of separators come before the bad row
+        path = tmp_path / "bad.csv"
+        path.write_text(f"a,b\n\n1,2\n , \n3,4\n{last}\n7,8\n")
+        with pytest.raises(error, match=message):
+            read_observations_csv(str(path))
+
+    def test_bad_value_past_first_chunk(self, tmp_path):
+        path = tmp_path / "long.csv"
+        rows = [f"{k},{k}.5" for k in range(70_000)]
+        rows[59_999] = "1,1e"
+        path.write_text("\n".join(rows) + "\n")
+        with pytest.raises(ParseError, match="row 60000: non-numeric value"):
+            read_observations_csv(str(path))
+
+    @pytest.mark.parametrize("text", ["\n\n", "a,b\n", "a,b\n , \n\n"],
+                             ids=["blank", "header-only", "header-and-blank"])
+    def test_no_observations(self, tmp_path, text):
+        path = tmp_path / "none.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError, match="no observations found"):
+            read_observations_csv(str(path))
+
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(70)
         obs = ObservationSet(rng.standard_normal((3, 5)))
@@ -357,6 +412,30 @@ class TestDecomposeCommand:
         trace_lines = (tmp_path / "tr.csv").read_text().splitlines()
         assert trace_lines[0] == "run,iteration,f,time_s"
         assert len(trace_lines) > 1
+
+    def test_adam_writes_full_objective(self, tmp_path):
+        # final_f and grad_inf_norm come from the full objective with alpha,
+        # not from Adam's shifted estimate on its subset
+        from momentcp import fg_implicit
+        from momentcp.gmm import correlated_means, sample_gmm
+
+        rng = np.random.default_rng(86)
+        obs = sample_gmm(correlated_means(10, 3, 0.5, rng), 1e-2, 3000, rng)
+        data = tmp_path / "obs.csv"
+        out = tmp_path / "sol.json"
+        write_observations_csv(str(data), obs)
+        code = main([
+            "decompose", "--input", str(data), "--order", "3", "--rank", "3",
+            "--starts", "2", "--method", "adam", "--alpha", "exact",
+            "--seed", "5", "--output", str(out),
+        ])
+        assert code == 0
+        rec = SolutionRecord.load(str(out))
+        res = fg_implicit(read_observations(str(data)), np.array(rec.lam),
+                          rec.factor_matrix(), 3, rec.alpha)
+        assert rec.final_f == res.f
+        assert rec.final_f >= -1e-12 * rec.alpha
+        assert rec.grad_inf_norm == max(np.abs(res.g_lam).max(), np.abs(res.g_A).max())
 
     def test_missing_input_is_runtime_error(self, tmp_path, capsys):
         code = main([
