@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from momentcp.dense import ObservationSet
 
@@ -156,6 +155,9 @@ def similarity_score(A_true: np.ndarray, A_hat: np.ndarray) -> ScoreResult:
     if np.any(tn == 0.0) or np.any(hn == 0.0):
         raise ValueError("cannot score a zero column")
     cos = np.abs((A_true / tn).T @ (A_hat / hn))
+    # imported here: scoring is the only use of scipy, and the fit path stays free of it
+    from scipy.optimize import linear_sum_assignment
+
     rows, cols = linear_sum_assignment(cos, maximize=True)
     matched = cos[rows, cols]
     return ScoreResult(

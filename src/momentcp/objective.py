@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from momentcp.dense import DenseSymTensor, ObservationSet, ttsv_batch_dense
 from momentcp.implicit import _elementwise_power, _ttsv, ttsv_batch
@@ -92,7 +91,7 @@ def _lam_star(G: np.ndarray, w: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError:
         L = None
     if L is not None and (np.diagonal(L) ** 2 > _PIVOT_FLOOR * np.diagonal(G)).all():
-        return cho_solve((L, True), w, check_finite=False)
+        return np.linalg.solve(L.T, np.linalg.solve(L, w))
     return np.linalg.lstsq(G, w, rcond=None)[0]
 
 

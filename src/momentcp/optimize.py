@@ -2,12 +2,14 @@
 
 The solvers operate on a flat variable vector ``x = pack(lam, A)`` (weights
 first, then the factor matrix column-major); gradients are packed the same
-way.  ``lbfgs_minimize`` runs scipy's L-BFGS-B without bounds, stopping on
-the gradient's infinity norm; on a moment objective it eliminates ``lam``
-(variable projection), searching over ``A`` alone and reporting
-``lam = G^{-1} w``.  Adam does not.  ``adam_minimize`` runs
-stochastic gradients in fixed-length epochs with a monitored function
-estimate that triggers one learning-rate reduction and then termination.
+way.  ``lbfgs_minimize`` is a two-loop L-BFGS (Liu & Nocedal, 1989) with a
+strong-Wolfe line search under L-BFGS-B's constants and stopping rules
+(Byrd, Lu, Nocedal & Zhu, 1995), stopping on the gradient's infinity norm;
+on a moment objective it eliminates ``lam`` (variable projection), searching
+over ``A`` alone and reporting ``lam = G^{-1} w``.  Adam does not.
+``adam_minimize`` runs stochastic gradients in fixed-length epochs with a
+monitored function estimate that triggers one learning-rate reduction and
+then termination.
 ``multistart`` fans a solver out over independently seeded initial guesses
 and keeps the run with the lowest final objective.
 
@@ -19,27 +21,35 @@ generators.
 from __future__ import annotations
 
 import time
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from momentcp.dense import ObservationSet
 from momentcp.implicit import _ttsv
 from momentcp.objective import FgCallback, pack, packed_fg, packed_fg_implicit, unpack  # noqa: F401
 
 
+# L-BFGS-B's line-search constants (Byrd, Lu, Nocedal & Zhu, SISC 1995):
+# sufficient decrease, curvature, and the relative bracket width that ends a
+# zoom (dcsrch's ftol, gtol and xtol)
+_SUFFICIENT_DECREASE = 1e-3
+_CURVATURE = 0.9
+_XTOL = 0.1
+_EPS = float(np.finfo(float).eps)
+
+
 @dataclass
 class OptConfig:
-    """L-BFGS settings, each passed to scipy's L-BFGS-B as the option named.
+    """L-BFGS settings.
 
-    ``memory`` (``maxcor``) is the number of stored correction pairs;
-    ``pgtol`` (``gtol``) bounds the gradient's infinity norm at a solution;
-    ``max_iters`` (``maxiter``) caps iterations and ``max_total_iters``
-    (``maxfun``) function/gradient evaluations; ``max_line_steps``
-    (``maxls``) caps the evaluations of one line search.  The evaluation cap
-    is checked between iterations, so a run makes at most
+    ``memory`` is the number of stored correction pairs; ``pgtol`` bounds
+    the gradient's infinity norm at a solution; ``max_iters`` caps accepted
+    steps and ``max_total_iters`` function/gradient evaluations;
+    ``max_line_steps`` caps the evaluations of one line search.  The
+    evaluation cap is checked between iterations, so a run makes at most
     ``max_total_iters + max_line_steps`` evaluations, plus one for the final
     ``lam`` solve of a reduced run.  ``seed`` is only recorded in the report.
     """
@@ -113,13 +123,88 @@ class RunReport:
     failures: list[str] = field(default_factory=list)
 
 
+def two_loop_direction(
+    g: np.ndarray,
+    s_list: Sequence[np.ndarray],
+    y_list: Sequence[np.ndarray],
+    gamma: float,
+) -> np.ndarray:
+    """L-BFGS two-loop recursion: returns ``-H @ g`` for the implicit inverse
+    Hessian built from the stored ``(s, y)`` pairs on top of ``gamma * I``."""
+    q = g.copy()
+    alphas = []
+    rhos = [1.0 / float(y @ s) for s, y in zip(s_list, y_list)]
+    for s, y, rho in zip(reversed(s_list), reversed(y_list), reversed(rhos)):
+        a = rho * float(s @ q)
+        q -= a * y
+        alphas.append(a)
+    q *= gamma
+    for s, y, rho, a in zip(s_list, y_list, rhos, reversed(alphas)):
+        q += (a - rho * float(y @ q)) * s
+    return -q
+
+
+def _zoom_step(lo: tuple, hi: tuple) -> float:
+    """Next trial step inside the bracket whose ends are ``(step, f, slope)``:
+    the minimizer of the cubic through both ends' ``f`` and slope (Nocedal &
+    Wright, eq. 3.59), held at least 0.1 of the bracket from either end, or
+    the midpoint when the cubic has no minimizer or an end is not finite."""
+    a_lo, f_lo, d_lo, a_hi, f_hi, d_hi = np.array([*lo, *hi])
+    width = a_hi - a_lo
+    with np.errstate(all="ignore"):
+        d1 = d_lo + d_hi - 3.0 * (f_hi - f_lo) / width
+        d2 = np.copysign(np.sqrt(d1 * d1 - d_lo * d_hi), width)
+        t = 1.0 - (d_hi + d2 - d1) / (d_hi - d_lo + 2.0 * d2)
+    return float(a_lo + width * (min(max(t, 0.1), 0.9) if np.isfinite(t) else 0.5))
+
+
+def _line_search(fg, x, f0, g0, direction, step, max_trials):
+    """Strong-Wolfe line search (Nocedal & Wright, Algorithms 3.5 and 3.6).
+
+    Doubles the step from ``step`` until the objective turns up, then zooms
+    into the bracket with :func:`_zoom_step`.  Returns ``(x, f, g, evals)``
+    at a step that meets both Wolfe conditions; or at the best step so far
+    (``x`` itself if none met sufficient decrease) once the bracket is
+    narrower than ``_XTOL`` of its upper end or a trial's ``f`` equals
+    ``f0`` bit for bit; or ``(None, f0, g0, max_trials)`` when
+    ``max_trials`` evaluations found neither.
+    """
+    d0 = float(g0 @ direction)
+    lo, hi = (0.0, f0, d0), None  # (step, f, slope) at the bracket's ends; lo is the best step
+    best = (x, f0, g0)  # the point at lo
+    a = step
+    for evals in range(1, max_trials + 1):
+        xa = x + a * direction
+        fa, ga = fg(xa)
+        if fa == f0:  # rounding stall
+            return (*best, evals)
+        da = float(ga @ direction)
+        if not (fa <= f0 + _SUFFICIENT_DECREASE * a * d0 and fa < lo[1]):  # NaN fails too
+            hi = (a, fa, da)
+        else:
+            if abs(da) <= -_CURVATURE * d0:
+                return xa, fa, ga, evals
+            # f rises from a towards the far end (+inf while bracketing): the
+            # minimum lies between a and the previous best step
+            if da * ((np.inf if hi is None else hi[0]) - a) >= 0.0:
+                hi = lo
+            lo, best = (a, fa, da), (xa, fa, ga)
+        if hi is None:
+            a *= 2.0
+        elif abs(hi[0] - lo[0]) < _XTOL * max(lo[0], hi[0]):
+            return (*best, evals)
+        else:
+            a = _zoom_step(lo, hi)
+    return None, f0, g0, max_trials
+
+
 def lbfgs_minimize(
     fg: FgCallback,
     x0: np.ndarray,
     cfg: OptConfig,
     shape: tuple[int, int],
 ) -> RunReport:
-    """Minimize a smooth function with scipy's L-BFGS-B, without bounds.
+    """Minimize a smooth function with limited-memory BFGS.
 
     Parameters
     ----------
@@ -133,39 +218,61 @@ def lbfgs_minimize(
         Starting point; ``fg`` must be finite there.
     cfg:
         Solver settings; the run stops when the gradient infinity norm drops
-        to ``cfg.pgtol``, when an iteration cap is hit, or when the line
-        search cannot make progress.  A non-finite ``f`` counts as ``+inf``,
-        which ends the run at the last finite iterate.
+        to ``cfg.pgtol``, when an iteration cap is hit, when an accepted step
+        does not lower ``f``, or when a steepest-descent line search fails.
+        A non-finite ``f`` fails sufficient decrease, so the run ends at its
+        last finite iterate.
     shape:
         ``(n, r)`` used to unpack the final iterate into the report.
     """
     start = time.perf_counter()
     project = getattr(fg, "project", None)
     search = fg if project is None else fg.reduced
-    trace: list[tuple[float, float]] = []
-    n_fg = 0
+    x = np.asarray(x0, dtype=float).copy()
+    f, g = search(x)
+    n_fg = 1
+    if not (np.isfinite(f) and np.isfinite(g).all()):
+        raise ValueError("objective is not finite at the starting point")
+    trace = [(f, time.perf_counter() - start)]
 
-    def fun(x):
-        nonlocal n_fg
-        f, g = search(x)
-        n_fg += 1
-        if not trace:
-            if not (np.isfinite(f) and np.isfinite(g).all()):
-                raise ValueError("objective is not finite at the starting point")
-            trace.append((f, time.perf_counter() - start))
-        return (f if np.isfinite(f) else np.inf), g
+    s_hist: deque[np.ndarray] = deque(maxlen=cfg.memory)
+    y_hist: deque[np.ndarray] = deque(maxlen=cfg.memory)
+    n_steps = 0
+    capped = False
+    while float(np.abs(g).max()) > cfg.pgtol:
+        if n_steps >= cfg.max_iters or n_fg >= cfg.max_total_iters:
+            capped = True
+            break
+        if s_hist:
+            gamma = float(s_hist[-1] @ y_hist[-1]) / float(y_hist[-1] @ y_hist[-1])
+            direction, step = two_loop_direction(g, s_hist, y_hist, gamma), 1.0
+        else:
+            direction, step = -g, 1.0 / float(np.linalg.norm(g))
+        x_new = None
+        if float(direction @ g) < 0.0:
+            x_new, f_new, g_new, evals = _line_search(
+                search, x, f, g, direction, step, cfg.max_line_steps
+            )
+            n_fg += evals
+        if x_new is None:
+            if not s_hist:
+                break
+            # a failed search (or a direction that does not descend): drop
+            # the pairs and retry once along -g
+            s_hist.clear()
+            y_hist.clear()
+            continue
+        if not f_new < f:
+            break
+        s, y = x_new - x, g_new - g
+        # L-BFGS-B's curvature test: a pair with too small an s'y could make H indefinite
+        if float(s @ y) > _EPS * -float(g @ s):
+            s_hist.append(s)
+            y_hist.append(y)
+        x, f, g = x_new, f_new, g_new
+        n_steps += 1
+        trace.append((f, time.perf_counter() - start))
 
-    def callback(intermediate_result):
-        trace.append((intermediate_result.fun, time.perf_counter() - start))
-
-    res = minimize(
-        fun, np.asarray(x0, dtype=float), jac=True, method="L-BFGS-B", callback=callback,
-        options={
-            "maxcor": cfg.memory, "gtol": cfg.pgtol, "ftol": 0.0, "maxiter": cfg.max_iters,
-            "maxfun": cfg.max_total_iters, "maxls": cfg.max_line_steps,
-        },
-    )
-    x, f, g = res.x, float(res.fun), res.jac
     if project is not None:
         x, f, g = project(x)
         n_fg += 1
@@ -173,7 +280,7 @@ def lbfgs_minimize(
     if grad_inf_norm <= cfg.pgtol:
         reason = "tolerance"
     else:
-        reason = "iteration cap" if res.status == 1 else "line-search failure"
+        reason = "iteration cap" if capped else "line-search failure"
     lam, A = unpack(x, *shape)
     return RunReport(
         lam=lam,
@@ -181,7 +288,7 @@ def lbfgs_minimize(
         f=f,
         grad_inf_norm=grad_inf_norm,
         n_fg=n_fg,
-        n_steps=res.nit,
+        n_steps=n_steps,
         wall_time=time.perf_counter() - start,
         reason=reason,
         seed=cfg.seed,

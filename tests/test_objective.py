@@ -245,6 +245,12 @@ class TestReducedRoute:
         assert np.array_equal(g_red[r:], ref.g_A.ravel(order="F"))
         # lam* is the optimum: the full gradient's lam part vanishes there
         assert np.abs(ref.g_lam).max() <= 1e-10 * np.abs(ref.g_A).max()
+        # G is well conditioned, so lam* comes from the Cholesky factor
+        G = (A.T @ A) ** d
+        w = np.einsum("ij,ij->j", A, ttsv_batch(obs, A, d))
+        assert np.linalg.cond(G) < 10.0
+        lam_ref = np.linalg.solve(G, w)
+        assert np.linalg.norm(lam_star - lam_ref) <= 1e-12 * np.linalg.norm(lam_ref)
 
     @pytest.mark.parametrize("delta", [0.0, 1e-10, None])
     def test_degenerate_columns(self, delta):

@@ -1,6 +1,10 @@
 """Solvers: packing, L-BFGS behavior, Adam epoch protocol, multistart."""
 
 import copy
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,8 +21,8 @@ from momentcp import (
     unpack,
 )
 from momentcp.gmm import correlated_means, sample_gmm
-from momentcp import fg_implicit, sample_observations, ttsv_batch
-from momentcp.optimize import packed_fg_implicit
+from momentcp import data_norm_sq, fg_implicit, sample_observations, ttsv_batch
+from momentcp.optimize import packed_fg_implicit, two_loop_direction
 
 
 class TestPacking:
@@ -179,6 +183,109 @@ class TestLbfgs:
         assert rep.reason == "iteration cap"
         # the cap is checked between iterations; the final lam solve adds one
         assert cfg.max_total_iters < rep.n_fg <= cfg.max_total_iters + cfg.max_line_steps + 1
+
+    def test_rounding_stall_ends_run(self):
+        # with alpha the exact data norm, f cancels to rounding near the fit
+        # and pgtol=1e-14 is out of reach: the run must end on its own, soon
+        # after the last step that lowered f
+        rng = np.random.default_rng(43)
+        n, r, d = 6, 2, 3
+        obs = sample_gmm(correlated_means(n, r, 0.3, rng), 0.01, 200, rng)
+        fg = packed_fg_implicit(obs, d, r, alpha=data_norm_sq(obs, d))
+        values = []
+
+        def counted(x):
+            f, g = fg.reduced(x)
+            values.append(f)
+            return f, g
+
+        counted.project = fg.project
+        counted.reduced = counted
+        cfg = OptConfig(pgtol=1e-14)
+        x0 = pack(np.full(r, 0.5), rrf_init(obs, r, rng))
+        rep = lbfgs_minimize(counted, x0, cfg, shape=(n, r))
+        assert rep.reason == "line-search failure"
+        assert rep.n_steps < cfg.max_iters
+        assert rep.n_fg == len(values) + 1  # the final lam solve
+        last_accepted = values.index(rep.trace[-1][0])
+        assert len(values) - 1 - last_accepted <= 2 * cfg.max_line_steps
+
+    def test_failed_search_resets_then_ends(self, monkeypatch):
+        # a search that fails with pairs stored clears them and is retried
+        # along -g with length 1/||g||; when that retry fails too, the run ends
+        import momentcp.optimize as optimize
+
+        real_search = optimize._line_search
+        calls, fail = [], set()
+
+        def scripted(fg, x, f0, g0, direction, step, max_trials):
+            calls.append((g0, direction, step))
+            if len(calls) in fail:
+                return None, f0, g0, max_trials
+            return real_search(fg, x, f0, g0, direction, step, max_trials)
+
+        monkeypatch.setattr(optimize, "_line_search", scripted)
+        scale = np.array([1.0, 10.0, 100.0])
+
+        def fg(x):
+            return 0.5 * float(x @ (scale * x)), scale * x
+
+        for failing, reason in (({3}, "tolerance"), ({3, 4}, "line-search failure")):
+            calls.clear()
+            fail = failing
+            rep = lbfgs_minimize(fg, np.ones(3), OptConfig(pgtol=1e-8), shape=(2, 1))
+            assert rep.reason == reason
+            for i in (0, 3):  # the first search and the retry: steepest descent
+                g, direction, step = calls[i]
+                assert np.array_equal(direction, -g) and step == 1.0 / np.linalg.norm(g)
+            assert calls[2][2] == 1.0  # a quasi-Newton step starts at length 1
+        assert len(calls) == 4
+
+
+def dense_bfgs_direction(g, s_list, y_list, gamma):
+    """Reference direction: apply the BFGS inverse-Hessian updates densely."""
+    m = g.size
+    H = gamma * np.eye(m)
+    for s, y in zip(s_list, y_list):
+        rho = 1.0 / float(y @ s)
+        Vm = np.eye(m) - rho * np.outer(s, y)
+        H = Vm @ H @ Vm.T + rho * np.outer(s, s)
+    return -H @ g
+
+
+class TestTwoLoop:
+    def test_matches_dense_bfgs_on_quadratic(self):
+        # histories generated by gradient steps on a 3-dim convex quadratic;
+        # with full memory (m=5 >= k) the two-loop must reproduce the dense
+        # BFGS direction at every one of the first m iterations
+        rng = np.random.default_rng(37)
+        for _ in range(10):
+            Q = rng.standard_normal((3, 3))
+            Q = Q @ Q.T + 3.0 * np.eye(3)
+            b = rng.standard_normal(3)
+            x = rng.standard_normal(3)
+            s_list, y_list = [], []
+            for _ in range(5):
+                g = Q @ x - b
+                step = -rng.uniform(0.05, 0.2) * g
+                s_list.append(step)
+                y_list.append(Q @ step)
+                x = x + step
+                g_new = Q @ x - b
+                gamma = float(s_list[-1] @ y_list[-1]) / float(y_list[-1] @ y_list[-1])
+                got = two_loop_direction(g_new, s_list, y_list, gamma)
+                want = dense_bfgs_direction(g_new, s_list, y_list, gamma)
+                assert np.allclose(got, want, rtol=1e-12, atol=1e-14)
+
+
+def test_import_loads_no_scipy():
+    # scipy costs about half a second to import and only scoring uses it
+    code = "import sys, momentcp, momentcp.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def _adam_problem(rng, n=6, r=2, p=40):
