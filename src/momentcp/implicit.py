@@ -115,10 +115,13 @@ def _ttsv(V: np.ndarray, nu: np.ndarray, A: np.ndarray, d: int) -> np.ndarray:
     from memory once and reused from cache by the back GEMM, and the
     temporaries are ``B x r`` for a block of ``B`` columns.  ``Y``'s bits
     depend on the split, and the split only on ``V``'s shape, so a call is
-    deterministic.  A ``V`` under ``2 * TTSV_BLOCK_BYTES`` is one block.
+    deterministic.  A ``V`` under ``2 * TTSV_BLOCK_BYTES`` is one block,
+    whose products are made without the block loop.
     """
     p = V.shape[1]
     k = min(p, max(1, V.nbytes // TTSV_BLOCK_BYTES))
+    if k == 1:
+        return V @ (nu[:, None] * _elementwise_power(V.T @ A, d - 1))
     Y = None
     for j in range(k):
         b = slice(j * p // k, (j + 1) * p // k)

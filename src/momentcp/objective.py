@@ -61,17 +61,30 @@ def _validate_variables(lam: np.ndarray, A: np.ndarray, n: int, alpha: float) ->
     return lam, A
 
 
-def _finish(Y: np.ndarray, lam: np.ndarray, A: np.ndarray, d: int, alpha: float) -> FgResult:
-    """Objective and gradients from the TTSVs ``Y`` through the ``r x r`` Gram
-    tail: ``||M||^2 = lam.T @ u`` and ``<X, M> = w.T @ lam``."""
+def _finish(Y: np.ndarray, lam: np.ndarray | None, A: np.ndarray, d: int, alpha: float) -> tuple:
+    """``(lam, f, pack(g_lam, g_A))`` from the TTSVs ``Y`` through the ``r x r``
+    Gram tail: ``||M||^2 = lam.T @ G @ lam`` and ``<X, M> = w.T @ lam``, with
+    ``G = (A'A) * (A'A)^(d-1)``, which is ``(A'A)^d`` bit for bit.  With
+    ``lam=None`` the weights are ``lam* = G^{-1} w``."""
+    n, r = A.shape
     B = A.T @ A
     C = _elementwise_power(B, d - 1)
-    u = (B * C) @ lam
+    G = B * C
     w = np.einsum("ij,ij->j", A, Y)  # w_j = a_j.T y_j, as in model_data_inner
+    if lam is None:
+        lam = _lam_star(G, w)
+    u = G @ lam
     f = alpha + float(lam @ u) - 2.0 * float(w @ lam)
-    g_lam = -2.0 * (w - u)
-    g_A = -2.0 * d * (Y - (A * lam) @ C) * lam
-    return FgResult(f, g_lam, g_A)
+    g = np.empty(r + n * r)  # both gradient blocks are written into their packed slots
+    np.multiply(-2.0, w - u, out=g[:r])
+    np.multiply(-2.0 * d * (Y - (A * lam) @ C), lam, out=g[r:].reshape((n, r), order="F"))
+    return lam, f, g
+
+
+def _result(Y: np.ndarray, lam: np.ndarray, A: np.ndarray, d: int, alpha: float) -> FgResult:
+    """:func:`_finish` as an :class:`FgResult`, whose gradients view the packed one."""
+    _, f, g = _finish(Y, lam, A, d, alpha)
+    return FgResult(f, g[: lam.size], g[lam.size :].reshape(A.shape, order="F"))
 
 
 def _lam_star(G: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -104,7 +117,7 @@ def fg_explicit(
     reference route for :func:`fg_implicit`.
     """
     lam, A = _validate_variables(lam, A, X.dim, alpha)
-    return _finish(ttsv_batch_dense(X, A), lam, A, X.order, alpha)
+    return _result(ttsv_batch_dense(X, A), lam, A, X.order, alpha)
 
 
 def fg_implicit(
@@ -120,7 +133,7 @@ def fg_implicit(
     but no object of size n^d is ever formed.
     """
     lam, A = _validate_variables(lam, A, obs.n, alpha)
-    return _finish(ttsv_batch(obs, A, d), lam, A, d, alpha)
+    return _result(ttsv_batch(obs, A, d), lam, A, d, alpha)
 
 
 def pack(lam: np.ndarray, A: np.ndarray) -> np.ndarray:
@@ -146,9 +159,9 @@ def packed_fg(
     """The objective as a callback ``x -> (f, pack(g_lam, g_A))`` on the float
     vector ``x = pack(lam, A)``, where ``ttsv(A)`` makes ``Y`` for an ``n x r``
     factor matrix.  The problem is checked here, once; a call raises
-    ``ValueError`` on a non-finite ``x`` and gives the per-point route's bits.
-
-    The reduced route ignores ``x``'s ``lam`` and makes ``Y`` once per call:
+    ``ValueError`` on a non-finite ``x``, gives the per-point route's bits,
+    makes ``Y``, ``A'A``, its powers and ``w`` once (:func:`_finish`) and
+    returns a fresh packed gradient.  The reduced route ignores ``x``'s ``lam``:
     ``fg.project(x)`` gives ``(pack(lam*, A), f, gradient)`` at the optimal
     weights ``lam* = G^{-1} w``, and ``fg.reduced(x)`` gives ``(f, gradient)``
     there with the gradient's ``lam`` slots exactly 0.
@@ -165,16 +178,13 @@ def packed_fg(
 
     def fg(x: np.ndarray) -> tuple[float, np.ndarray]:
         A = unpack_A(x)
-        res = _finish(ttsv(A), x[:r], A, d, alpha)
-        return res.f, np.concatenate([res.g_lam, res.g_A.ravel(order="F")])
+        _, f, g = _finish(ttsv(A), x[:r], A, d, alpha)
+        return f, g
 
     def project(x: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
         A = unpack_A(x)
-        Y = ttsv(A)
-        lam = _lam_star(_elementwise_power(A.T @ A, d), np.einsum("ij,ij->j", A, Y))
-        res = _finish(Y, lam, A, d, alpha)
-        return (np.concatenate([lam, x[r:]]), res.f,
-                np.concatenate([res.g_lam, res.g_A.ravel(order="F")]))
+        lam, f, g = _finish(ttsv(A), None, A, d, alpha)
+        return np.concatenate([lam, x[r:]]), f, g
 
     def reduced(x: np.ndarray) -> tuple[float, np.ndarray]:
         _, f, g = project(x)

@@ -7,7 +7,8 @@ strong-Wolfe line search under L-BFGS-B's constants and stopping rules
 (Byrd, Lu, Nocedal & Zhu, 1995), stopping on the gradient's infinity norm;
 on a moment objective it eliminates ``lam`` (variable projection), searching
 over ``A`` alone and reporting ``lam = G^{-1} w``.  Adam does not.
-``adam_minimize`` runs stochastic gradients in fixed-length epochs with a
+``adam_minimize`` runs stochastic gradients in fixed-length epochs, drawing
+each epoch's samples at once and updating its moments in place, with a
 monitored function estimate that triggers one learning-rate reduction and
 then termination.
 ``multistart`` fans a solver out over independently seeded initial guesses
@@ -50,8 +51,8 @@ class OptConfig:
     steps and ``max_total_iters`` function/gradient evaluations;
     ``max_line_steps`` caps the evaluations of one line search.  The
     evaluation cap is checked between iterations, so a run makes at most
-    ``max_total_iters + max_line_steps`` evaluations, plus one for the final
-    ``lam`` solve of a reduced run.  ``seed`` is only recorded in the report.
+    ``max_total_iters + max_line_steps`` evaluations.  ``seed`` is only
+    recorded in the report.
     """
 
     memory: int = 5
@@ -91,10 +92,15 @@ class AdamConfig:
     max_epochs: int = 1000
 
     def __post_init__(self) -> None:
-        if self.epoch_len < 1:
-            raise ValueError(f"epoch_len must be >= 1, got {self.epoch_len}")
-        if self.batch < 1:
-            raise ValueError(f"batch must be >= 1, got {self.batch}")
+        for name in ("step_size", "reduced_step_size", "eps"):
+            if not 0.0 < getattr(self, name) < np.inf:  # also rejects NaN
+                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
+        for name, least in (("epoch_len", 1), ("batch", 1), ("estimate_samples", 1), ("max_epochs", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
 
 
 @dataclass
@@ -103,9 +109,8 @@ class RunReport:
 
     ``trace`` rows are ``(f, seconds_since_start)`` at the initial point and
     after every accepted step (for Adam: after every epoch).  ``n_fg`` counts
-    inner iterations, i.e. function/gradient evaluations, the final ``lam``
-    solve of a reduced L-BFGS run included (for Adam: mini-batch gradient
-    steps).
+    inner iterations, i.e. function/gradient evaluations (for Adam:
+    mini-batch gradient steps).
     """
 
     lam: np.ndarray
@@ -213,7 +218,7 @@ def lbfgs_minimize(
         :func:`~momentcp.objective.packed_fg` is minimized over ``A`` alone
         on its reduced route, ignoring ``x0``'s weights; the report carries
         ``lam = G^{-1} w`` at the final ``A``, with ``f`` and the full
-        gradient's norm there.
+        gradient's norm there, all kept from the evaluation of that ``A``.
     x0:
         Starting point; ``fg`` must be finite there.
     cfg:
@@ -227,7 +232,16 @@ def lbfgs_minimize(
     """
     start = time.perf_counter()
     project = getattr(fg, "project", None)
-    search = fg if project is None else fg.reduced
+    search = fg
+    if project is not None:
+        # fg.reduced, keeping each searched point's lam* and full gradient
+        projected: dict[int, tuple] = {}
+
+        def search(x: np.ndarray) -> tuple[float, np.ndarray]:
+            x_star, f, g = project(x)
+            projected[id(x)] = (x, x_star, g)
+            return f, np.concatenate([np.zeros(shape[1]), g[shape[1] :]])
+
     x = np.asarray(x0, dtype=float).copy()
     f, g = search(x)
     n_fg = 1
@@ -272,10 +286,11 @@ def lbfgs_minimize(
         x, f, g = x_new, f_new, g_new
         n_steps += 1
         trace.append((f, time.perf_counter() - start))
+        if project is not None:  # only the current point's projection is needed
+            projected = {id(x): projected[id(x)]}
 
     if project is not None:
-        x, f, g = project(x)
-        n_fg += 1
+        _, x, g = projected[id(x)]
     grad_inf_norm = float(np.abs(g).max())
     if grad_inf_norm <= cfg.pgtol:
         reason = "tolerance"
@@ -306,13 +321,14 @@ def adam_minimize(
 ) -> RunReport:
     """Stochastic minimization of the shifted objective with Adam.
 
-    Every inner iteration draws a fresh ``cfg.batch``-observation sample (the
-    draw :func:`~momentcp.objective.sample_observations` makes) and takes one
-    bias-corrected Adam step.  Uniform weights are checked once, here.  After
-    each epoch the objective is estimated on a fixed subset; a non-decreasing
-    estimate first reduces the step size (rewinding to the prior epoch's
-    iterate and restarting the moment accumulators), and on a second
-    occurrence the run terminates with the prior epoch's iterate.
+    Every inner iteration takes a fresh ``cfg.batch``-observation sample (the
+    draw :func:`~momentcp.objective.sample_observations` makes, drawn for a
+    whole epoch at once) and one bias-corrected Adam step, in place with the
+    bits of Kingma & Ba's Algorithm 1.  Uniform weights are checked once.
+    After each epoch the objective is estimated on a fixed subset; a
+    non-decreasing estimate first reduces the step size (rewinding to the
+    prior epoch's iterate and restarting the moment accumulators), and on a
+    second occurrence the run terminates with the prior epoch's iterate.
     """
     start = time.perf_counter()
     n, p = obs.V.shape
@@ -332,23 +348,33 @@ def adam_minimize(
     x_best = x.copy()
     trace = [(f_best, time.perf_counter() - start)]
 
-    lr = cfg.step_size
-    m1 = np.zeros_like(x)
-    m2 = np.zeros_like(x)
+    lr, b1, b2 = cfg.step_size, cfg.beta1, cfg.beta2
+    m1, m2, tmp, den = (np.zeros_like(x) for _ in range(4))
     t = 0
     n_iter = 0
     increases = 0
     reason = "iteration cap"
     for _ in range(cfg.max_epochs):
-        for _ in range(cfg.epoch_len):
-            V_batch = obs.V[:, rng.integers(0, p, size=cfg.batch)]
+        for idx in rng.integers(0, p, size=(cfg.epoch_len, cfg.batch)):
+            V_batch = obs.V[:, idx]
             _, grad = batch_fg(x)
             t += 1
-            m1 = cfg.beta1 * m1 + (1.0 - cfg.beta1) * grad
-            m2 = cfg.beta2 * m2 + (1.0 - cfg.beta2) * grad * grad
-            m1_hat = m1 / (1.0 - cfg.beta1**t)
-            m2_hat = m2 / (1.0 - cfg.beta2**t)
-            x = x - lr * m1_hat / (np.sqrt(m2_hat) + cfg.eps)
+            # m1 = b1*m1 + (1-b1)*grad and m2 = b2*m2 + (1-b2)*grad*grad
+            m1 *= b1
+            np.multiply(grad, 1.0 - b1, out=tmp)
+            m1 += tmp
+            m2 *= b2
+            np.multiply(grad, 1.0 - b2, out=tmp)
+            tmp *= grad
+            m2 += tmp
+            # x = x - lr * (m1/c1) / (sqrt(m2/c2) + eps), c_i = 1 - b_i**t
+            np.divide(m1, 1.0 - b1**t, out=tmp)
+            tmp *= lr
+            np.divide(m2, 1.0 - b2**t, out=den)
+            np.sqrt(den, out=den)
+            den += cfg.eps
+            tmp /= den
+            x -= tmp
             n_iter += 1
         f_est, _ = estimate(x)
         trace.append((f_est, time.perf_counter() - start))
@@ -357,7 +383,7 @@ def adam_minimize(
             x_best = x.copy()
         else:
             increases += 1
-            x = x_best.copy()
+            x[:] = x_best
             m1[:] = 0.0
             m2[:] = 0.0
             t = 0

@@ -21,7 +21,7 @@ from momentcp import (
     unpack,
 )
 from momentcp.gmm import correlated_means, sample_gmm
-from momentcp import data_norm_sq, fg_implicit, sample_observations, ttsv_batch
+from momentcp import data_norm_sq, fg_implicit, packed_fg, sample_observations, ttsv_batch
 from momentcp.optimize import packed_fg_implicit, two_loop_direction
 
 
@@ -181,8 +181,8 @@ class TestLbfgs:
         cfg = OptConfig(pgtol=1e-14, max_total_iters=5)
         rep = lbfgs_minimize(fg, x0, cfg, shape=(4, 2))
         assert rep.reason == "iteration cap"
-        # the cap is checked between iterations; the final lam solve adds one
-        assert cfg.max_total_iters < rep.n_fg <= cfg.max_total_iters + cfg.max_line_steps + 1
+        # the cap is checked between iterations
+        assert cfg.max_total_iters <= rep.n_fg <= cfg.max_total_iters + cfg.max_line_steps
 
     def test_rounding_stall_ends_run(self):
         # with alpha the exact data norm, f cancels to rounding near the fit
@@ -192,23 +192,45 @@ class TestLbfgs:
         n, r, d = 6, 2, 3
         obs = sample_gmm(correlated_means(n, r, 0.3, rng), 0.01, 200, rng)
         fg = packed_fg_implicit(obs, d, r, alpha=data_norm_sq(obs, d))
-        values = []
+        real_project, values = fg.project, []
 
-        def counted(x):
-            f, g = fg.reduced(x)
+        def counted_project(x):
+            x_star, f, g = real_project(x)
             values.append(f)
-            return f, g
+            return x_star, f, g
 
-        counted.project = fg.project
-        counted.reduced = counted
+        fg.project = counted_project
         cfg = OptConfig(pgtol=1e-14)
         x0 = pack(np.full(r, 0.5), rrf_init(obs, r, rng))
-        rep = lbfgs_minimize(counted, x0, cfg, shape=(n, r))
+        rep = lbfgs_minimize(fg, x0, cfg, shape=(n, r))
         assert rep.reason == "line-search failure"
         assert rep.n_steps < cfg.max_iters
-        assert rep.n_fg == len(values) + 1  # the final lam solve
+        assert rep.n_fg == len(values)  # the reported lam* comes from one of them
         last_accepted = values.index(rep.trace[-1][0])
         assert len(values) - 1 - last_accepted <= 2 * cfg.max_line_steps
+
+    @pytest.mark.parametrize("caps", [{"pgtol": 1e-8}, {"pgtol": 1e-14, "max_iters": 3}])
+    def test_report_from_search_evaluations(self, caps):
+        # the reduced route's report is fg.project at the final A, kept from
+        # the search's evaluations: every TTSV pass is an evaluation it counts
+        rng = np.random.default_rng(37)
+        n, r, d = 6, 3, 3
+        obs = ObservationSet(rng.standard_normal((n, 40)))
+        calls = []
+
+        def recording_ttsv(A):
+            calls.append(A)
+            return ttsv_batch(obs, A, d)
+
+        fg = packed_fg(recording_ttsv, n, r, d)
+        cfg = OptConfig(**caps)
+        rep = lbfgs_minimize(fg, pack(np.ones(r), rng.standard_normal((n, r))), cfg, shape=(n, r))
+        assert rep.reason == ("tolerance" if cfg.pgtol == 1e-8 else "iteration cap")
+        assert len(calls) == rep.n_fg
+        assert len({A.tobytes() for A in calls}) == len(calls)  # no point evaluated twice
+        x_star, f, g = fg.project(pack(np.zeros(r), rep.A))
+        assert np.array_equal(x_star, pack(rep.lam, rep.A))
+        assert f == rep.f and float(np.abs(g).max()) == rep.grad_inf_norm
 
     def test_failed_search_resets_then_ends(self, monkeypatch):
         # a search that fails with pairs stored clears them and is retried
@@ -362,6 +384,54 @@ class TestAdam:
             ref = fg_implicit(sample_observations(obs, cfg.batch, replay), lam, A, 3)
             assert np.array_equal(g, pack(ref.g_lam, ref.g_A))
 
+    def test_steps_match_textbook_update(self, monkeypatch):
+        # record every (x_t, g_t) of a run with one rewind, then recompute
+        # each x_{t+1} with Algorithm 1's out-of-place expressions: the
+        # in-place update must give the same bits at every step
+        import momentcp.optimize as optimize
+
+        steps = []
+        real_packed_fg = optimize.packed_fg
+
+        def recording_packed_fg(*args, **kwargs):
+            fg = real_packed_fg(*args, **kwargs)
+
+            def recorded(x):
+                f, g = fg(x)
+                steps.append((x.copy(), g.copy()))
+                return f, g
+
+            return recorded
+
+        monkeypatch.setattr(optimize, "packed_fg", recording_packed_fg)
+        rng = np.random.default_rng(46)
+        obs, x0, r = _adam_problem(rng, p=200)
+        cfg = AdamConfig(step_size=0.1, reduced_step_size=0.01, epoch_len=5, batch=10,
+                         estimate_samples=50, max_epochs=6)
+        rep = adam_minimize(obs, 3, r, x0, cfg, rng)
+        assert rep.reason == "iteration cap" and len(steps) == 6 * cfg.epoch_len
+
+        b1, b2, lr = cfg.beta1, cfg.beta2, cfg.step_size
+        m1 = m2 = np.zeros_like(x0)
+        t, x_next, x_best, f_best, rewinds = 0, x0, x0, rep.trace[0][0], 0
+        for epoch in range(6):
+            for x, g in steps[epoch * cfg.epoch_len : (epoch + 1) * cfg.epoch_len]:
+                assert np.array_equal(x, x_next)
+                t += 1
+                m1 = b1 * m1 + (1.0 - b1) * g
+                m2 = b2 * m2 + (1.0 - b2) * g * g
+                m1_hat = m1 / (1.0 - b1**t)
+                m2_hat = m2 / (1.0 - b2**t)
+                x_next = x - lr * m1_hat / (np.sqrt(m2_hat) + cfg.eps)
+            f_est = rep.trace[epoch + 1][0]
+            if f_est < f_best:
+                f_best, x_best = f_est, x_next
+            else:  # rewind, restart the moments, reduce the step size
+                rewinds += 1
+                x_next, m1, m2, t, lr = x_best, np.zeros_like(x0), np.zeros_like(x0), 0, cfg.reduced_step_size
+        assert rewinds == 1
+        assert np.array_equal(pack(rep.lam, rep.A), x_best)
+
     def test_requires_uniform_weights(self):
         rng = np.random.default_rng(41)
         V = rng.standard_normal((3, 4))
@@ -480,3 +550,12 @@ class TestConfigs:
             AdamConfig(epoch_len=0)
         with pytest.raises(ValueError):
             AdamConfig(batch=0)
+        bad = [("step_size", 0.0), ("step_size", -1.0), ("step_size", np.inf), ("step_size", np.nan),
+               ("reduced_step_size", 0.0), ("reduced_step_size", np.inf),
+               ("beta1", 1.0), ("beta1", -0.1), ("beta1", np.nan), ("beta2", 1.0), ("beta2", -0.1),
+               ("eps", 0.0), ("eps", -1e-8), ("estimate_samples", 0), ("max_epochs", -1)]
+        for name, value in bad:
+            with pytest.raises(ValueError, match=name):
+                AdamConfig(**{name: value})
+        # the edges of each range are accepted
+        AdamConfig(beta1=0.0, beta2=0.0, estimate_samples=1, max_epochs=0)
