@@ -50,17 +50,18 @@ from momentcp.io import (
     write_observations_binary,
     write_observations_csv,
 )
-from momentcp.objective import FgResult, fg_explicit, fg_implicit, packed_fg, sample_observations
-from momentcp.optimize import (
-    AdamConfig,
-    OptConfig,
-    RunReport,
-    adam_minimize,
-    lbfgs_minimize,
-    multistart,
+from momentcp.objective import (
+    FgResult,
+    fg_explicit,
+    fg_implicit,
     pack,
+    packed_fg,
     packed_fg_implicit,
+    sample_observations,
     unpack,
+)
+from momentcp.optimize import (
+    AdamConfig, OptConfig, RunReport, adam_minimize, lbfgs_minimize, multistart,
 )
 
 __all__ = [

@@ -26,15 +26,9 @@ from momentcp.gmm import (
 )
 from momentcp.implicit import data_norm_sq, ttsv_batch
 from momentcp.io import ParseError, SolutionRecord, read_observations
-from momentcp.objective import packed_fg
+from momentcp.objective import pack, packed_fg, packed_fg_implicit
 from momentcp.optimize import (
-    AdamConfig,
-    OptConfig,
-    adam_minimize,
-    lbfgs_minimize,
-    multistart,
-    pack,
-    packed_fg_implicit,
+    AdamConfig, OptConfig, RunReport, adam_minimize, lbfgs_minimize, multistart,
 )
 
 PAIRED_CHECK_RTOL = 1e-10
@@ -158,11 +152,48 @@ _BENCH_COLUMNS = [
 ]
 
 
-def write_bench_csv(path: str, report: dict) -> None:
+def _write_csv(path: str, fieldnames: list[str], rows) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=_BENCH_COLUMNS, extrasaction="ignore")
+        writer = csv.DictWriter(fh, fieldnames=fieldnames)
         writer.writeheader()
-        writer.writerow(report)
+        writer.writerows(rows)
+
+
+def fit(
+    obs: ObservationSet, d: int, r_hat: int, cfg: OptConfig | AdamConfig, starts: int,
+    seed: int | np.random.SeedSequence, *, init: str = "rrf", threads: int = 1,
+    alpha: float = 0.0,
+) -> RunReport:
+    """Fit a rank-``r_hat`` model to the order-``d`` moment of ``obs`` from
+    ``starts`` seeded starts; returns the best run, as :func:`multistart` does.
+
+    Each start has weights ``1/r_hat`` and factors from ``rrf_init`` (or
+    ``gaussian_init`` for ``init="gaussian"``).  An ``AdamConfig`` runs Adam,
+    any other config L-BFGS.  The report's ``f`` and ``grad_inf_norm`` are
+    the full objective with ``alpha`` at its ``lam`` and ``A``: Adam's own
+    are a shifted estimate on a subset, so they are evaluated afresh.
+    """
+    # initial weights at the uniform-mixture scale; weights of 1 would
+    # start the model far too large and distort the early trajectory
+    lam0 = np.full(r_hat, 1.0 / r_hat)
+    full = packed_fg_implicit(obs, d, r_hat, alpha)
+    adam = isinstance(cfg, AdamConfig)
+
+    def start(rng):
+        if init == "rrf":
+            return pack(lam0, rrf_init(obs, r_hat, rng))
+        return pack(lam0, gaussian_init(obs.n, r_hat, rng))
+
+    def minimize(x0, rng):
+        if adam:
+            return adam_minimize(obs, d, r_hat, x0, cfg, rng)
+        return lbfgs_minimize(full, x0, cfg, shape=(obs.n, r_hat))
+
+    best = multistart(starts, start, minimize, seed, threads=threads)
+    if adam:
+        best.f, g = full(pack(best.lam, best.A))
+        best.grad_inf_norm = float(np.abs(g).max())
+    return best
 
 
 def run_gmm_sweep(
@@ -195,18 +226,7 @@ def run_gmm_sweep(
 
     rows = []
     for j, r_hat in enumerate(ranks):
-        fg = packed_fg_implicit(obs, d, r_hat)
-        cfg = OptConfig(pgtol=pgtol, seed=seed)
-
-        # initial weights at the uniform-mixture scale; weights of 1 would
-        # start the model far too large and distort the early trajectory
-        def init(rng, r_hat=r_hat):
-            return pack(np.full(r_hat, 1.0 / r_hat), rrf_init(obs, r_hat, rng))
-
-        def minimize(x0, rng, fg=fg, r_hat=r_hat):
-            return lbfgs_minimize(fg, x0, cfg, shape=(n, r_hat))
-
-        best = multistart(starts, init, minimize, ss_runs[j], threads=threads)
+        best = fit(obs, d, r_hat, OptConfig(pgtol=pgtol), starts, ss_runs[j], threads=threads)
         rel_err = float(np.sqrt(max(best.f + norm_x_sq, 0.0) / norm_x_sq))
         rows.append({
             "r_hat": r_hat,
@@ -218,56 +238,18 @@ def run_gmm_sweep(
     return rows
 
 
-def write_gmm_csv(path: str, rows: list[dict]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(
-            fh, fieldnames=["r_hat", "rel_err", "score", "best_f", "total_time_s"]
-        )
-        writer.writeheader()
-        writer.writerows(rows)
-
-
-def _write_trace_csv(path: str, runs) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["run", "iteration", "f", "time_s"])
-        for rep in runs:
-            for it, (f, t) in enumerate(rep.trace):
-                writer.writerow([rep.run_index, it, repr(float(f)), repr(float(t))])
-
-
 def cmd_decompose(args, parser) -> int:
     if args.method == "lbfgs" and args.batch is not None:
         parser.error("--batch only applies to --method adam")
     obs = read_observations(args.input)
     d, r_hat = args.order, args.rank
     alpha = data_norm_sq(obs, d) if args.alpha == "exact" else 0.0
-
-    lam0 = np.full(r_hat, 1.0 / r_hat)
-
-    def init(rng):
-        if args.init == "rrf":
-            return pack(lam0, rrf_init(obs, r_hat, rng))
-        return pack(lam0, gaussian_init(obs.n, r_hat, rng))
-
     if args.method == "lbfgs":
-        fg = packed_fg_implicit(obs, d, r_hat, alpha)
         cfg = OptConfig(pgtol=args.pgtol, seed=args.seed)
-
-        def minimize(x0, rng):
-            return lbfgs_minimize(fg, x0, cfg, shape=(obs.n, r_hat))
     else:
-        acfg = AdamConfig(batch=args.batch if args.batch is not None else 100)
-
-        def minimize(x0, rng):
-            return adam_minimize(obs, d, r_hat, x0, acfg, rng)
-
-    best = multistart(args.starts, init, minimize, args.seed, threads=args.threads)
-    final_f, grad_inf_norm = best.f, best.grad_inf_norm
-    if args.method == "adam":
-        # Adam reports its shifted estimate on a subset: evaluate the full objective
-        final_f, g = packed_fg_implicit(obs, d, r_hat, alpha)(pack(best.lam, best.A))
-        grad_inf_norm = np.abs(g).max()
+        cfg = AdamConfig(batch=args.batch if args.batch is not None else 100)
+    best = fit(obs, d, r_hat, cfg, args.starts, args.seed,
+               init=args.init, threads=args.threads, alpha=alpha)
     record = SolutionRecord(
         d=d,
         n=obs.n,
@@ -275,9 +257,9 @@ def cmd_decompose(args, parser) -> int:
         r_hat=r_hat,
         lam=[float(v) for v in best.lam],
         A_row_major=[float(v) for v in best.A.ravel(order="C")],
-        final_f=float(final_f),
+        final_f=float(best.f),
         alpha=float(alpha),
-        grad_inf_norm=float(grad_inf_norm),
+        grad_inf_norm=float(best.grad_inf_norm),
         iterations=int(sum(rp.n_fg for rp in best.runs)),
         wall_time_s=float(sum(rp.wall_time for rp in best.runs)),
         seed=args.seed,
@@ -285,10 +267,13 @@ def cmd_decompose(args, parser) -> int:
     )
     record.save(args.output)
     if args.trace:
-        _write_trace_csv(args.trace, best.runs)
+        _write_csv(args.trace, ["run", "iteration", "f", "time_s"], [
+            {"run": rep.run_index, "iteration": it, "f": float(f), "time_s": float(t)}
+            for rep in best.runs for it, (f, t) in enumerate(rep.trace)
+        ])
     print(
-        f"best of {args.starts} run(s): f={final_f:.6e} "
-        f"grad_inf={grad_inf_norm:.3e} ({best.reason}) -> {args.output}"
+        f"best of {args.starts} run(s): f={best.f:.6e} "
+        f"grad_inf={best.grad_inf_norm:.3e} ({best.reason}) -> {args.output}"
     )
     return 0
 
@@ -306,7 +291,7 @@ def cmd_bench(args, parser) -> int:
         )
     report = run_bench(scenario)
     if args.output:
-        write_bench_csv(args.output, report)
+        _write_csv(args.output, _BENCH_COLUMNS, [report])
     for method in ("explicit", "implicit"):
         per = report[f"{method}_time_per_iter_s"]
         tot = report[f"{method}_total_time_mean_s"]
@@ -327,7 +312,7 @@ def cmd_gmm(args, parser) -> int:
         threads=args.threads,
     )
     if args.output:
-        write_gmm_csv(args.output, rows)
+        _write_csv(args.output, ["r_hat", "rel_err", "score", "best_f", "total_time_s"], rows)
     for row in rows:
         print(
             f"r_hat={row['r_hat']:3d}  rel_err={row['rel_err']:.3e}  "
@@ -343,6 +328,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _moment_order(text: str) -> int:
+    value = int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"must be >= 2, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="momentcp",
@@ -353,7 +345,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_dec = sub.add_parser("decompose", help="fit a rank-r model to an observation file")
     p_dec.add_argument("--input", required=True, help="observation file (CSV or MOMV binary)")
-    p_dec.add_argument("--order", type=int, required=True, help="moment order d")
+    p_dec.add_argument("--order", type=_moment_order, required=True, help="moment order d")
     p_dec.add_argument("--rank", type=_positive_int, required=True, help="target rank r")
     p_dec.add_argument("--starts", type=_positive_int, default=10)
     p_dec.add_argument("--init", choices=["rrf", "gaussian"], default="rrf")
@@ -369,7 +361,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_dec.set_defaults(handler=cmd_decompose)
 
     p_bench = sub.add_parser("bench", help="time explicit vs implicit evaluation")
-    p_bench.add_argument("--order", "-d", type=int, required=True)
+    p_bench.add_argument("--order", "-d", type=_moment_order, required=True)
     p_bench.add_argument("--dim", "-n", type=int, required=True)
     p_bench.add_argument("--samples", "-p", type=int, required=True)
     p_bench.add_argument("--rank", "-r", type=int, required=True)
@@ -383,7 +375,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gmm.add_argument("--n", type=int, required=True)
     p_gmm.add_argument("--r", type=int, required=True)
     p_gmm.add_argument("--sigma", type=float, required=True)
-    p_gmm.add_argument("--order", type=int, required=True)
+    p_gmm.add_argument("--order", type=_moment_order, required=True)
     p_gmm.add_argument("--rank-min", type=int, required=True)
     p_gmm.add_argument("--rank-max", type=int, required=True)
     p_gmm.add_argument("--starts", type=_positive_int, default=10)

@@ -99,6 +99,8 @@ class AdamConfig:
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise ValueError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
         for name, least in (("epoch_len", 1), ("batch", 1), ("estimate_samples", 1), ("max_epochs", 0)):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
 
@@ -344,7 +346,7 @@ def adam_minimize(
     V_batch = None
     nu_batch = np.full(cfg.batch, 1.0 / cfg.batch)
     batch_fg = packed_fg(lambda A: _ttsv(V_batch, nu_batch, A, d), n, r_hat, d)
-    f_best, _ = estimate(x)
+    f_best, g_best = estimate(x)
     x_best = x.copy()
     trace = [(f_best, time.perf_counter() - start)]
 
@@ -376,10 +378,10 @@ def adam_minimize(
             tmp /= den
             x -= tmp
             n_iter += 1
-        f_est, _ = estimate(x)
+        f_est, g_est = estimate(x)
         trace.append((f_est, time.perf_counter() - start))
         if f_est < f_best:
-            f_best = f_est
+            f_best, g_best = f_est, g_est
             x_best = x.copy()
         else:
             increases += 1
@@ -393,13 +395,12 @@ def adam_minimize(
                 reason = "learning-rate exhausted"
                 break
 
-    _, g_final = estimate(x_best)
     lam, A = unpack(x_best, n, r_hat)
     return RunReport(
         lam=lam,
         A=A,
         f=f_best,
-        grad_inf_norm=float(np.abs(g_final).max()),
+        grad_inf_norm=float(np.abs(g_best).max()),
         n_fg=n_iter,
         n_steps=n_iter,
         wall_time=time.perf_counter() - start,

@@ -16,7 +16,7 @@ from momentcp import (
     write_observations_binary,
     write_observations_csv,
 )
-from momentcp.cli import BenchScenario, main, run_bench, run_gmm_sweep
+from momentcp.cli import BenchScenario, fit, main, run_bench, run_gmm_sweep
 
 
 class TestCsv:
@@ -279,6 +279,25 @@ class TestDecomposeCommand:
         assert f"argument {flag}: must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "o.json").exists()
 
+    @pytest.mark.parametrize("command", ["decompose", "gmm", "bench"])
+    @pytest.mark.parametrize("order", ["1", "0"])
+    def test_order_below_two_is_usage_error(self, tmp_path, capsys, command, order):
+        # the input file does not exist: reading it would exit 1, so exit 2
+        # shows that the order is checked before any I/O
+        argv = {
+            "decompose": ["decompose", "--input", str(tmp_path / "nope.csv"), "--rank", "1",
+                          "--output", str(tmp_path / "o.json")],
+            "gmm": ["gmm", "--n", "4", "--r", "1", "--sigma", "0", "--rank-min", "1",
+                    "--rank-max", "1", "--output", str(tmp_path / "o.csv")],
+            "bench": ["bench", "-n", "4", "-p", "10", "-r", "1", "--output", str(tmp_path / "o.csv")],
+        }[command]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--order", order])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --order" in err and f"must be >= 2, got {order}" in err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("case", ["csv-nan", "csv-inf", "momv-nan"])
     def test_nonfinite_data_is_runtime_error(self, tmp_path, capsys, case):
         V = np.random.default_rng(85).standard_normal((3, 20))
@@ -519,3 +538,76 @@ class TestGmmCommand:
             starts=2, seed=3, pgtol=1e-5,
         )
         assert rows[0]["score"] >= 0.99
+
+
+class TestFit:
+    """``fit`` gives the bits of ``multistart`` over hand-built closures."""
+
+    @staticmethod
+    def _problem():
+        from momentcp.gmm import correlated_means, sample_gmm
+
+        rng = np.random.default_rng(87)
+        return sample_gmm(correlated_means(6, 2, 0.5, rng), 1e-2, 300, rng)
+
+    @staticmethod
+    def _by_hand(obs, cfg, seed, init, alpha):
+        from momentcp import (AdamConfig, adam_minimize, gaussian_init, lbfgs_minimize,
+                              multistart, pack, packed_fg_implicit, rrf_init)
+
+        fg = packed_fg_implicit(obs, 3, 2, alpha)
+        make_A = rrf_init if init == "rrf" else lambda obs, r, rng: gaussian_init(obs.n, r, rng)
+        if isinstance(cfg, AdamConfig):
+            def minimize(x0, rng):
+                return adam_minimize(obs, 3, 2, x0, cfg, rng)
+        else:
+            def minimize(x0, rng):
+                return lbfgs_minimize(fg, x0, cfg, shape=(obs.n, 2))
+        best = multistart(3, lambda rng: pack(np.full(2, 0.5), make_A(obs, 2, rng)),
+                          minimize, seed)
+        if isinstance(cfg, AdamConfig):
+            best.f, g = fg(pack(best.lam, best.A))
+            best.grad_inf_norm = float(np.abs(g).max())
+        return best
+
+    @pytest.mark.parametrize("seed", [
+        lambda: 9, lambda: np.random.SeedSequence(9),
+    ], ids=["int", "SeedSequence"])
+    @pytest.mark.parametrize("solver, init", [
+        ("lbfgs", "rrf"), ("lbfgs", "gaussian"), ("adam", "rrf"),
+    ])
+    def test_matches_multistart_bitwise(self, seed, solver, init):
+        from momentcp import AdamConfig, OptConfig
+
+        obs = self._problem()
+        if solver == "adam":
+            cfg = AdamConfig(epoch_len=10, batch=20, estimate_samples=100, max_epochs=5)
+        else:
+            cfg = OptConfig(pgtol=1e-6)
+        alpha = 0.25
+        got = fit(obs, 3, 2, cfg, 3, seed(), init=init, alpha=alpha)
+        want = self._by_hand(obs, cfg, seed(), init, alpha)
+        assert np.array_equal(got.lam, want.lam) and np.array_equal(got.A, want.A)
+        assert got.f == want.f and got.grad_inf_norm == want.grad_inf_norm
+        assert (got.run_index, got.seed, got.reason) == (want.run_index, want.seed, want.reason)
+        assert [rp.trace[-1][0] for rp in got.runs] == [rp.trace[-1][0] for rp in want.runs]
+        assert [rp.n_fg for rp in got.runs] == [rp.n_fg for rp in want.runs]
+
+    def test_runs_with_optconfig_patched_to_partial(self, tmp_path, monkeypatch):
+        # the benchmark caps decompose's steps by replacing cli.OptConfig
+        # with a functools.partial, which is not a class
+        import functools
+
+        import momentcp.cli as cli
+
+        monkeypatch.setattr(cli, "OptConfig", functools.partial(cli.OptConfig, max_iters=2))
+        obs = self._problem()
+        best = fit(obs, 3, 2, cli.OptConfig(pgtol=1e-12), 2, 0)
+        assert best.n_steps <= 2 and best.reason == "iteration cap"
+        data, out = tmp_path / "obs.csv", tmp_path / "sol.json"
+        write_observations_csv(str(data), obs)
+        assert main([
+            "decompose", "--input", str(data), "--order", "3", "--rank", "2",
+            "--starts", "2", "--pgtol", "1e-12", "--output", str(out),
+        ]) == 0
+        assert SolutionRecord.load(str(out)).iterations > 0

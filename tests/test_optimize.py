@@ -432,6 +432,34 @@ class TestAdam:
         assert rewinds == 1
         assert np.array_equal(pack(rep.lam, rep.A), x_best)
 
+    def test_estimate_once_per_trace_row(self, monkeypatch):
+        # the final report reuses the gradient kept when x_best was accepted,
+        # so the subset estimate runs once per trace row and no more
+        import momentcp.optimize as optimize
+
+        calls = []
+        real_packed_fg_implicit = optimize.packed_fg_implicit
+
+        def counting_packed_fg_implicit(*args, **kwargs):
+            fg = real_packed_fg_implicit(*args, **kwargs)
+
+            def counted(x):
+                f, g = fg(x)
+                calls.append((x.copy(), f, g))
+                return f, g
+
+            return counted
+
+        monkeypatch.setattr(optimize, "packed_fg_implicit", counting_packed_fg_implicit)
+        rng = np.random.default_rng(47)
+        obs, x0, r = _adam_problem(rng, p=200)
+        cfg = AdamConfig(epoch_len=5, batch=10, estimate_samples=50, max_epochs=5)
+        rep = adam_minimize(obs, 3, r, x0, cfg, rng)
+        assert len(calls) == len(rep.trace) > 2
+        # the report's f and gradient norm are those of the call at its iterate
+        [(_, f, g)] = [c for c in calls if np.array_equal(c[0], pack(rep.lam, rep.A))]
+        assert rep.f == f and rep.grad_inf_norm == np.abs(g).max()
+
     def test_requires_uniform_weights(self):
         rng = np.random.default_rng(41)
         V = rng.standard_normal((3, 4))
@@ -559,3 +587,12 @@ class TestConfigs:
                 AdamConfig(**{name: value})
         # the edges of each range are accepted
         AdamConfig(beta1=0.0, beta2=0.0, estimate_samples=1, max_epochs=0)
+
+    @pytest.mark.parametrize("name", ["batch", "epoch_len", "estimate_samples", "max_epochs"])
+    def test_adamconfig_counts_are_integers(self, name):
+        with pytest.raises(ValueError, match=name):
+            AdamConfig(**{name: 2.5})
+        with pytest.raises(ValueError, match=name):
+            AdamConfig(**{name: 2.0})
+        assert getattr(AdamConfig(**{name: np.int64(3)}), name) == 3
+        assert getattr(AdamConfig(**{name: 3}), name) == 3
