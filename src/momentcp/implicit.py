@@ -9,6 +9,9 @@ matrix products:
 * model norm:        ``||M||^2 = lam.T @ (A.T @ A) ** d @ lam``
 * data norm:         ``||X||^2 = nu.T @ (V.T @ V) ** d @ nu``
 * data-model inner:  ``<X, M> = w.T @ lam`` with ``w_j = y_j.T @ a_j``
+* compression:       the moment of ``U.T @ V`` is that of ``V`` contracted
+  with ``U.T`` in every mode, so for an orthonormal ``U`` the objective at
+  ``B`` on ``U.T @ V`` is the one at ``U @ B`` on ``V``
 
 where ``**`` is the elementwise integer power.  Each kernel is verified
 against its dense counterpart in the test suite.
@@ -35,6 +38,7 @@ NORM_BLOCK = 256  # rows of V'V per block in data_norm_sq; a few blocks live at 
 # bytes of V per column block in _ttsv: a block and its B x r temporaries stay
 # in a 2 MiB L2 cache; a V under twice this size is one block
 TTSV_BLOCK_BYTES = 512 * 1024
+MOMENT_BLOCK = 1024  # columns of V per block of the second moment in principal_basis
 
 
 @dataclass
@@ -160,6 +164,32 @@ def data_norm_sq(obs: ObservationSet, d: int) -> float:
         total += float(nu[b] @ G[:, :B] @ nu[b])
         total += 2.0 * float(nu[b] @ G[:, B:] @ nu[i + B :])
     return total
+
+
+def principal_basis(obs: ObservationSet, k: int) -> np.ndarray:
+    """Orthonormal ``n x min(k, n, p)`` basis of the top-``k`` eigenvectors of
+    the weighted second moment ``S = V diag(nu) V'``, in descending order.
+
+    For ``n <= p``, ``S`` is summed over ``MOMENT_BLOCK``-column blocks
+    ``W = V_b diag(nu_b)^(1/2)`` as ``W @ W.T`` (a syrk), so the temporaries
+    are ``n x MOMENT_BLOCK`` and ``n x n``.  For ``n > p`` the basis comes
+    from the ``p x p`` side: the top eigenvectors ``z`` of
+    ``diag(nu)^(1/2) V'V diag(nu)^(1/2)`` map to ``V diag(nu)^(1/2) z``,
+    orthonormalized by QR, so no ``n x n`` array is made.  Columns beyond
+    the rank of ``V`` span an arbitrary orthonormal complement.
+    """
+    if k < 1:
+        raise ValueError(f"basis size must be >= 1, got {k}")
+    V, root = obs.V, np.sqrt(obs.nu)
+    n, p = V.shape
+    if n <= p:
+        S = np.zeros((n, n))
+        for i in range(0, p, MOMENT_BLOCK):
+            W = V[:, i : i + MOMENT_BLOCK] * root[i : i + MOMENT_BLOCK]
+            S += W @ W.T
+        return np.linalg.eigh(S)[1][:, ::-1][:, :k].copy()
+    Z = np.linalg.eigh((V.T @ V) * np.outer(root, root))[1][:, ::-1][:, :k]
+    return np.linalg.qr(V @ (Z * root[:, None]))[0]
 
 
 def model_data_inner(

@@ -154,7 +154,8 @@ class SolutionRecord:
 
     ``A_row_major`` flattens the ``n x r_hat`` factor matrix row by row.
     ``iterations`` and ``wall_time_s`` are sums over every start that
-    returned a run, not only the best one.
+    returned a run, not only the best one; ``wall_time_s`` also counts the
+    set-up the starts share (``RunReport.setup_time``).
     """
 
     d: int

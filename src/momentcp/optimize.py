@@ -112,7 +112,9 @@ class RunReport:
     ``trace`` rows are ``(f, seconds_since_start)`` at the initial point and
     after every accepted step (for Adam: after every epoch).  ``n_fg`` counts
     inner iterations, i.e. function/gradient evaluations (for Adam:
-    mini-batch gradient steps).
+    mini-batch gradient steps).  ``setup_time`` is the time a multistart fit
+    spent before its starts on work they share (:func:`momentcp.cli.fit`'s
+    subspace basis); no run's ``wall_time`` includes it.
     """
 
     lam: np.ndarray
@@ -128,6 +130,7 @@ class RunReport:
     run_index: int | None = None
     runs: list["RunReport"] | None = None
     failures: list[str] = field(default_factory=list)
+    setup_time: float = 0.0
 
 
 def two_loop_direction(

@@ -1,0 +1,278 @@
+"""The two-stage L-BFGS route of ``cli.fit``: starts fitted on the compressed
+data ``U'V`` of the top-``2 r`` basis ``U``, lifted to ``U B`` and polished
+on the full data, taken when ``4 r <= n``."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from momentcp import (
+    ObservationSet,
+    OptConfig,
+    SolutionRecord,
+    build_moment,
+    fg_explicit,
+    gaussian_init,
+    lbfgs_minimize,
+    multistart,
+    pack,
+    packed_fg_implicit,
+    rrf_init,
+    write_observations_csv,
+)
+from momentcp.cli import fit, main
+from momentcp.gmm import correlated_means, sample_gmm
+from momentcp.implicit import principal_basis
+
+
+def _weighted(n, p, seed):
+    rng = np.random.default_rng(seed)
+    return ObservationSet(rng.standard_normal((n, p)), rng.uniform(0.5, 2.0, p) / p)
+
+
+def _mixture(n, p, r, seed, sigma=1e-2):
+    rng = np.random.default_rng(seed)
+    return sample_gmm(correlated_means(n, r, 0.5, rng), sigma, p, rng)
+
+
+class TestPrincipalBasis:
+    @pytest.mark.parametrize("n, p, k", [(7, 40, 3), (7, 40, 7), (40, 7, 3), (40, 7, 10)])
+    def test_orthonormal_top_eigenvectors(self, n, p, k):
+        obs = _weighted(n, p, 1)
+        U = principal_basis(obs, k)
+        m = min(k, n, p)
+        assert U.shape == (n, m)
+        assert np.allclose(U.T @ U, np.eye(m), atol=1e-13)
+        # U spans the top-m eigenvectors of V diag(nu) V'
+        _, vecs = np.linalg.eigh((obs.V * obs.nu) @ obs.V.T)
+        top = vecs[:, ::-1][:, :m]
+        assert np.allclose(np.abs(top.T @ U), np.eye(m), atol=1e-10)
+
+    def test_blocked_second_moment(self, monkeypatch):
+        # a block split of the columns gives the basis of one block to rounding
+        obs = _weighted(6, 50, 2)
+        whole = principal_basis(obs, 3)
+        monkeypatch.setattr("momentcp.implicit.MOMENT_BLOCK", 7)
+        assert np.allclose(np.abs(whole.T @ principal_basis(obs, 3)), np.eye(3), atol=1e-12)
+
+    def test_rejects_empty_basis(self):
+        with pytest.raises(ValueError):
+            principal_basis(_weighted(4, 10, 3), 0)
+
+
+class TestCompressedObjective:
+    """On ``U'V`` the objective at ``B`` is the full one at ``A = U B``."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_matches_full_and_dense_oracle(self, d):
+        n, r, alpha = 6, 2, 0.7
+        obs = _weighted(n, 45, 10 + d)
+        U = principal_basis(obs, 2 * r)
+        comp = packed_fg_implicit(ObservationSet(U.T @ obs.V, obs.nu), d, r, alpha)
+        full = packed_fg_implicit(obs, d, r, alpha)
+        rng = np.random.default_rng(d)
+        lam, B = rng.standard_normal(r), rng.standard_normal((2 * r, r))
+        A = U @ B
+        f_comp, g_comp = comp(pack(lam, B))
+        f_full, g_full = full(pack(lam, A))
+        oracle = fg_explicit(build_moment(obs, d), lam, A, alpha)
+        scale = max(1.0, abs(oracle.f))
+        assert abs(f_comp - f_full) <= 1e-12 * scale
+        assert abs(f_comp - oracle.f) <= 1e-12 * scale
+        # g_lam agrees, and g_B = U' g_A
+        g_A = g_full[r:].reshape((n, r), order="F")
+        g_B = g_comp[r:].reshape((2 * r, r), order="F")
+        gscale = max(1.0, float(np.abs(g_full).max()))
+        assert np.abs(g_comp[:r] - g_full[:r]).max() <= 1e-12 * gscale
+        assert np.abs(g_B - U.T @ g_A).max() <= 1e-12 * gscale
+        assert np.abs(g_full[:r] - oracle.g_lam).max() <= 1e-12 * gscale
+        assert np.abs(g_A - oracle.g_A).max() <= 1e-12 * gscale
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_fit_meets_full_pgtol_with_full_values(self, d):
+        mixture = _mixture(9, 200, 2, 20 + d, sigma=0.1)
+        obs = ObservationSet(mixture.V, _weighted(1, 200, d).nu)
+        cfg, alpha = OptConfig(pgtol=1e-7), 0.3
+        best = fit(obs, d, 2, cfg, 2, 5, alpha=alpha)
+        f, g = packed_fg_implicit(obs, d, 2, alpha)(pack(best.lam, best.A))
+        assert best.reason == "tolerance"
+        assert best.grad_inf_norm <= cfg.pgtol
+        assert best.f == f and best.grad_inf_norm == float(np.abs(g).max())
+
+
+class TestTwoStage:
+    """The stages of one start, read off ``cli.lbfgs_minimize`` as ``fit`` calls it."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        import dataclasses
+
+        import momentcp.cli as cli
+
+        calls = []
+
+        def spy(fg, x0, cfg, shape):
+            rep = lbfgs_minimize(fg, x0, cfg, shape)
+            # fit adds the first stage's counts to the second's report in place
+            calls.append((x0.copy(), cfg, shape, dataclasses.replace(rep, trace=list(rep.trace))))
+            return rep
+
+        monkeypatch.setattr(cli, "lbfgs_minimize", spy)
+        return calls
+
+    @pytest.mark.parametrize("init", ["rrf", "gaussian"])
+    def test_stages_compose(self, monkeypatch, init):
+        # n = 4 r_hat, the smallest n that takes two stages
+        n, r, seed = 8, 2, 9
+        obs = _mixture(n, 300, r, 40)
+        cfg = OptConfig(pgtol=1e-7)
+        calls = self._spy(monkeypatch)
+        best = fit(obs, 3, r, cfg, 3, seed, init=init)
+        assert len(calls) == 6 and len(best.runs) == 3
+        U = principal_basis(obs, 2 * r)
+        space = ObservationSet(U.T @ obs.V, obs.nu)
+        for i, (run, child) in enumerate(zip(best.runs, np.random.SeedSequence(seed).spawn(3))):
+            (x_sub, cfg_sub, shape_sub, sub), (x_pol, cfg_pol, shape_pol, pol) = calls[2 * i : 2 * i + 2]
+            # the start is drawn on U'V and fitted there, then lifted to U B
+            rng = np.random.default_rng(child)
+            A0 = rrf_init(space, r, rng) if init == "rrf" else gaussian_init(2 * r, r, rng)
+            assert np.array_equal(x_sub, pack(np.full(r, 1.0 / r), A0))
+            assert (shape_sub, shape_pol) == ((2 * r, r), (n, r))
+            assert np.array_equal(x_pol, pack(sub.lam, U @ sub.A))
+            # the polish gets what the subspace stage left of the budget
+            assert cfg_pol.max_iters == cfg.max_iters - sub.n_steps
+            assert cfg_pol.max_total_iters == cfg.max_total_iters - sub.n_fg
+            assert cfg_pol.pgtol == cfg_sub.pgtol == cfg.pgtol
+            # the run is the polish, with counts and time summed and traces joined
+            assert np.array_equal(run.lam, pol.lam) and np.array_equal(run.A, pol.A)
+            assert (run.f, run.grad_inf_norm, run.reason) == (pol.f, pol.grad_inf_norm, pol.reason)
+            assert run.n_fg == sub.n_fg + pol.n_fg and run.n_steps == sub.n_steps + pol.n_steps
+            assert run.wall_time == pol.wall_time + sub.wall_time
+            assert [f for f, _ in run.trace] == [f for f, _ in sub.trace + pol.trace]
+            times = [t for _, t in run.trace]
+            assert times == sorted(times) and times[len(sub.trace)] >= sub.wall_time
+        assert best.f == min(run.f for run in best.runs)
+        assert best.setup_time > 0.0
+
+    # uncapped, the subspace stages take 23 and 12 steps (35 and 24 evaluations)
+    # and the polishes 9 and 8 (23 and 15); the last two caps stop a polish
+    @pytest.mark.parametrize("max_iters, max_total_iters", [
+        (3, 50_000), (10_000, 6), (10_000, 1), (8, 14), (25, 50_000), (10_000, 40),
+    ])
+    def test_caps_bound_both_stages_together(self, monkeypatch, max_iters, max_total_iters):
+        obs = _mixture(8, 300, 2, 41, sigma=0.1)
+        cfg = OptConfig(pgtol=1e-12, max_iters=max_iters, max_total_iters=max_total_iters)
+        calls = self._spy(monkeypatch)
+        best = fit(obs, 3, 2, cfg, 2, 3)
+        full = packed_fg_implicit(obs, 3, 2)
+        for i, run in enumerate(best.runs):
+            assert run.n_steps <= cfg.max_iters
+            assert run.n_fg <= cfg.max_total_iters + cfg.max_line_steps
+            assert run.reason in ("iteration cap", "line-search failure")
+            f, g = full(pack(run.lam, run.A))
+            assert run.f == f and run.grad_inf_norm == float(np.abs(g).max())
+            sub, pol = calls[2 * i][3], calls[2 * i + 1][3]
+            if sub.n_steps == cfg.max_iters or sub.n_fg >= cfg.max_total_iters:
+                # a spent budget leaves one evaluation at the lift
+                assert (pol.n_fg, pol.n_steps) == (1, 0)
+
+    def test_setup_time_in_reported_totals(self, tmp_path, monkeypatch):
+        import momentcp.cli as cli
+
+        reports = []
+
+        def kept_fit(*args, **kwargs):
+            reports.append(fit(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(cli, "fit", kept_fit)
+        data, out = tmp_path / "obs.csv", tmp_path / "sol.json"
+        write_observations_csv(str(data), _mixture(8, 200, 2, 42))
+        assert main([
+            "decompose", "--input", str(data), "--order", "3", "--rank", "2",
+            "--starts", "2", "--output", str(out),
+        ]) == 0
+        best = reports[0]
+        assert best.setup_time > 0.0
+        assert SolutionRecord.load(str(out)).wall_time_s == \
+            best.setup_time + sum(rp.wall_time for rp in best.runs)
+        # gmm builds a basis per rank and counts each in its rank's time
+        reports.clear()
+        rows = cli.run_gmm_sweep(8, 2, 0.01, 3, 1, 2, 2, 0)
+        assert [rp.setup_time > 0.0 for rp in reports] == [True, True]
+        assert [row["total_time_s"] for row in rows] == \
+            [rp.setup_time + sum(r.wall_time for r in rp.runs) for rp in reports]
+
+
+class TestFitEdges:
+    @pytest.mark.parametrize("n", [4, 7])
+    def test_one_stage_when_four_rank_exceeds_n(self, n):
+        # 4 r_hat > n: no compression, the bits of one L-BFGS run per start
+        obs = _mixture(n, 200, 2, 30)
+        cfg = OptConfig(pgtol=1e-8)
+        for init in ("rrf", "gaussian"):
+            got = fit(obs, 3, 2, cfg, 3, 8, init=init)
+            full = packed_fg_implicit(obs, 3, 2)
+            make_A = rrf_init if init == "rrf" else lambda o, r, g: gaussian_init(o.n, r, g)
+            want = multistart(
+                3, lambda g: pack(np.full(2, 0.5), make_A(obs, 2, g)),
+                lambda x0, g: lbfgs_minimize(full, x0, cfg, shape=(n, 2)), 8,
+            )
+            assert np.array_equal(got.lam, want.lam) and np.array_equal(got.A, want.A)
+            assert got.f == want.f and got.grad_inf_norm == want.grad_inf_norm
+            assert [[f for f, _ in rp.trace] for rp in got.runs] == \
+                [[f for f, _ in rp.trace] for rp in want.runs]
+            assert [rp.n_fg for rp in got.runs] == [rp.n_fg for rp in want.runs]
+            assert got.setup_time == 0.0
+
+    def test_wide_data_forms_no_n_by_n_array(self):
+        n, p = 2000, 30
+        obs = _mixture(n, p, 2, 31)
+        tracemalloc.start()
+        try:
+            best = fit(obs, 3, 2, OptConfig(pgtol=1e-6), 2, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(best.f)
+        # V is 0.48 MB; an n x n float64 array would be 32 MB
+        assert peak < 4 * obs.V.nbytes
+
+    @pytest.mark.parametrize("n, p", [(8, 20), (20, 6)])
+    def test_all_zero_data_is_runtime_error(self, tmp_path, capsys, n, p):
+        obs = ObservationSet(np.zeros((n, p)))
+        with pytest.raises(RuntimeError):
+            fit(obs, 3, 2, OptConfig(), 2, 0)
+        data, out = tmp_path / "zero.csv", tmp_path / "sol.json"
+        write_observations_csv(str(data), obs)
+        code = main([
+            "decompose", "--input", str(data), "--order", "3", "--rank", "2",
+            "--starts", "2", "--output", str(out),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    def test_rank_above_n_succeeds(self, tmp_path):
+        data, out = tmp_path / "obs.csv", tmp_path / "sol.json"
+        write_observations_csv(str(data), _weighted(3, 60, 32))
+        code = main([
+            "decompose", "--input", str(data), "--order", "3", "--rank", "4",
+            "--starts", "2", "--alpha", "exact", "--output", str(out),
+        ])
+        assert code == 0
+        rec = SolutionRecord.load(str(out))
+        assert rec.r_hat == 4 and rec.n == 3
+        assert np.isfinite(rec.lam + rec.A_row_major + [rec.final_f]).all()
+
+    def test_threads_match_sequential_bitwise(self):
+        obs = _mixture(10, 400, 2, 33)
+        cfg = OptConfig(pgtol=1e-7)
+        one = fit(obs, 3, 2, cfg, 4, 12, threads=1)
+        two = fit(obs, 3, 2, cfg, 4, 12, threads=2)
+        assert np.array_equal(one.lam, two.lam) and np.array_equal(one.A, two.A)
+        assert one.f == two.f and one.run_index == two.run_index
+        assert [[f for f, _ in rp.trace] for rp in one.runs] == \
+            [[f for f, _ in rp.trace] for rp in two.runs]
+        assert [rp.n_fg for rp in one.runs] == [rp.n_fg for rp in two.runs]
