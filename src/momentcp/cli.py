@@ -1,8 +1,9 @@
 """Command-line surface: decompose, bench (explicit vs implicit), gmm sweep.
 
-Exit codes: 0 success, 1 runtime failure, 2 usage error.  All reported
-timings cover optimization only; data generation, moment-tensor formation,
-and file I/O are excluded.
+Exit codes: 0 success, 1 runtime failure, 2 usage error.  Reported timings
+cover the optimization and, on ``fit``'s two-stage route, the subspace
+basis (``decompose``'s ``wall_time_s`` and ``gmm``'s ``total_time_s`` count
+it); data generation, moment-tensor formation and file I/O are excluded.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from momentcp.gmm import (
 )
 from momentcp.implicit import data_norm_sq, principal_basis, ttsv_batch
 from momentcp.io import ParseError, SolutionRecord, read_observations
-from momentcp.objective import pack, packed_fg, packed_fg_implicit
+from momentcp.objective import lift_direction, pack, packed_fg, packed_fg_implicit
 from momentcp.optimize import (
     AdamConfig, OptConfig, RunReport, adam_minimize, lbfgs_minimize, multistart,
 )
@@ -176,9 +177,16 @@ def fit(
     (:func:`~momentcp.implicit.principal_basis`), once for all starts.  Each
     start is then drawn and fitted on the compressed data ``U'V``, whose
     objective at ``B`` is the full one at ``A = UB``, lifted to ``UB`` and
-    polished on the full data with what is left of ``cfg``'s step and
-    evaluation caps (a spent budget leaves one evaluation at the lift), so a
-    start keeps ``OptConfig``'s bounds over both stages.  Its report is the
+    polished by L-BFGS on the full data with what is left of ``cfg``'s step
+    and evaluation caps (a spent budget leaves one evaluation at the lift),
+    so a start keeps ``OptConfig``'s bounds over both stages.  The polish
+    opens with the Gauss-Newton direction ``-1/2 G_A K^{-1}`` of
+    :func:`~momentcp.objective.lift_direction` at step 1: off ``range(U)``,
+    which holds every column of the lift, ``J'J`` is exactly ``K (x) I_n``,
+    and the subspace stage has made the gradient's part in ``range(U)``,
+    ``U' G_A``, small.  A singular
+    ``K`` or a failed search falls back to steepest descent; every later
+    step is plain L-BFGS.  Its report is the
     polish's, with ``n_fg``, ``n_steps`` and ``wall_time`` summed over both
     stages and the subspace stage's ``trace`` rows first.  The best report's
     ``setup_time`` is the basis's time, which no start's ``wall_time``
@@ -204,6 +212,9 @@ def fit(
         sub_cfg = replace(cfg, max_total_iters=max(cfg.max_total_iters - 1, 1))
         setup = time.perf_counter() - t0
 
+    def lift_step(x, g):
+        return lift_direction(x, g, (obs.n, r_hat), d)
+
     def start(rng):
         if init == "rrf":
             return pack(lam0, rrf_init(space, r_hat, rng))
@@ -220,7 +231,7 @@ def fit(
             steps, evals = 1, 1
         rep = lbfgs_minimize(full, pack(sub.lam, U @ sub.A),
                              replace(cfg, max_iters=steps, max_total_iters=evals),
-                             shape=(obs.n, r_hat))
+                             shape=(obs.n, r_hat), first_direction=lift_step)
         rep.n_fg += sub.n_fg
         rep.n_steps += sub.n_steps
         rep.trace = sub.trace + [(f, t + sub.wall_time) for f, t in rep.trace]
@@ -367,6 +378,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not value > 0:  # also rejects NaN; inf stops at once
+        raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
+    return value
+
+
 def _moment_order(text: str) -> int:
     value = int(text)
     if value < 2:
@@ -388,7 +406,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_dec.add_argument("--rank", type=_positive_int, required=True, help="target rank r")
     p_dec.add_argument("--starts", type=_positive_int, default=10)
     p_dec.add_argument("--init", choices=["rrf", "gaussian"], default="rrf")
-    p_dec.add_argument("--pgtol", type=float, default=1e-4)
+    p_dec.add_argument("--pgtol", type=_tolerance, default=1e-4)
     p_dec.add_argument("--alpha", choices=["zero", "exact"], default="zero",
                        help="objective constant: 0 (shifted) or the data norm")
     p_dec.add_argument("--seed", type=int, default=0)
@@ -405,7 +423,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--samples", "-p", type=int, required=True)
     p_bench.add_argument("--rank", "-r", type=int, required=True)
     p_bench.add_argument("--runs", type=int, default=10)
-    p_bench.add_argument("--pgtol", type=float, default=0.05)
+    p_bench.add_argument("--pgtol", type=_tolerance, default=0.05)
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--output", default=None, help="report CSV path")
     p_bench.set_defaults(handler=cmd_bench)
@@ -419,7 +437,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gmm.add_argument("--rank-max", type=int, required=True)
     p_gmm.add_argument("--starts", type=_positive_int, default=10)
     p_gmm.add_argument("--seed", type=int, default=0)
-    p_gmm.add_argument("--pgtol", type=float, default=1e-4)
+    p_gmm.add_argument("--pgtol", type=_tolerance, default=1e-4)
     p_gmm.add_argument("--threads", type=_positive_int, default=1)
     p_gmm.add_argument("--output", default=None, help="sweep CSV path")
     p_gmm.set_defaults(handler=cmd_gmm)

@@ -99,13 +99,49 @@ def _lam_star(G: np.ndarray, w: np.ndarray) -> np.ndarray:
     """
     if not (np.isfinite(G).all() and np.isfinite(w).all()):
         return np.full_like(w, np.nan)
+    L = _cholesky(G)
+    if L is not None:
+        return np.linalg.solve(L.T, np.linalg.solve(L, w))
+    return np.linalg.lstsq(G, w, rcond=None)[0]
+
+
+def _cholesky(G: np.ndarray) -> np.ndarray | None:
+    """The lower Cholesky factor of the finite ``G``, or ``None`` when ``G``
+    is not positive definite to working precision: a pivot keeps at most
+    ``sqrt(eps)`` of its diagonal entry."""
     try:
         L = np.linalg.cholesky(G)
     except np.linalg.LinAlgError:
-        L = None
-    if L is not None and (np.diagonal(L) ** 2 > _PIVOT_FLOOR * np.diagonal(G)).all():
-        return np.linalg.solve(L.T, np.linalg.solve(L, w))
-    return np.linalg.lstsq(G, w, rcond=None)[0]
+        return None
+    return L if (np.diagonal(L) ** 2 > _PIVOT_FLOOR * np.diagonal(G)).all() else None
+
+
+def lift_direction(
+    x: np.ndarray, g: np.ndarray, shape: tuple[int, int], d: int
+) -> np.ndarray | None:
+    """The Gauss-Newton direction off ``range(U)`` at a lift ``A = U B``.
+
+    At ``x = pack(lam, A)`` the model-only Gauss-Newton matrix ``J'J`` of
+    ``M = sum_j lam_j a_j^{outer d}`` has, on the directions orthogonal to
+    ``range(A)``, the block ``K (x) I_n`` with the ``r x r`` matrix
+    ``K = d (lam lam') * (A'A)^(d-1)`` (elementwise), and no cross terms
+    with ``lam`` or ``range(A)``.  A lift's ``A`` lies in ``range(U)``, so
+    on the directions orthogonal to ``U`` the Gauss-Newton step for the
+    objective's ``2 J'J`` is exactly ``-1/2 G_A K^{-1}``, with ``G_A`` the
+    ``A`` block of ``g``: one ``r x r`` Cholesky solve and no pass over the
+    data.  Returns that direction packed with its ``lam`` slots 0, or
+    ``None`` when ``K`` is not finite or not positive definite to working
+    precision (a zero weight, duplicate columns).
+    """
+    n, r = shape
+    lam, A = x[:r], x[r:].reshape((n, r), order="F")
+    K = d * np.outer(lam, lam) * _elementwise_power(A.T @ A, d - 1)
+    L = _cholesky(K) if np.isfinite(K).all() else None
+    if L is None:
+        return None
+    G_A = g[r:].reshape((n, r), order="F")
+    GK = np.linalg.solve(L.T, np.linalg.solve(L, G_A.T)).T  # G_A K^{-1}, K = L L'
+    return np.concatenate([np.zeros(r), -0.5 * GK.ravel(order="F")])
 
 
 def fg_explicit(

@@ -213,6 +213,7 @@ def lbfgs_minimize(
     x0: np.ndarray,
     cfg: OptConfig,
     shape: tuple[int, int],
+    first_direction: Callable[[np.ndarray, np.ndarray], np.ndarray | None] | None = None,
 ) -> RunReport:
     """Minimize a smooth function with limited-memory BFGS.
 
@@ -234,6 +235,13 @@ def lbfgs_minimize(
         last finite iterate.
     shape:
         ``(n, r)`` used to unpack the final iterate into the report.
+    first_direction:
+        Optional ``(x, g) -> direction`` for the first iteration, called once
+        with the starting point (with ``lam*`` in its weight slots on the
+        reduced route) and the gradient there.  Its direction is searched
+        from step 1 in place of ``-g`` from ``1/||g||``; ``None`` from it, or
+        a failed search along it, leaves that steepest-descent step.
+        Every later iteration is plain L-BFGS.
     """
     start = time.perf_counter()
     project = getattr(fg, "project", None)
@@ -262,11 +270,19 @@ def lbfgs_minimize(
         if n_steps >= cfg.max_iters or n_fg >= cfg.max_total_iters:
             capped = True
             break
+        guided = False  # a search along first_direction's direction
         if s_hist:
             gamma = float(s_hist[-1] @ y_hist[-1]) / float(y_hist[-1] @ y_hist[-1])
             direction, step = two_loop_direction(g, s_hist, y_hist, gamma), 1.0
         else:
-            direction, step = -g, 1.0 / float(np.linalg.norm(g))
+            if first_direction is not None:
+                x_at = x if project is None else projected[id(x)][1]
+                direction, first_direction = first_direction(x_at, g), None
+                guided = direction is not None
+            if guided:
+                step = 1.0
+            else:
+                direction, step = -g, 1.0 / float(np.linalg.norm(g))
         x_new = None
         if float(direction @ g) < 0.0:
             x_new, f_new, g_new, evals = _line_search(
@@ -274,7 +290,7 @@ def lbfgs_minimize(
             )
             n_fg += evals
         if x_new is None:
-            if not s_hist:
+            if not (s_hist or guided):
                 break
             # a failed search (or a direction that does not descend): drop
             # the pairs and retry once along -g

@@ -298,6 +298,26 @@ class TestDecomposeCommand:
         assert "argument --order" in err and f"must be >= 2, got {order}" in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command", ["decompose", "gmm", "bench"])
+    @pytest.mark.parametrize("pgtol", ["0", "-1e-4", "nan"])
+    def test_pgtol_not_positive_is_usage_error(self, tmp_path, capsys, command, pgtol):
+        # as for --order: the input file does not exist, so exit 2 shows
+        # that the tolerance is checked before any I/O
+        argv = {
+            "decompose": ["decompose", "--input", str(tmp_path / "nope.csv"), "--order", "3",
+                          "--rank", "1", "--alpha", "exact", "--output", str(tmp_path / "o.json")],
+            "gmm": ["gmm", "--n", "4", "--r", "1", "--sigma", "0", "--order", "3",
+                    "--rank-min", "1", "--rank-max", "1", "--output", str(tmp_path / "o.csv")],
+            "bench": ["bench", "-d", "3", "-n", "4", "-p", "10", "-r", "1",
+                      "--output", str(tmp_path / "o.csv")],
+        }[command]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [f"--pgtol={pgtol}"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --pgtol" in err and f"must be > 0, got {float(pgtol)}" in err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("case", ["csv-nan", "csv-inf", "momv-nan"])
     def test_nonfinite_data_is_runtime_error(self, tmp_path, capsys, case):
         V = np.random.default_rng(85).standard_normal((3, 20))
@@ -317,17 +337,6 @@ class TestDecomposeCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
-        assert not (tmp_path / "o.json").exists()
-
-    def test_nan_pgtol_is_runtime_error(self, tmp_path, capsys):
-        data = tmp_path / "obs.csv"
-        _write_rank_one_csv(data)
-        code = main([
-            "decompose", "--input", str(data), "--order", "3", "--rank", "1",
-            "--pgtol", "nan", "--output", str(tmp_path / "o.json"),
-        ])
-        assert code == 1
-        assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "o.json").exists()
 
     def test_same_seed_identical_output_modulo_timing(self, tmp_path):

@@ -11,19 +11,23 @@ from momentcp import (
     ObservationSet,
     OptConfig,
     SolutionRecord,
+    SymKruskal,
     build_moment,
     fg_explicit,
     gaussian_init,
+    kruskal_to_dense,
     lbfgs_minimize,
     multistart,
     pack,
     packed_fg_implicit,
     rrf_init,
+    unpack,
     write_observations_csv,
 )
 from momentcp.cli import fit, main
 from momentcp.gmm import correlated_means, sample_gmm
 from momentcp.implicit import principal_basis
+from momentcp.objective import lift_direction
 
 
 def _weighted(n, p, seed):
@@ -112,8 +116,8 @@ class TestTwoStage:
 
         calls = []
 
-        def spy(fg, x0, cfg, shape):
-            rep = lbfgs_minimize(fg, x0, cfg, shape)
+        def spy(fg, x0, cfg, shape, **kwargs):
+            rep = lbfgs_minimize(fg, x0, cfg, shape, **kwargs)
             # fit adds the first stage's counts to the second's report in place
             calls.append((x0.copy(), cfg, shape, dataclasses.replace(rep, trace=list(rep.trace))))
             return rep
@@ -276,3 +280,142 @@ class TestFitEdges:
         assert [[f for f, _ in rp.trace] for rp in one.runs] == \
             [[f for f, _ in rp.trace] for rp in two.runs]
         assert [rp.n_fg for rp in one.runs] == [rp.n_fg for rp in two.runs]
+
+
+def _model_jacobian(lam, A, d):
+    """Dense Jacobian of ``kruskal_to_dense``'s entries with respect to
+    ``pack(lam, A)``: along one coordinate the model is a polynomial of
+    degree at most 4, on which the five-point stencil with step 1 is exact."""
+    x0 = pack(lam, A)
+    n, r = A.shape
+
+    def model(x):
+        return kruskal_to_dense(SymKruskal(d, *unpack(x, n, r))).entries.ravel()
+
+    cols = []
+    for e in np.eye(x0.size):
+        cols.append((8.0 * (model(x0 + e) - model(x0 - e))
+                     - (model(x0 + 2 * e) - model(x0 - 2 * e))) / 12.0)
+    return np.stack(cols, axis=1)
+
+
+class TestLiftDirection:
+    """The polish's first direction, the Gauss-Newton step off ``range(U)``."""
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_block_identity_against_dense_jacobian(self, d):
+        n, r, k = 8, 2, 4
+        obs = _weighted(n, 40, 60 + d)
+        U = principal_basis(obs, k)
+        Q = np.linalg.qr(U, mode="complete")[0][:, k:]  # orthonormal, orthogonal to U
+        rng = np.random.default_rng(d)
+        lam, A = np.array([1.3, -0.6]), U @ rng.standard_normal((k, r))
+        J = _model_jacobian(lam, A, d)
+        JtJ = J.T @ J
+        K = d * np.outer(lam, lam) * (A.T @ A) ** (d - 1)
+        # packed coordinates of the lam directions, the in-range and the off-range ones
+        P_lam = np.eye(r + n * r)[:, :r]
+        P_in = np.vstack([np.zeros((r, k * r)), np.kron(np.eye(r), U)])
+        P_off = np.vstack([np.zeros((r, (n - k) * r)), np.kron(np.eye(r), Q)])
+        scale = np.abs(JtJ).max()
+        off = P_off.T @ JtJ @ P_off
+        assert np.abs(off - np.kron(K, np.eye(n - k))).max() <= 1e-8 * scale
+        assert np.abs(P_off.T @ JtJ @ P_lam).max() <= 1e-8 * scale
+        assert np.abs(P_off.T @ JtJ @ P_in).max() <= 1e-8 * scale
+        # the first direction's off-range part is the dense Gauss-Newton step
+        # for f = ||X - M||^2, whose gradient is 2 J'(M - X) and Hessian model 2 J'J
+        M = kruskal_to_dense(SymKruskal(d, lam, A)).entries.ravel()
+        g_dense = 2.0 * J.T @ (M - build_moment(obs, d).entries.ravel())
+        _, g = packed_fg_implicit(obs, d, r)(pack(lam, A))
+        assert np.abs(g - g_dense).max() <= 1e-12 * np.abs(g_dense).max()
+        step = lift_direction(pack(lam, A), g, (n, r), d)
+        dense = -0.5 * np.linalg.solve(off, P_off.T @ g)
+        assert np.abs(step[:r]).max() == 0.0
+        assert np.abs(P_off.T @ step - dense).max() <= 1e-8 * np.abs(dense).max()
+        assert np.allclose(step[r:].reshape((n, r), order="F") @ K,
+                           -0.5 * g[r:].reshape((n, r), order="F"), rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("kind", ["zero weight", "duplicate columns"])
+    def test_singular_block_falls_back_to_steepest_descent(self, kind):
+        n, r = 8, 2
+        obs = _mixture(n, 300, r, 44, sigma=0.1)
+        U = principal_basis(obs, 2 * r)
+        A = U @ np.random.default_rng(5).standard_normal((2 * r, r))
+        full = packed_fg_implicit(obs, 3, r)
+        if kind == "zero weight":
+            lam = np.array([0.8, 0.0])
+            fg = lambda x: full(x)  # noqa: E731 - the (lam, A) route keeps the zero weight
+        else:
+            lam, fg = np.array([0.5, 0.5]), full
+            A[:, 1] = A[:, 0]
+        x0 = pack(lam, A)
+        seen = []
+
+        def first(x, g):
+            seen.append(lift_direction(x, g, (n, r), 3))
+            return seen[-1]
+
+        cfg = OptConfig(pgtol=1e-8, max_iters=40)
+        got = lbfgs_minimize(fg, x0, cfg, (n, r), first_direction=first)
+        want = lbfgs_minimize(fg, x0, cfg, (n, r))
+        assert seen == [None]
+        assert np.array_equal(got.lam, want.lam) and np.array_equal(got.A, want.A)
+        assert (got.f, got.n_fg, got.n_steps) == (want.f, want.n_fg, want.n_steps)
+        assert [f for f, _ in got.trace] == [f for f, _ in want.trace]
+        assert np.isfinite(got.f) and got.n_steps > 0
+
+    def test_failed_first_search_retries_steepest_descent(self):
+        # an ascent direction fails at once and leaves the run's bits as they were
+        obs = _mixture(8, 300, 2, 45, sigma=0.1)
+        full = packed_fg_implicit(obs, 3, 2)
+        x0 = pack(np.full(2, 0.5), rrf_init(obs, 2, np.random.default_rng(6)))
+        cfg = OptConfig(pgtol=1e-8)
+        seen = []
+
+        def ascent(x, g):
+            seen.append(x.copy())
+            return g
+
+        got = lbfgs_minimize(full, x0, cfg, (8, 2), first_direction=ascent)
+        want = lbfgs_minimize(full, x0, cfg, (8, 2))
+        assert np.array_equal(got.A, want.A) and (got.f, got.n_fg) == (want.f, want.n_fg)
+        # called once, at the start with lam* in place of x0's weights
+        assert len(seen) == 1 and np.array_equal(seen[0], full.project(x0)[0])
+        assert not np.array_equal(seen[0][:2], x0[:2])
+
+    def test_only_the_polish_first_direction_changes(self, monkeypatch):
+        import momentcp.cli as cli
+
+        n, r, d = 12, 3, 3
+        obs = _mixture(n, 400, r, 46, sigma=0.05)
+        cfg = OptConfig(pgtol=1e-8)
+        calls = TestTwoStage._spy(monkeypatch)
+        spy, kwargs = cli.lbfgs_minimize, []
+
+        def keep(fg, x0, cfg, shape, **kw):
+            kwargs.append(kw)
+            return spy(fg, x0, cfg, shape, **kw)
+
+        monkeypatch.setattr(cli, "lbfgs_minimize", keep)
+        fit(obs, d, r, cfg, 2, 7)
+        U = principal_basis(obs, 2 * r)
+        comp = packed_fg_implicit(ObservationSet(U.T @ obs.V, obs.nu), d, r)
+        full = packed_fg_implicit(obs, d, r)
+        polish_evals = []
+        for i in range(2):
+            (x_sub, cfg_sub, shape_sub, sub), (x_pol, cfg_pol, shape_pol, pol) = calls[2 * i : 2 * i + 2]
+            # the subspace stage is plain L-BFGS, bit for bit
+            assert kwargs[2 * i] == {} and set(kwargs[2 * i + 1]) == {"first_direction"}
+            want = lbfgs_minimize(comp, x_sub, cfg_sub, shape_sub)
+            assert np.array_equal(sub.A, want.A) and np.array_equal(sub.lam, want.lam)
+            assert (sub.f, sub.n_fg, sub.n_steps) == (want.f, want.n_fg, want.n_steps)
+            assert [f for f, _ in sub.trace] == [f for f, _ in want.trace]
+            # the polish is L-BFGS opened by the lift's Gauss-Newton direction
+            gn = lbfgs_minimize(full, x_pol, cfg_pol, shape_pol,
+                                first_direction=lambda x, g: lift_direction(x, g, (n, r), d))
+            assert np.array_equal(pol.A, gn.A) and (pol.f, pol.n_fg) == (gn.f, gn.n_fg)
+            plain = lbfgs_minimize(full, x_pol, cfg_pol, shape_pol)
+            assert pol.reason == plain.reason == "tolerance"
+            assert abs(pol.f - plain.f) <= 1e-12 * abs(plain.f)
+            polish_evals.append((pol.n_fg, plain.n_fg))
+        assert all(a < b for a, b in polish_evals), polish_evals
