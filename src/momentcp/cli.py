@@ -201,8 +201,9 @@ def fit(
     full = packed_fg_implicit(obs, d, r_hat, alpha)
     adam = isinstance(cfg, AdamConfig)
     U, space, setup = None, obs, 0.0  # the starts are drawn in space, U' obs when U is set
-    # two stages only when k = 2 r_hat is at most n/2: on the shapes measured they
-    # took 0.41-1.05 of the one-stage time there and up to 1.23 of it at k/n 0.6-0.9
+    # two stages only when k = 2 r_hat is at most n/2: above that they took 0.66-1.29
+    # of the one-stage time, but some stopped at pgtol 1e-4 up to 7e-5 (relative)
+    # higher in f, although both reach the same f at 1e-8 (BENCH_one_route.json)
     if not adam and 4 * r_hat <= obs.n:
         t0 = time.perf_counter()
         U = principal_basis(obs, 2 * r_hat)
@@ -355,6 +356,8 @@ def cmd_bench(args, parser) -> int:
 
 
 def cmd_gmm(args, parser) -> int:
+    if args.rank_max < args.rank_min:
+        parser.error("--rank-max must be >= --rank-min")
     rows = run_gmm_sweep(
         n=args.n, r=args.r, sigma=args.sigma, d=args.order,
         rank_min=args.rank_min, rank_max=args.rank_max,
@@ -419,22 +422,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="time explicit vs implicit evaluation")
     p_bench.add_argument("--order", "-d", type=_moment_order, required=True)
-    p_bench.add_argument("--dim", "-n", type=int, required=True)
-    p_bench.add_argument("--samples", "-p", type=int, required=True)
-    p_bench.add_argument("--rank", "-r", type=int, required=True)
-    p_bench.add_argument("--runs", type=int, default=10)
+    p_bench.add_argument("--dim", "-n", type=_positive_int, required=True)
+    p_bench.add_argument("--samples", "-p", type=_positive_int, required=True)
+    p_bench.add_argument("--rank", "-r", type=_positive_int, required=True)
+    p_bench.add_argument("--runs", type=_positive_int, default=10)
     p_bench.add_argument("--pgtol", type=_tolerance, default=0.05)
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--output", default=None, help="report CSV path")
     p_bench.set_defaults(handler=cmd_bench)
 
     p_gmm = sub.add_parser("gmm", help="mixture recovery sweep over candidate ranks")
-    p_gmm.add_argument("--n", type=int, required=True)
-    p_gmm.add_argument("--r", type=int, required=True)
+    p_gmm.add_argument("--n", type=_positive_int, required=True)
+    p_gmm.add_argument("--r", type=_positive_int, required=True)
     p_gmm.add_argument("--sigma", type=float, required=True)
     p_gmm.add_argument("--order", type=_moment_order, required=True)
-    p_gmm.add_argument("--rank-min", type=int, required=True)
-    p_gmm.add_argument("--rank-max", type=int, required=True)
+    p_gmm.add_argument("--rank-min", type=_positive_int, required=True)
+    p_gmm.add_argument("--rank-max", type=_positive_int, required=True)
     p_gmm.add_argument("--starts", type=_positive_int, default=10)
     p_gmm.add_argument("--seed", type=int, default=0)
     p_gmm.add_argument("--pgtol", type=_tolerance, default=1e-4)

@@ -32,8 +32,8 @@ class GmmSpec:
     congruence: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.sigma < 0:
-            raise ValueError(f"sigma must be >= 0, got {self.sigma}")
+        if not 0 <= self.sigma < np.inf:
+            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
         if not 1 <= self.r <= self.n:
             raise ValueError(f"need 1 <= r <= n, got r={self.r}, n={self.n}")
         if not abs(self.congruence) < 1:
@@ -95,8 +95,8 @@ def sample_gmm(
     n, r = means.shape
     if p < 1:
         raise ValueError(f"need p >= 1, got {p}")
-    if sigma < 0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
+    if not 0 <= sigma < np.inf:
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
     counts = np.full(r, p // r)
     counts[: p % r] += 1
     labels = np.repeat(np.arange(r), counts)

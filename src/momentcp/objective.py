@@ -13,7 +13,8 @@ the observation matrix (implicit), or from a random subsample of
 observations (stochastic, an unbiased estimator of the implicit route).
 The solvers call one packed evaluator, :func:`packed_fg`, which checks the
 problem once when it is built and then only that each point is finite;
-:func:`fg_explicit` and :func:`fg_implicit` check their arguments per call.
+:func:`fg_explicit` and :func:`fg_implicit` build it for one point and
+return its value and gradient blocks as an :class:`FgResult`.
 
 For fixed ``A`` the objective is quadratic in ``lam``, minimized by
 ``lam* = G^{-1} w`` with ``G = (A'A)^d`` (elementwise) and ``w_j = a_j'y_j``.
@@ -48,19 +49,6 @@ class FgResult:
     g_A: np.ndarray
 
 
-def _validate_variables(lam: np.ndarray, A: np.ndarray, n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    lam = np.asarray(lam, dtype=float)
-    A = np.asarray(A, dtype=float)
-    if lam.ndim != 1 or A.ndim != 2:
-        raise ValueError("lam must be a vector and A a matrix")
-    if A.shape != (n, lam.size):
-        raise ValueError(f"A must be {n} x {lam.size}, got shape {A.shape}")
-    # fail fast rather than letting NaN leak into a line search
-    if not (np.isfinite(lam).all() and np.isfinite(A).all() and np.isfinite(alpha)):
-        raise ValueError("model variables and alpha must be finite")
-    return lam, A
-
-
 def _finish(Y: np.ndarray, lam: np.ndarray | None, A: np.ndarray, d: int, alpha: float) -> tuple:
     """``(lam, f, pack(g_lam, g_A))`` from the TTSVs ``Y`` through the ``r x r``
     Gram tail: ``||M||^2 = lam.T @ G @ lam`` and ``<X, M> = w.T @ lam``, with
@@ -79,12 +67,6 @@ def _finish(Y: np.ndarray, lam: np.ndarray | None, A: np.ndarray, d: int, alpha:
     np.multiply(-2.0, w - u, out=g[:r])
     np.multiply(-2.0 * d * (Y - (A * lam) @ C), lam, out=g[r:].reshape((n, r), order="F"))
     return lam, f, g
-
-
-def _result(Y: np.ndarray, lam: np.ndarray, A: np.ndarray, d: int, alpha: float) -> FgResult:
-    """:func:`_finish` as an :class:`FgResult`, whose gradients view the packed one."""
-    _, f, g = _finish(Y, lam, A, d, alpha)
-    return FgResult(f, g[: lam.size], g[lam.size :].reshape(A.shape, order="F"))
 
 
 def _lam_star(G: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -152,8 +134,7 @@ def fg_explicit(
     The TTSVs cost O(r n^d); everything else is O(n r^2).  Serves as the
     reference route for :func:`fg_implicit`.
     """
-    lam, A = _validate_variables(lam, A, X.dim, alpha)
-    return _result(ttsv_batch_dense(X, A), lam, A, X.order, alpha)
+    return _at_point(lambda B: ttsv_batch_dense(X, B), X.dim, X.order, lam, A, alpha)
 
 
 def fg_implicit(
@@ -168,8 +149,21 @@ def fg_implicit(
     Identical contract to :func:`fg_explicit` with ``X = build_moment(obs, d)``,
     but no object of size n^d is ever formed.
     """
-    lam, A = _validate_variables(lam, A, obs.n, alpha)
-    return _result(ttsv_batch(obs, A, d), lam, A, d, alpha)
+    return _at_point(lambda B: ttsv_batch(obs, B, d), obs.n, d, lam, A, alpha)
+
+
+def _at_point(
+    ttsv: Callable[[np.ndarray], np.ndarray], n: int, d: int,
+    lam: np.ndarray, A: np.ndarray, alpha: float,
+) -> FgResult:
+    """:func:`packed_fg`, with its checks, at ``pack(lam, A)``, as an
+    :class:`FgResult` whose gradients view the packed one."""
+    x = pack(lam, A)  # checks that A is a matrix with one column per weight
+    if np.shape(A)[0] != n:
+        raise ValueError(f"A must have {n} rows, got shape {np.shape(A)}")
+    r = np.size(lam)
+    f, g = packed_fg(ttsv, n, r, d, alpha)(x)
+    return FgResult(f, g[:r], g[r:].reshape((n, r), order="F"))
 
 
 def pack(lam: np.ndarray, A: np.ndarray) -> np.ndarray:

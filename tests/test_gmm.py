@@ -14,6 +14,7 @@ from momentcp import (
     sample_gmm,
     similarity_score,
 )
+from momentcp.cli import main
 
 
 def brute_force_score(A_true, A_hat):
@@ -242,3 +243,16 @@ class TestGmmSpec:
             GmmSpec(n=10, r=2, sigma=-1.0)
         with pytest.raises(ValueError):
             GmmSpec(n=10, r=2, sigma=0.1, congruence=1.0)
+
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -1.0])
+    def test_sigma_must_be_finite_and_nonnegative(self, capsys, sigma):
+        # NaN compares false with everything, so a plain sigma < 0 test lets it through
+        with pytest.raises(ValueError, match="sigma must be finite and >= 0"):
+            GmmSpec(n=10, r=2, sigma=sigma)
+        means = correlated_means(4, 2, 0.5, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="sigma must be finite and >= 0"):
+            sample_gmm(means, sigma, 10, np.random.default_rng(0))
+        code = main(["gmm", "--n", "4", "--r", "1", "--sigma", repr(sigma), "--order", "3",
+                     "--rank-min", "1", "--rank-max", "1"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: sigma must be finite and >= 0")

@@ -263,21 +263,42 @@ class TestDecomposeCommand:
         ("decompose", "--batch", "0"),
         ("gmm", "--starts", "0"),
         ("gmm", "--threads", "0"),
+        ("gmm", "--n", "0"),
+        ("gmm", "--r", "0"),
+        ("gmm", "--rank-min", "0"),
+        ("gmm", "--rank-max", "-1"),
+        ("bench", "-n", "0"),
+        ("bench", "-p", "0"),
+        ("bench", "-r", "-3"),
+        ("bench", "--runs", "0"),
     ])
     def test_count_below_one_is_usage_error(self, tmp_path, capsys, command, flag, value):
         data = tmp_path / "obs.csv"
         _write_rank_one_csv(data)
-        if command == "decompose":
-            argv = ["decompose", "--input", str(data), "--order", "3", "--rank", "1",
-                    "--method", "adam", "--output", str(tmp_path / "o.json")]
-        else:
-            argv = ["gmm", "--n", "4", "--r", "1", "--sigma", "0", "--order", "3",
-                    "--rank-min", "1", "--rank-max", "1"]
+        out = tmp_path / ("o.json" if command == "decompose" else "o.csv")
+        argv = {
+            "decompose": ["decompose", "--input", str(data), "--order", "3", "--rank", "1",
+                          "--method", "adam"],
+            "gmm": ["gmm", "--n", "4", "--r", "1", "--sigma", "0", "--order", "3",
+                    "--rank-min", "1", "--rank-max", "1"],
+            "bench": ["bench", "-d", "3", "-n", "4", "-p", "10", "-r", "1"],
+        }[command]
         with pytest.raises(SystemExit) as exc:
-            main(argv + [flag, value])
+            main(argv + ["--output", str(out), flag, value])
         assert exc.value.code == 2
-        assert f"argument {flag}: must be >= 1" in capsys.readouterr().err
-        assert not (tmp_path / "o.json").exists()
+        err = capsys.readouterr().err
+        # argparse names a flag with a short alias as, for example, --dim/-n
+        assert "argument " in err and f"{flag}: must be >= 1, got {int(value)}" in err
+        assert not out.exists()
+
+    def test_rank_max_below_rank_min_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["gmm", "--n", "4", "--r", "1", "--sigma", "0", "--order", "3",
+                  "--rank-min", "3", "--rank-max", "2", "--output", str(out)])
+        assert exc.value.code == 2
+        assert "--rank-max must be >= --rank-min" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["decompose", "gmm", "bench"])
     @pytest.mark.parametrize("order", ["1", "0"])

@@ -73,6 +73,18 @@ class TestFgExplicit:
         with pytest.raises(ValueError):
             fg_explicit(X, np.ones(1), np.ones((2, 1)), np.inf)
 
+    @pytest.mark.parametrize("lam, A_shape, message", [
+        (np.ones(2), (3, 2), "A must have 2 rows"),
+        (np.ones(2), (2, 3), "inconsistent shapes"),
+        (np.ones((2, 1)), (2, 2), "inconsistent shapes"),
+    ])
+    def test_rejects_bad_shapes(self, lam, A_shape, message):
+        obs = ObservationSet(np.ones((2, 4)))
+        with pytest.raises(ValueError, match=message):
+            fg_explicit(build_moment(obs, 3), lam, np.ones(A_shape))
+        with pytest.raises(ValueError, match=message):
+            fg_implicit(obs, lam, np.ones(A_shape), 3)
+
 
 def _small(rng):
     n = int(rng.integers(2, 5))
