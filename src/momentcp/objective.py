@@ -22,17 +22,24 @@ The packed evaluator also has a reduced route over ``A`` alone (variable
 projection): ``f(lam*(A), A)`` and, by the envelope theorem, ``g_A`` at
 ``(lam*, A)``.  L-BFGS minimizes it; Adam, whose sampled ``lam`` gradients
 must stay unbiased, keeps the full ``(lam, A)`` route.
+
+On the matrix-free route the reduced objective along a search line
+``A + tD`` needs no pass over ``V`` after the first: ``V'(A + tD)`` is
+affine in ``t`` (:class:`_ImplicitLine`).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from momentcp.dense import DenseSymTensor, ObservationSet, ttsv_batch_dense
-from momentcp.implicit import _elementwise_power, _ttsv, ttsv_batch
+from momentcp.implicit import (
+    TTSV_BLOCK_BYTES, _column_blocks, _elementwise_power, _ttsv, _ttsv_back, ttsv_batch,
+)
 
 FgCallback = Callable[[np.ndarray], tuple[float, np.ndarray]]
 
@@ -183,6 +190,15 @@ def unpack(x: np.ndarray, n: int, r: int) -> tuple[np.ndarray, np.ndarray]:
     return x[:r].copy(), x[r:].reshape((n, r), order="F").copy()
 
 
+def _factor(x: np.ndarray, n: int, r: int) -> np.ndarray:
+    """The factor matrix of the finite packed point ``x``, copied C-contiguous
+    as :func:`unpack` does: the GEMMs' bits depend on the layout."""
+    # fail fast rather than letting NaN leak into a line search
+    if not np.isfinite(x).all():
+        raise ValueError("model variables must be finite")
+    return x[r:].reshape((n, r), order="F").copy()
+
+
 def packed_fg(
     ttsv: Callable[[np.ndarray], np.ndarray], n: int, r: int, d: int, alpha: float = 0.0
 ) -> FgCallback:
@@ -194,25 +210,22 @@ def packed_fg(
     returns a fresh packed gradient.  The reduced route ignores ``x``'s ``lam``:
     ``fg.project(x)`` gives ``(pack(lam*, A), f, gradient)`` at the optimal
     weights ``lam* = G^{-1} w``, and ``fg.reduced(x)`` gives ``(f, gradient)``
-    there with the gradient's ``lam`` slots exactly 0.
+    there with the gradient's ``lam`` slots exactly 0.  A search line on the
+    reduced route, ``fg.line(x, D, prev)``, is offered by
+    :func:`packed_fg_implicit` alone, and only where it saves passes over
+    ``V``; :func:`~momentcp.optimize.lbfgs_minimize` searches any other
+    callback by evaluating ``fg.project(x + tD)`` at every trial.
     """
     if min(n, r) < 1 or d < 2 or not np.isfinite(alpha):
         raise ValueError(f"need n, r >= 1, d >= 2 and a finite alpha, got {n}, {r}, {d}, {alpha}")
 
-    def unpack_A(x: np.ndarray) -> np.ndarray:
-        # fail fast rather than letting NaN leak into a line search
-        if not np.isfinite(x).all():
-            raise ValueError("model variables must be finite")
-        # A is copied C-contiguous, as unpack does: the GEMMs' bits depend on it
-        return x[r:].reshape((n, r), order="F").copy()
-
     def fg(x: np.ndarray) -> tuple[float, np.ndarray]:
-        A = unpack_A(x)
+        A = _factor(x, n, r)
         _, f, g = _finish(ttsv(A), x[:r], A, d, alpha)
         return f, g
 
     def project(x: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
-        A = unpack_A(x)
+        A = _factor(x, n, r)
         lam, f, g = _finish(ttsv(A), None, A, d, alpha)
         return np.concatenate([lam, x[r:]]), f, g
 
@@ -229,9 +242,132 @@ def packed_fg(
 def packed_fg_implicit(
     obs: ObservationSet, d: int, r: int, alpha: float = 0.0
 ) -> FgCallback:
-    """:func:`packed_fg` on the matrix-free TTSVs of ``obs``."""
+    """:func:`packed_fg` on the matrix-free TTSVs of ``obs``.
+
+    On a ``V`` of more than one TTSV block (``2 * TTSV_BLOCK_BYTES`` or more)
+    it also offers the reduced route's search lines, ``fg.line(x, D, prev)``
+    (:class:`_ImplicitLine`), whose trials after the first read no ``V``.  A
+    ``V`` of one block is read from cache by every pass, so it offers none.
+    """
     V, nu = obs.V, obs.nu
-    return packed_fg(lambda A: _ttsv(V, nu, A, d), obs.n, r, d, alpha)
+    fg = packed_fg(lambda A: _ttsv(V, nu, A, d), obs.n, r, d, alpha)
+    if len(_column_blocks(V)) > 1:
+        fg.line = functools.partial(_ImplicitLine, V, nu, d, r, alpha)
+    return fg
+
+
+class _ImplicitLine:
+    """The reduced objective on the line ``x + tD`` over ``V``'s TTSVs, for
+    :func:`~momentcp.optimize.lbfgs_minimize`'s search.
+
+    ``trial(t)`` gives ``(f, slope)`` at step ``t``, the slope being
+    ``g_A . D_A`` (``D``'s ``lam`` slots are ignored), and ``point(t)`` gives
+    ``(pack(lam*, A), f, gradient)`` there, as ``fg.project(x + tD)`` does,
+    for a step the line has tried (or ``t = 0`` at a run's start).
+    ``prev`` is the line whose ``point`` gave ``x``; it hands on ``VtA = V'A``
+    and ``f`` at ``x``.  A line without it (a run's start, with ``D`` None,
+    to evaluate ``point(0)``) makes every evaluation a fused pass.
+
+    The first trial is one fused pass (:func:`~momentcp.implicit._ttsv`) that
+    also stores ``VtA(t1) = V'(A + t1 D)``.  ``V'(A + tD)`` is affine in
+    ``t``, so every later trial works from ``VtA(t) = VtA + t delta``, with
+    ``delta = V'D = (VtA(t1) - VtA) / t1`` formed at the second trial:
+    ``w_j = sum_l nu_l VtA_lj(t)^d``, ``G`` from ``(A + tD)'(A + tD)``,
+    ``lam*`` by the ``r x r`` Cholesky, and the slope from
+    ``D_j'y_j = sum_l nu_l VtA_lj(t)^(d-1) delta_lj`` and the Gram tail, in
+    ``O(pr + nr^2 + r^3)``, over row chunks of ``VtA`` small enough for their
+    temporaries to stay in cache.  Such a trial returns
+    ``f(0) + (phi(t) - phi(0))``, where ``phi`` is this cheap arithmetic, so
+    a rounding stall compares like with like: the trial gives ``f(0)`` back
+    when ``phi(t) == phi(0)``.  ``point(t)`` at a cheap step pays one back
+    pass ``V (nu * VtA(t)^(d-1))`` (:func:`~momentcp.implicit._ttsv_back`)
+    and :func:`_finish`, for its exact ``lam*``, ``f`` and gradient, and
+    keeps ``VtA(t)`` for the next line.
+
+    A line belongs to one run.  The evaluator that makes it is shared (by
+    :func:`~momentcp.optimize.multistart`'s threads, say) and holds no line
+    state.
+    """
+
+    def __init__(self, V, nu, d, r, alpha, x, D=None, prev=None):
+        self.V, self.nu, self.d, self.r, self.alpha = V, nu, d, r, alpha
+        self.x, self.D = x, D
+        self.VtA, self.f0 = (None, None) if prev is None else prev.end
+        self.fused = {}  # step -> (V'A, pack(lam*, A), f, gradient) of a fused pass
+        self.delta = self.phi0 = None  # V'D and phi(0), formed at the second trial
+        self.end = None  # (V'A, f) at the last point taken
+
+    def _fused(self, t):
+        xt = self.x if t == 0.0 else self.x + t * self.D
+        A = _factor(xt, self.V.shape[0], self.r)
+        VtA = np.empty((self.V.shape[1], self.r))
+        lam, f, g = _finish(_ttsv(self.V, self.nu, A, self.d, VtA), None, A, self.d, self.alpha)
+        self.fused[t] = (VtA, np.concatenate([lam, xt[self.r :]]), f, g)
+        return self.fused[t]
+
+    def _tail(self, w, A):
+        """``(phi, lam*, C)`` at factor matrix ``A`` from the inner products ``w``."""
+        B = A.T @ A
+        C = _elementwise_power(B, self.d - 1)
+        G = B * C
+        lam = _lam_star(G, w)
+        return self.alpha + float(lam @ (G @ lam)) - 2.0 * float(w @ lam), lam, C
+
+    def _cheap(self, t):
+        """``(phi, slope)`` at ``t`` from ``VtA(t)``, reading no ``V``; its
+        first call also forms ``delta`` and ``phi0 = phi(0)``."""
+        n, r, d, nu, VtA = self.V.shape[0], self.r, self.d, self.nu, self.VtA
+        first = self.delta is None
+        if first:
+            t1, (VtA1, *_) = next(iter(self.fused.items()))
+            self.delta = np.empty_like(VtA)
+        delta = self.delta
+        w, DY, w0 = np.zeros(r), np.zeros(r), np.zeros(r)
+        # row chunks of half a TTSV block keep each chunk's temporaries in cache
+        step = max(1, TTSV_BLOCK_BYTES // (16 * r))
+        for i in range(0, VtA.shape[0], step):
+            b = slice(i, i + step)
+            if first:
+                db = np.subtract(VtA1[b], VtA[b], out=delta[b])
+                db /= t1
+                P = _elementwise_power(VtA[b], d - 1)
+                P *= nu[b, None]
+                w0 += np.einsum("ij,ij->j", P, VtA[b])
+            X = delta[b] * t
+            X += VtA[b]
+            P = _elementwise_power(X, d - 1)
+            P *= nu[b, None]
+            w += np.einsum("ij,ij->j", P, X)
+            DY += np.einsum("ij,ij->j", P, delta[b])
+        if first:
+            self.phi0 = self._tail(w0, _factor(self.x, n, r))[0]
+        A = _factor(self.x + t * self.D, n, r)
+        phi, lam, C = self._tail(w, A)
+        # g_A . D = -2d sum_j lam_j (D_j'y_j - D_j'((A diag(lam)) C)_j)
+        DAC = ((self.D[r:].reshape((n, r), order="F").T @ A) * C) @ lam
+        return phi, -2.0 * d * float(lam @ (DY - DAC))
+
+    def trial(self, t: float) -> tuple[float, float]:
+        if self.VtA is None or not self.fused:
+            _, _, f, g = self._fused(t)
+            return f, float(g[self.r :] @ self.D[self.r :])
+        phi, slope = self._cheap(t)
+        return self.f0 + (phi - self.phi0), slope
+
+    def point(self, t: float) -> tuple[np.ndarray, float, np.ndarray]:
+        if t not in self.fused and (self.VtA is None or not self.fused):
+            self._fused(t)
+        if t in self.fused:
+            VtA, x_star, f, g = self.fused[t]
+        else:
+            VtA = self.VtA + t * self.delta
+            xt = self.x + t * self.D
+            A = _factor(xt, self.V.shape[0], self.r)
+            Y = _ttsv_back(self.V, self.nu, VtA, self.d)
+            lam, f, g = _finish(Y, None, A, self.d, self.alpha)
+            x_star = np.concatenate([lam, xt[self.r :]])
+        self.end = (VtA, f)
+        return x_star, f, g
 
 
 def sample_observations(

@@ -21,6 +21,7 @@ generators.
 
 from __future__ import annotations
 
+import functools
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -49,8 +50,10 @@ class OptConfig:
     ``memory`` is the number of stored correction pairs; ``pgtol`` bounds
     the gradient's infinity norm at a solution; ``max_iters`` caps accepted
     steps and ``max_total_iters`` function/gradient evaluations;
-    ``max_line_steps`` caps the evaluations of one line search.  The
-    evaluation cap is checked between iterations, so a run makes at most
+    ``max_line_steps`` caps the trials of one line search.  Every trial
+    counts as an evaluation, including the line-search trials that read no
+    ``V`` (:class:`~momentcp.objective._ImplicitLine`).  The evaluation cap
+    is checked between iterations, so a run makes at most
     ``max_total_iters + max_line_steps`` evaluations.  ``seed`` is only
     recorded in the report.
     """
@@ -111,7 +114,9 @@ class RunReport:
 
     ``trace`` rows are ``(f, seconds_since_start)`` at the initial point and
     after every accepted step (for Adam: after every epoch).  ``n_fg`` counts
-    inner iterations, i.e. function/gradient evaluations (for Adam:
+    inner iterations: for L-BFGS the starting point and every line-search
+    trial, whether it made a pass over ``V`` or, after a search's first trial
+    on a multi-block ``V``, worked from the kept ``V'A`` (for Adam:
     mini-batch gradient steps).  ``setup_time`` is the time a multistart fit
     spent before its starts on work they share (:func:`momentcp.cli.fit`'s
     subspace basis); no run's ``wall_time`` includes it.
@@ -168,44 +173,74 @@ def _zoom_step(lo: tuple, hi: tuple) -> float:
     return float(a_lo + width * (min(max(t, 0.1), 0.9) if np.isfinite(t) else 0.5))
 
 
-def _line_search(fg, x, f0, g0, direction, step, max_trials):
-    """Strong-Wolfe line search (Nocedal & Wright, Algorithms 3.5 and 3.6).
+class _EvalLine:
+    """The line ``x + tD`` of a callback, one evaluation per step: the
+    search line of every objective that offers no ``fg.line``.
+
+    ``evaluate(x)`` gives ``(x_star, f, g)``: ``fg.project`` on the reduced
+    route, whose slope leaves out the ``r`` weight slots, or ``(x, *fg(x))``
+    with ``r = 0``.  ``trial(t)`` gives ``(f, slope)`` and ``point(t)`` that
+    step's ``(x_star, f, g)``, kept from its trial.  ``prev`` is ignored.
+    """
+
+    def __init__(self, evaluate, r, x, D=None, prev=None):
+        self.evaluate, self.r, self.x, self.D = evaluate, r, x, D
+        self.tried: dict[float, tuple] = {}
+
+    def point(self, t: float) -> tuple[np.ndarray, float, np.ndarray]:
+        if t not in self.tried:
+            self.tried[t] = self.evaluate(self.x if t == 0.0 else self.x + t * self.D)
+        return self.tried[t]
+
+    def trial(self, t: float) -> tuple[float, float]:
+        _, f, g = self.point(t)
+        return f, float(_search_gradient(g, self.r) @ self.D)
+
+
+def _search_gradient(g: np.ndarray, r: int) -> np.ndarray:
+    """The gradient L-BFGS searches with: ``g``, or with its ``r`` weight
+    slots set to 0 on the reduced route."""
+    return np.concatenate([np.zeros(r), g[r:]]) if r else g
+
+
+def _line_search(line, f0, d0, step, max_trials):
+    """Strong-Wolfe line search (Nocedal & Wright, Algorithms 3.5 and 3.6)
+    on a line with ``trial(t) -> (f, slope)``, from ``f0`` and slope ``d0``
+    at step 0.
 
     Doubles the step from ``step`` until the objective turns up, then zooms
-    into the bracket with :func:`_zoom_step`.  Returns ``(x, f, g, evals)``
-    at a step that meets both Wolfe conditions; or at the best step so far
-    (``x`` itself if none met sufficient decrease) once the bracket is
-    narrower than ``_XTOL`` of its upper end or a trial's ``f`` equals
-    ``f0`` bit for bit; or ``(None, f0, g0, max_trials)`` when
-    ``max_trials`` evaluations found neither.
+    into the bracket with :func:`_zoom_step`.  Returns ``(t, trials)`` with
+    ``t`` a step that meets both Wolfe conditions; or the best step so far
+    (0 if none met sufficient decrease) once the bracket is narrower than
+    ``_XTOL`` of its upper end or a trial's ``f`` equals ``f0`` bit for bit
+    (a rounding stall; a trial that reads no ``V`` gives ``f0`` back when
+    its own arithmetic gives the same value at ``t`` as at 0); or
+    ``(None, max_trials)`` when ``max_trials`` trials found neither.  The
+    caller takes the step's point from the line's ``point(t)``.
     """
-    d0 = float(g0 @ direction)
     lo, hi = (0.0, f0, d0), None  # (step, f, slope) at the bracket's ends; lo is the best step
-    best = (x, f0, g0)  # the point at lo
     a = step
     for evals in range(1, max_trials + 1):
-        xa = x + a * direction
-        fa, ga = fg(xa)
+        fa, da = line.trial(a)
         if fa == f0:  # rounding stall
-            return (*best, evals)
-        da = float(ga @ direction)
+            return lo[0], evals
         if not (fa <= f0 + _SUFFICIENT_DECREASE * a * d0 and fa < lo[1]):  # NaN fails too
             hi = (a, fa, da)
         else:
             if abs(da) <= -_CURVATURE * d0:
-                return xa, fa, ga, evals
+                return a, evals
             # f rises from a towards the far end (+inf while bracketing): the
             # minimum lies between a and the previous best step
             if da * ((np.inf if hi is None else hi[0]) - a) >= 0.0:
                 hi = lo
-            lo, best = (a, fa, da), (xa, fa, ga)
+            lo = (a, fa, da)
         if hi is None:
             a *= 2.0
         elif abs(hi[0] - lo[0]) < _XTOL * max(lo[0], hi[0]):
-            return (*best, evals)
+            return lo[0], evals
         else:
             a = _zoom_step(lo, hi)
-    return None, f0, g0, max_trials
+    return None, max_trials
 
 
 def lbfgs_minimize(
@@ -225,6 +260,10 @@ def lbfgs_minimize(
         on its reduced route, ignoring ``x0``'s weights; the report carries
         ``lam = G^{-1} w`` at the final ``A``, with ``f`` and the full
         gradient's norm there, all kept from the evaluation of that ``A``.
+        Each line search runs on ``fg.line(x, D, prev)`` where the
+        evaluator offers one (:func:`~momentcp.objective.packed_fg_implicit`
+        on a multi-block ``V``), and otherwise evaluates ``fg.project`` (or
+        ``fg``) at every trial step.
     x0:
         Starting point; ``fg`` must be finite there.
     cfg:
@@ -245,18 +284,14 @@ def lbfgs_minimize(
     """
     start = time.perf_counter()
     project = getattr(fg, "project", None)
-    search = fg
-    if project is not None:
-        # fg.reduced, keeping each searched point's lam* and full gradient
-        projected: dict[int, tuple] = {}
-
-        def search(x: np.ndarray) -> tuple[float, np.ndarray]:
-            x_star, f, g = project(x)
-            projected[id(x)] = (x, x_star, g)
-            return f, np.concatenate([np.zeros(shape[1]), g[shape[1] :]])
-
+    r = 0 if project is None else shape[1]  # the weight slots the search leaves out
+    lines = getattr(fg, "line", None)
+    if lines is None:
+        lines = functools.partial(_EvalLine, project or (lambda x: (x, *fg(x))), r)
     x = np.asarray(x0, dtype=float).copy()
-    f, g = search(x)
+    here = lines(x)  # the line whose point is x
+    x_star, f, g_full = here.point(0.0)
+    g = _search_gradient(g_full, r)
     n_fg = 1
     if not (np.isfinite(f) and np.isfinite(g).all()):
         raise ValueError("objective is not finite at the starting point")
@@ -276,20 +311,18 @@ def lbfgs_minimize(
             direction, step = two_loop_direction(g, s_hist, y_hist, gamma), 1.0
         else:
             if first_direction is not None:
-                x_at = x if project is None else projected[id(x)][1]
-                direction, first_direction = first_direction(x_at, g), None
+                direction, first_direction = first_direction(x_star, g), None
                 guided = direction is not None
             if guided:
                 step = 1.0
             else:
                 direction, step = -g, 1.0 / float(np.linalg.norm(g))
-        x_new = None
+        t = None
         if float(direction @ g) < 0.0:
-            x_new, f_new, g_new, evals = _line_search(
-                search, x, f, g, direction, step, cfg.max_line_steps
-            )
+            line = lines(x, direction, here)
+            t, evals = _line_search(line, f, float(g @ direction), step, cfg.max_line_steps)
             n_fg += evals
-        if x_new is None:
+        if t is None:
             if not (s_hist or guided):
                 break
             # a failed search (or a direction that does not descend): drop
@@ -297,21 +330,23 @@ def lbfgs_minimize(
             s_hist.clear()
             y_hist.clear()
             continue
+        if t == 0.0:  # no step lowered f
+            break
+        x_star_new, f_new, g_full_new = line.point(t)
         if not f_new < f:
             break
+        x_new = x + t * direction
+        g_new = _search_gradient(g_full_new, r)
         s, y = x_new - x, g_new - g
         # L-BFGS-B's curvature test: a pair with too small an s'y could make H indefinite
         if float(s @ y) > _EPS * -float(g @ s):
             s_hist.append(s)
             y_hist.append(y)
-        x, f, g = x_new, f_new, g_new
+        x, x_star, f, g, g_full, here = x_new, x_star_new, f_new, g_new, g_full_new, line
         n_steps += 1
         trace.append((f, time.perf_counter() - start))
-        if project is not None:  # only the current point's projection is needed
-            projected = {id(x): projected[id(x)]}
 
-    if project is not None:
-        _, x, g = projected[id(x)]
+    x, g = x_star, g_full
     grad_inf_norm = float(np.abs(g).max())
     if grad_inf_norm <= cfg.pgtol:
         reason = "tolerance"

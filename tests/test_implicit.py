@@ -17,7 +17,7 @@ from momentcp import (
     ttsv_all_but_one,
     ttsv_batch,
 )
-from momentcp.implicit import _elementwise_power, _ttsv
+from momentcp.implicit import _elementwise_power, _ttsv, _ttsv_back
 
 
 def random_instance(rng, d_choices=(2, 3, 4)):
@@ -108,6 +108,25 @@ class TestBlockedTtsv:
         assert_matches_oracle(Y, obs, A, d)
         scale = float(np.abs(one_block).max())
         assert np.allclose(Y, one_block, rtol=1e-13, atol=1e-13 * scale)
+
+    @pytest.mark.parametrize("order", ["F", "C"])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_kept_VtA_and_back_half(self, monkeypatch, d, order):
+        # the fused pass stores V'A block by block without changing Y, and
+        # the back half rebuilds Y from it
+        rng = np.random.default_rng(30 + d)
+        n, p, r = 5, 103, 3
+        V = np.asarray(rng.standard_normal((n, p)), order=order)
+        nu = rng.random(p) + 0.5
+        A = rng.standard_normal((n, r))
+        monkeypatch.setattr("momentcp.implicit.TTSV_BLOCK_BYTES", 8 * n * 7)
+        VtA = np.empty((p, r))
+        Y = _ttsv(V, nu, A, d, VtA)
+        assert np.array_equal(Y, _ttsv(V, nu, A, d))
+        want = V.T @ A
+        assert np.abs(VtA - want).max() <= 1e-14 * np.abs(want).max()
+        back = _ttsv_back(V, nu, VtA, d)
+        assert np.allclose(back, Y, rtol=1e-13, atol=1e-13 * float(np.abs(Y).max()))
 
     def test_more_blocks_than_columns(self, monkeypatch):
         # 8 bytes a block asks for n * p blocks; the split stops at one column each

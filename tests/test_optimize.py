@@ -22,6 +22,7 @@ from momentcp import (
 )
 from momentcp.gmm import correlated_means, sample_gmm
 from momentcp import data_norm_sq, fg_implicit, packed_fg, sample_observations, ttsv_batch
+from momentcp.implicit import _ttsv
 from momentcp.optimize import packed_fg_implicit, two_loop_direction
 
 
@@ -232,6 +233,97 @@ class TestLbfgs:
         assert np.array_equal(x_star, pack(rep.lam, rep.A))
         assert f == rep.f and float(np.abs(g).max()) == rep.grad_inf_norm
 
+    def test_one_block_keeps_the_evaluated_search(self):
+        # a V of one TTSV block offers no fg.line: every trial is a pass over
+        # V, with the bits of the plain packed evaluator over the same kernel
+        rng = np.random.default_rng(44)
+        n, r, d = 20, 3, 3
+        obs = sample_gmm(correlated_means(n, r, 0.5, rng), 0.01, 1000, rng)
+        fg = packed_fg_implicit(obs, d, r)
+        assert not hasattr(fg, "line")
+        passes = []
+
+        def counted_ttsv(A):
+            passes.append(A)
+            return _ttsv(obs.V, obs.nu, A, d)
+
+        plain = packed_fg(counted_ttsv, n, r, d)
+        x0 = pack(np.full(r, 1.0 / r), rrf_init(obs, r, rng))
+        cfg = OptConfig(pgtol=1e-9)
+        one, two = lbfgs_minimize(fg, x0, cfg, (n, r)), lbfgs_minimize(plain, x0, cfg, (n, r))
+        assert np.array_equal(one.lam, two.lam) and np.array_equal(one.A, two.A)
+        assert one.f == two.f and one.grad_inf_norm == two.grad_inf_norm
+        assert (one.n_fg, one.n_steps) == (two.n_fg, two.n_steps) == (len(passes), two.n_steps)
+        assert [f for f, _ in one.trace] == [f for f, _ in two.trace]
+
+    @staticmethod
+    def _count_line_calls(monkeypatch):
+        """Record ``("trial" | "point", t)`` for every call of the multi-block
+        evaluator's lines, and every fused pass over ``V``."""
+        import momentcp.objective as objective
+
+        calls, passes = [], []
+        cls = objective._ImplicitLine
+        real_trial, real_point, real_ttsv = cls.trial, cls.point, objective._ttsv
+
+        def trial(self, t):
+            calls.append(("trial", t))
+            return real_trial(self, t)
+
+        def point(self, t):
+            calls.append(("point", t))
+            return real_point(self, t)
+
+        monkeypatch.setattr(cls, "trial", trial)
+        monkeypatch.setattr(cls, "point", point)
+        monkeypatch.setattr(objective, "_ttsv", lambda *a: passes.append(1) or real_ttsv(*a))
+        return calls, passes
+
+    def test_rounding_stall_ends_run_multi_block(self, monkeypatch):
+        # test_rounding_stall_ends_run on a V of two TTSV blocks, whose later
+        # trials read no V: the cheap trials' stall test still ends the run
+        rng = np.random.default_rng(50)
+        n, r, d = 60, 3, 3
+        obs = sample_gmm(correlated_means(n, r, 0.3, rng), 0.01, 3000, rng)
+        fg = packed_fg_implicit(obs, d, r, alpha=data_norm_sq(obs, d))
+        assert hasattr(fg, "line")
+        calls, passes = self._count_line_calls(monkeypatch)
+        cfg = OptConfig(pgtol=1e-14)
+        x0 = pack(np.full(r, 0.5), rrf_init(obs, r, rng))
+        rep = lbfgs_minimize(fg, x0, cfg, shape=(n, r))
+        assert rep.reason == "line-search failure"
+        assert rep.n_steps < cfg.max_iters
+        trials = [i for i, (kind, _) in enumerate(calls) if kind == "trial"]
+        assert rep.n_fg == 1 + len(trials)  # the start and every trial
+        assert len(passes) < rep.n_fg  # some trials read no V
+        # the point of the last accepted step, after the start's point(0)
+        last_accepted = [i for i, (kind, _) in enumerate(calls) if kind == "point"][rep.n_steps]
+        after = sum(i > last_accepted for i in trials)
+        assert 1 < after <= 2 * cfg.max_line_steps  # the last search went past its fused trial
+
+    @pytest.mark.parametrize("caps", [{"pgtol": 1e-8}, {"pgtol": 1e-14, "max_iters": 3}])
+    def test_report_from_search_evaluations_multi_block(self, monkeypatch, caps):
+        # test_report_from_search_evaluations on a V of two TTSV blocks: n_fg
+        # counts the start and every trial, and the report is fg.project at
+        # the final A up to the cheap trials' rounding
+        rng = np.random.default_rng(46)
+        n, r, d = 60, 3, 3
+        obs = ObservationSet(rng.standard_normal((n, 3000)))
+        fg = packed_fg_implicit(obs, d, r)
+        calls, _ = self._count_line_calls(monkeypatch)
+        cfg = OptConfig(**caps)
+        rep = lbfgs_minimize(fg, pack(np.ones(r), rng.standard_normal((n, r))), cfg, shape=(n, r))
+        assert rep.reason == ("tolerance" if cfg.pgtol == 1e-8 else "iteration cap")
+        assert rep.n_fg == 1 + sum(kind == "trial" for kind, _ in calls)
+        x_star, f, g = fg.project(pack(np.zeros(r), rep.A))
+        assert np.allclose(x_star, pack(rep.lam, rep.A), rtol=1e-12, atol=0.0)
+        A = rep.A
+        scale = abs(rep.lam @ ((A.T @ A) ** d) @ rep.lam) + 2.0 * abs(
+            np.einsum("ij,ij->j", A, ttsv_batch(obs, A, d)) @ rep.lam)
+        assert abs(f - rep.f) <= 1e-12 * scale
+        assert float(np.abs(g).max()) == pytest.approx(
+            rep.grad_inf_norm, rel=1e-10, abs=1e-12 * scale)
+
     def test_failed_search_resets_then_ends(self, monkeypatch):
         # a search that fails with pairs stored clears them and is retried
         # along -g with length 1/||g||; when that retry fails too, the run ends
@@ -239,15 +331,15 @@ class TestLbfgs:
 
         real_search = optimize._line_search
         calls, fail = [], set()
+        scale = np.array([1.0, 10.0, 100.0])
 
-        def scripted(fg, x, f0, g0, direction, step, max_trials):
-            calls.append((g0, direction, step))
+        def scripted(line, f0, d0, step, max_trials):
+            calls.append((scale * line.x, line.D, step))  # (g, direction, step) at the search
             if len(calls) in fail:
-                return None, f0, g0, max_trials
-            return real_search(fg, x, f0, g0, direction, step, max_trials)
+                return None, max_trials
+            return real_search(line, f0, d0, step, max_trials)
 
         monkeypatch.setattr(optimize, "_line_search", scripted)
-        scale = np.array([1.0, 10.0, 100.0])
 
         def fg(x):
             return 0.5 * float(x @ (scale * x)), scale * x

@@ -2,6 +2,7 @@
 data ``U'V`` of the top-``2 r`` basis ``U``, lifted to ``U B`` and polished
 on the full data, taken when ``4 r <= n``."""
 
+import sys
 import tracemalloc
 
 import numpy as np
@@ -280,6 +281,35 @@ class TestFitEdges:
         assert [[f for f, _ in rp.trace] for rp in one.runs] == \
             [[f for f, _ in rp.trace] for rp in two.runs]
         assert [rp.n_fg for rp in one.runs] == [rp.n_fg for rp in two.runs]
+
+
+    def test_threads_match_sequential_bitwise_multi_block(self, monkeypatch):
+        # the polish's search lines keep V'A per run, and the threads share
+        # one evaluator: a shared V'A would change the bits.  60 x 3000
+        # doubles is two TTSV blocks, so the polish takes fg.line; more
+        # threads than cores and a short switch interval interleave the runs
+        import momentcp.objective as objective
+
+        obs = _mixture(60, 3000, 2, 34)
+        cfg = OptConfig(pgtol=1e-12, max_iters=60)
+        cheap = []
+        real_cheap = objective._ImplicitLine._cheap
+        monkeypatch.setattr(objective._ImplicitLine, "_cheap",
+                            lambda self, t: cheap.append(t) or real_cheap(self, t))
+        one = fit(obs, 3, 2, cfg, 6, 12, threads=1)
+        assert cheap  # some trials read no V
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            many = fit(obs, 3, 2, cfg, 6, 12, threads=4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(one.lam, many.lam) and np.array_equal(one.A, many.A)
+        assert one.f == many.f and one.run_index == many.run_index
+        assert [[f for f, _ in rp.trace] for rp in one.runs] == \
+            [[f for f, _ in rp.trace] for rp in many.runs]
+        assert [(rp.n_fg, rp.f) for rp in one.runs] == [(rp.n_fg, rp.f) for rp in many.runs]
+        assert all(np.array_equal(a.A, b.A) for a, b in zip(one.runs, many.runs))
 
 
 def _model_jacobian(lam, A, d):
