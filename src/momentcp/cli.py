@@ -1,9 +1,9 @@
 """Command-line surface: decompose, bench (explicit vs implicit), gmm sweep.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error.  Reported timings
-cover the optimization and, on ``fit``'s two-stage route, the subspace
-basis (``decompose``'s ``wall_time_s`` and ``gmm``'s ``total_time_s`` count
-it); data generation, moment-tensor formation and file I/O are excluded.
+cover the optimization and, for ``fit``'s L-BFGS starts, the subspace basis
+(``decompose``'s ``wall_time_s`` and ``gmm``'s ``total_time_s`` count it);
+data generation, moment-tensor formation and file I/O are excluded.
 """
 
 from __future__ import annotations
@@ -116,8 +116,7 @@ def run_bench(scenario: BenchScenario) -> dict:
         )
         for idx in picks:
             x = pack(np.zeros(sc.r), points[idx])
-            f_i, _ = fg_imp.reduced(x)
-            f_e, _ = fg_exp.reduced(x)
+            f_i, f_e = fg_imp.project(x)[1], fg_exp.project(x)[1]
             rel = abs(f_e - f_i) / max(1.0, abs(f_e), abs(f_i))
             max_paired_rel = max(max_paired_rel, rel)
             if rel > PAIRED_CHECK_RTOL:
@@ -171,40 +170,34 @@ def fit(
 
     Each start has weights ``1/r_hat`` and factors from ``rrf_init`` (or
     ``gaussian_init`` for ``init="gaussian"``).  An ``AdamConfig`` runs Adam
-    on the full data, any other config L-BFGS.  When ``4 r_hat <= n`` the
-    L-BFGS route has two stages.  The set-up takes ``U``, the top
-    ``k = 2 r_hat`` eigenvectors of ``V diag(nu) V'``
-    (:func:`~momentcp.implicit.principal_basis`), once for all starts.  Each
-    start is then drawn and fitted on the compressed data ``U'V``, whose
-    objective at ``B`` is the full one at ``A = UB``, lifted to ``UB`` and
-    polished by L-BFGS on the full data with what is left of ``cfg``'s step
-    and evaluation caps (a spent budget leaves one evaluation at the lift),
-    so a start keeps ``OptConfig``'s bounds over both stages.  The polish
-    opens with the Gauss-Newton direction ``-1/2 G_A K^{-1}`` of
+    on the full data, any other config L-BFGS in two stages.  The set-up
+    takes ``U``, the top ``k = min(2 r_hat, n, p)`` eigenvectors of
+    ``V diag(nu) V'`` (:func:`~momentcp.implicit.principal_basis`), once for
+    all starts.  Each start is then drawn and fitted on the compressed data
+    ``U'V``, whose objective at ``B`` is the full one at ``A = UB``, lifted
+    to ``UB`` and polished by L-BFGS on the full data with what is left of
+    ``cfg``'s step and evaluation caps (a spent budget leaves one evaluation
+    at the lift), so a start keeps ``OptConfig``'s bounds over both stages.
+    The polish opens with the Gauss-Newton direction ``-1/2 G_A K^{-1}`` of
     :func:`~momentcp.objective.lift_direction` at step 1: off ``range(U)``,
     which holds every column of the lift, ``J'J`` is exactly ``K (x) I_n``,
     and the subspace stage has made the gradient's part in ``range(U)``,
-    ``U' G_A``, small.  A singular
-    ``K`` or a failed search falls back to steepest descent; every later
-    step is plain L-BFGS.  Its report is the
+    ``U' G_A``, small.  A singular ``K`` or a failed search falls back to
+    steepest descent; every later step is plain L-BFGS.  Its report is the
     polish's, with ``n_fg``, ``n_steps`` and ``wall_time`` summed over both
     stages and the subspace stage's ``trace`` rows first.  The best report's
     ``setup_time`` is the basis's time, which no start's ``wall_time``
-    counts.  When ``4 r_hat > n`` the starts run on the full data alone.
-    The report's ``f`` and ``grad_inf_norm`` are the full objective with
-    ``alpha`` at its ``lam`` and ``A``: Adam's own are a shifted estimate on
-    a subset, so they are evaluated afresh.
+    counts, and 0 for Adam.  The report's ``f`` and ``grad_inf_norm`` are
+    the full objective with ``alpha`` at its ``lam`` and ``A``: Adam's own
+    are a shifted estimate on a subset, so they are evaluated afresh.
     """
     # initial weights at the uniform-mixture scale; weights of 1 would
     # start the model far too large and distort the early trajectory
     lam0 = np.full(r_hat, 1.0 / r_hat)
     full = packed_fg_implicit(obs, d, r_hat, alpha)
     adam = isinstance(cfg, AdamConfig)
-    U, space, setup = None, obs, 0.0  # the starts are drawn in space, U' obs when U is set
-    # two stages only when k = 2 r_hat is at most n/2: above that they took 0.66-1.29
-    # of the one-stage time, but some stopped at pgtol 1e-4 up to 7e-5 (relative)
-    # higher in f, although both reach the same f at 1e-8 (BENCH_one_route.json)
-    if not adam and 4 * r_hat <= obs.n:
+    space, setup = obs, 0.0  # the starts are drawn in space, U' obs for L-BFGS
+    if not adam:
         t0 = time.perf_counter()
         U = principal_basis(obs, 2 * r_hat)
         space = ObservationSet(U.T @ obs.V, obs.nu)
@@ -224,8 +217,6 @@ def fit(
     def minimize(x0, rng):
         if adam:
             return adam_minimize(obs, d, r_hat, x0, cfg, rng)
-        if U is None:
-            return lbfgs_minimize(full, x0, cfg, shape=(obs.n, r_hat))
         sub = lbfgs_minimize(comp, x0, sub_cfg, shape=(space.n, r_hat))
         steps, evals = cfg.max_iters - sub.n_steps, cfg.max_total_iters - sub.n_fg
         if min(steps, evals) < 1:  # budget spent: one evaluation at the lift, no step

@@ -8,8 +8,8 @@ Rows of only commas, whitespace and quotes are skipped, and line 1 is a
 header when it does not parse as numbers.  The binary format is: magic
 ``MOMV``, little-endian u32 version (1), u64 ``n``, u64 ``p``, then
 ``n * p`` little-endian float64 values in column-major order (each
-observation contiguous).  Solutions are written as a self-describing JSON
-record; round-trips are lossless for finite doubles.
+observation contiguous), and nothing after them.  Solutions are written as
+a self-describing JSON record; round-trips are lossless for finite doubles.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import os
 import string
 import struct
 from array import array
@@ -129,12 +130,15 @@ def read_observations_binary(path: str) -> ObservationSet:
         version, n, p = struct.unpack("<IQQ", header[4:24])
         if version != BINARY_VERSION:
             raise ParseError(f"{path}: unsupported version {version} (byte offset 4)")
+        # checked before anything is allocated; the offset is where the
+        # payload ends or, when values follow it, where they start
+        want, have = 8 * n * p, os.fstat(fh.fileno()).st_size - 24
+        if have != want:
+            raise ParseError(
+                f"{path}: expected {n * p} values ({want} bytes) after the header, "
+                f"got {have} bytes (byte offset {24 + min(have, want)})"
+            )
         data = np.fromfile(fh, dtype="<f8", count=n * p)
-    if data.size != n * p:
-        raise ParseError(
-            f"{path}: expected {n * p} values, got {data.size} "
-            f"(byte offset {24 + 8 * data.size})"
-        )
     V = data.reshape((n, p), order="F")
     if not np.isfinite(V).all():
         raise ValueError(f"{path}: non-finite value in payload")

@@ -209,12 +209,11 @@ def packed_fg(
     makes ``Y``, ``A'A``, its powers and ``w`` once (:func:`_finish`) and
     returns a fresh packed gradient.  The reduced route ignores ``x``'s ``lam``:
     ``fg.project(x)`` gives ``(pack(lam*, A), f, gradient)`` at the optimal
-    weights ``lam* = G^{-1} w``, and ``fg.reduced(x)`` gives ``(f, gradient)``
-    there with the gradient's ``lam`` slots exactly 0.  A search line on the
-    reduced route, ``fg.line(x, D, prev)``, is offered by
-    :func:`packed_fg_implicit` alone, and only where it saves passes over
-    ``V``; :func:`~momentcp.optimize.lbfgs_minimize` searches any other
-    callback by evaluating ``fg.project(x + tD)`` at every trial.
+    weights ``lam* = G^{-1} w``.  A search line on the reduced route,
+    ``fg.line(x, D, prev)``, is offered by :func:`packed_fg_implicit` alone,
+    and only where it saves passes over ``V``;
+    :func:`~momentcp.optimize.lbfgs_minimize` searches any other callback by
+    evaluating ``fg.project(x + tD)`` at every trial.
     """
     if min(n, r) < 1 or d < 2 or not np.isfinite(alpha):
         raise ValueError(f"need n, r >= 1, d >= 2 and a finite alpha, got {n}, {r}, {d}, {alpha}")
@@ -229,13 +228,7 @@ def packed_fg(
         lam, f, g = _finish(ttsv(A), None, A, d, alpha)
         return np.concatenate([lam, x[r:]]), f, g
 
-    def reduced(x: np.ndarray) -> tuple[float, np.ndarray]:
-        _, f, g = project(x)
-        g[:r] = 0.0
-        return f, g
-
     fg.project = project
-    fg.reduced = reduced
     return fg
 
 

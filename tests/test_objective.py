@@ -319,27 +319,26 @@ class TestReducedRoute:
         rng = np.random.default_rng(130 + d)
         n, r, h = 6, 3, 1e-6
         obs = ObservationSet(rng.standard_normal((n, 40)))
-        reduced = packed_fg_implicit(obs, d, r).reduced
+        project = packed_fg_implicit(obs, d, r).project
         for _ in range(5):
             A = rng.standard_normal((n, r))
             A /= np.linalg.norm(A, axis=0)
             x = pack(np.zeros(r), A)
-            _, g = reduced(x)
-            fd = np.zeros_like(x)
-            for i in range(r, x.size):
+            g = project(x)[2][r:]
+            fd = np.zeros_like(g)
+            for i in range(g.size):
                 e = np.zeros_like(x)
-                e[i] = h
-                fd[i] = (reduced(x + e)[0] - reduced(x - e)[0]) / (2.0 * h)
+                e[r + i] = h
+                fd[i] = (project(x + e)[1] - project(x - e)[1]) / (2.0 * h)
             assert np.abs(fd - g).max() <= 1e-5 * np.abs(g).max()
 
-    def test_lam_slots_exactly_zero_and_lam_ignored(self):
+    def test_lam_ignored(self):
         rng = np.random.default_rng(140)
         obs, lam, A, _, r = packed_instance(rng)
-        reduced = packed_fg_implicit(obs, 3, r).reduced
-        f, g = reduced(pack(lam, A))
-        assert np.all(g[:r] == 0.0)
-        f2, g2 = reduced(pack(-3.0 * lam, A))
-        assert f2 == f and np.array_equal(g2, g)
+        project = packed_fg_implicit(obs, 3, r).project
+        x_star, f, g = project(pack(lam, A))
+        x2, f2, g2 = project(pack(-3.0 * lam, A))
+        assert f2 == f and np.array_equal(x2, x_star) and np.array_equal(g2, g)
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_equals_per_point_route_at_lam_star(self, d):
@@ -352,9 +351,6 @@ class TestReducedRoute:
         ref = fg_implicit(obs, lam_star, A, d, alpha=2.5)
         assert f == ref.f
         assert np.array_equal(g, pack(ref.g_lam, ref.g_A))
-        f_red, g_red = fg.reduced(pack(lam, A))
-        assert f_red == ref.f
-        assert np.array_equal(g_red[r:], ref.g_A.ravel(order="F"))
         # lam* is the optimum: the full gradient's lam part vanishes there
         assert np.abs(ref.g_lam).max() <= 1e-10 * np.abs(ref.g_A).max()
         # G is well conditioned, so lam* comes from the Cholesky factor
@@ -394,7 +390,7 @@ class TestReducedRoute:
         obs = ObservationSet(rng.standard_normal((5, 30)))
         x = pack(np.ones(2), 1e80 * rng.standard_normal((5, 2)))
         with np.errstate(over="ignore", invalid="ignore"):
-            f, _ = packed_fg_implicit(obs, 3, 2).reduced(x)
+            _, f, _ = packed_fg_implicit(obs, 3, 2).project(x)
         assert not np.isfinite(f)
 
     @pytest.mark.parametrize("r", [3, 4])
@@ -405,7 +401,8 @@ class TestReducedRoute:
         rng = np.random.default_rng(170 + r)
         obs = ObservationSet(rng.standard_normal((2, 10)))
         A = rng.standard_normal((2, r))
-        f, g = packed_fg_implicit(obs, 2, r).reduced(pack(np.zeros(r), A))
+        _, f, g = packed_fg_implicit(obs, 2, r).project(pack(np.zeros(r), A))
+        g = g[r:]
         x_norm_sq = float(np.sum(build_moment(obs, 2).entries ** 2))
         assert np.isfinite(g).all()
         assert f == pytest.approx(-x_norm_sq, rel=1e-10)

@@ -1,6 +1,6 @@
 """The two-stage L-BFGS route of ``cli.fit``: starts fitted on the compressed
-data ``U'V`` of the top-``2 r`` basis ``U``, lifted to ``U B`` and polished
-on the full data, taken when ``4 r <= n``."""
+data ``U'V`` of the top-``min(2 r, n, p)`` basis ``U``, lifted to ``U B`` and
+polished on the full data."""
 
 import sys
 import tracemalloc
@@ -18,7 +18,6 @@ from momentcp import (
     gaussian_init,
     kruskal_to_dense,
     lbfgs_minimize,
-    multistart,
     pack,
     packed_fg_implicit,
     rrf_init,
@@ -126,30 +125,37 @@ class TestTwoStage:
         monkeypatch.setattr(cli, "lbfgs_minimize", spy)
         return calls
 
+    @pytest.mark.parametrize("seed", [
+        lambda: 9, lambda: np.random.SeedSequence(9),
+    ], ids=["int", "SeedSequence"])
+    # n = 8 = 4 r_hat; at n = 4 the basis is all of R^n (k = n)
+    @pytest.mark.parametrize("n", [4, 7, 8])
     @pytest.mark.parametrize("init", ["rrf", "gaussian"])
-    def test_stages_compose(self, monkeypatch, init):
-        # n = 4 r_hat, the smallest n that takes two stages
-        n, r, seed = 8, 2, 9
+    def test_stages_compose(self, monkeypatch, init, n, seed):
+        r, alpha = 2, 0.25
         obs = _mixture(n, 300, r, 40)
         cfg = OptConfig(pgtol=1e-7)
         calls = self._spy(monkeypatch)
-        best = fit(obs, 3, r, cfg, 3, seed, init=init)
+        best = fit(obs, 3, r, cfg, 3, seed(), init=init, alpha=alpha)
         assert len(calls) == 6 and len(best.runs) == 3
         U = principal_basis(obs, 2 * r)
+        k = U.shape[1]
+        assert k == min(2 * r, n)
         space = ObservationSet(U.T @ obs.V, obs.nu)
-        for i, (run, child) in enumerate(zip(best.runs, np.random.SeedSequence(seed).spawn(3))):
+        for i, (run, child) in enumerate(zip(best.runs, np.random.SeedSequence(9).spawn(3))):
             (x_sub, cfg_sub, shape_sub, sub), (x_pol, cfg_pol, shape_pol, pol) = calls[2 * i : 2 * i + 2]
             # the start is drawn on U'V and fitted there, then lifted to U B
             rng = np.random.default_rng(child)
-            A0 = rrf_init(space, r, rng) if init == "rrf" else gaussian_init(2 * r, r, rng)
+            A0 = rrf_init(space, r, rng) if init == "rrf" else gaussian_init(k, r, rng)
             assert np.array_equal(x_sub, pack(np.full(r, 1.0 / r), A0))
-            assert (shape_sub, shape_pol) == ((2 * r, r), (n, r))
+            assert (shape_sub, shape_pol) == ((k, r), (n, r))
             assert np.array_equal(x_pol, pack(sub.lam, U @ sub.A))
             # the polish gets what the subspace stage left of the budget
             assert cfg_pol.max_iters == cfg.max_iters - sub.n_steps
             assert cfg_pol.max_total_iters == cfg.max_total_iters - sub.n_fg
             assert cfg_pol.pgtol == cfg_sub.pgtol == cfg.pgtol
             # the run is the polish, with counts and time summed and traces joined
+            assert run.run_index == i
             assert np.array_equal(run.lam, pol.lam) and np.array_equal(run.A, pol.A)
             assert (run.f, run.grad_inf_norm, run.reason) == (pol.f, pol.grad_inf_norm, pol.reason)
             assert run.n_fg == sub.n_fg + pol.n_fg and run.n_steps == sub.n_steps + pol.n_steps
@@ -157,7 +163,13 @@ class TestTwoStage:
             assert [f for f, _ in run.trace] == [f for f, _ in sub.trace + pol.trace]
             times = [t for _, t in run.trace]
             assert times == sorted(times) and times[len(sub.trace)] >= sub.wall_time
-        assert best.f == min(run.f for run in best.runs)
+        # the best run, lowest f first and then lowest index, is the full
+        # objective with alpha at its lam and A
+        i_best = min(range(3), key=lambda i: (best.runs[i].f, i))
+        assert best is best.runs[i_best]
+        assert (best.run_index, best.seed) == (i_best, 9 if isinstance(seed(), int) else None)
+        f, g = packed_fg_implicit(obs, 3, r, alpha)(pack(best.lam, best.A))
+        assert best.f == f and best.grad_inf_norm == float(np.abs(g).max())
         assert best.setup_time > 0.0
 
     # uncapped, the subspace stages take 23 and 12 steps (35 and 24 evaluations)
@@ -211,26 +223,6 @@ class TestTwoStage:
 
 
 class TestFitEdges:
-    @pytest.mark.parametrize("n", [4, 7])
-    def test_one_stage_when_four_rank_exceeds_n(self, n):
-        # 4 r_hat > n: no compression, the bits of one L-BFGS run per start
-        obs = _mixture(n, 200, 2, 30)
-        cfg = OptConfig(pgtol=1e-8)
-        for init in ("rrf", "gaussian"):
-            got = fit(obs, 3, 2, cfg, 3, 8, init=init)
-            full = packed_fg_implicit(obs, 3, 2)
-            make_A = rrf_init if init == "rrf" else lambda o, r, g: gaussian_init(o.n, r, g)
-            want = multistart(
-                3, lambda g: pack(np.full(2, 0.5), make_A(obs, 2, g)),
-                lambda x0, g: lbfgs_minimize(full, x0, cfg, shape=(n, 2)), 8,
-            )
-            assert np.array_equal(got.lam, want.lam) and np.array_equal(got.A, want.A)
-            assert got.f == want.f and got.grad_inf_norm == want.grad_inf_norm
-            assert [[f for f, _ in rp.trace] for rp in got.runs] == \
-                [[f for f, _ in rp.trace] for rp in want.runs]
-            assert [rp.n_fg for rp in got.runs] == [rp.n_fg for rp in want.runs]
-            assert got.setup_time == 0.0
-
     def test_wide_data_forms_no_n_by_n_array(self):
         n, p = 2000, 30
         obs = _mixture(n, p, 2, 31)
@@ -244,7 +236,8 @@ class TestFitEdges:
         # V is 0.48 MB; an n x n float64 array would be 32 MB
         assert peak < 4 * obs.V.nbytes
 
-    @pytest.mark.parametrize("n, p", [(8, 20), (20, 6)])
+    # with r_hat = 2, k = 2 r_hat is clamped to n at (3, 20) and to p at (6, 3)
+    @pytest.mark.parametrize("n, p", [(8, 20), (20, 6), (3, 20), (6, 3)])
     def test_all_zero_data_is_runtime_error(self, tmp_path, capsys, n, p):
         obs = ObservationSet(np.zeros((n, p)))
         with pytest.raises(RuntimeError):

@@ -1,0 +1,222 @@
+"""Fit the switch-table shapes with two checkouts' ``momentcp.cli.fit`` and
+compare them fit by fit.
+
+The shapes are those of the old ``4 r_hat <= n`` switch of ``cli.fit``:
+seven at or below it and fifteen past it (``4 r > n``), in two tables,
+sigma 0.1 with seeds 21-24 and sigma 0.01 with seeds 11-14.  Each
+(table, seed) is fitted in one process per checkout, the two alternating
+which runs first, on one BLAS thread::
+
+    git archive PARENT | tar -x -C /tmp/parent
+    python tools/switch_table.py --parent /tmp/parent/src --change src \\
+        --pgtol 1e-8 --out BENCH_one_route_matched.json
+
+``--side SRC --sigma S --seed N --pgtol P`` fits one checkout alone and
+prints its fits as JSON.  The data and the similarity score are made here
+with numpy and scipy, not with ``momentcp.gmm``, so that both checkouts fit
+the same arrays and are scored the same way.  Each row of the output has
+BENCH_one_route.json's layout: per seed, both sides' time (the minimum of
+``REPEATS`` fits, the basis included), best ``f``, score against the true
+means and summed evaluations.  The gate marks a fit whose changed best ``f``
+is above the parent's by more than ``F_RTOL`` (relative), or, where
+``r <= n``, whose score is more than ``SCORE_TOL`` from the parent's; four
+means in three dimensions are not identifiable, so ``r > n`` is gated on
+``f`` alone.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+
+import numpy as np
+
+F_RTOL = 1e-6
+SCORE_TOL = 1e-3
+REPEATS = 2
+CONGRUENCE = 0.5
+TABLES = {0.1: (21, 22, 23, 24), 0.01: (11, 12, 13, 14)}
+# (d, n, r, p, starts)
+SHAPES = [
+    (3, 100, 10, 5000, 6), (4, 40, 5, 2000, 50), (3, 100, 20, 5000, 6), (3, 20, 5, 2000, 6),
+    (3, 24, 6, 2000, 6), (3, 40, 10, 2000, 6), (3, 60, 15, 2000, 6),
+    (3, 100, 30, 5000, 6), (3, 30, 10, 2000, 6), (3, 60, 20, 2000, 6), (3, 100, 36, 5000, 6),
+    (3, 40, 15, 2000, 6), (3, 80, 30, 5000, 6), (3, 26, 10, 2000, 6), (3, 20, 8, 2000, 6),
+    (3, 50, 20, 2000, 6), (3, 100, 40, 5000, 6), (3, 12, 5, 2000, 6), (3, 16, 7, 2000, 6),
+    (3, 11, 5, 2000, 6), (3, 3, 4, 2000, 6), (3, 8, 4, 2000, 6),
+]
+ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+
+def mixture(n: int, r: int, p: int, sigma: float, seed: int):
+    """``(means, V)``: ``r`` unit-norm means with pairwise inner products
+    ``CONGRUENCE`` (random unit-norm columns when ``r > n``) and ``p``
+    observations split evenly over them, with noise ``sigma``."""
+    ss_means, ss_data = np.random.SeedSequence(seed).spawn(2)
+    rng = np.random.default_rng(ss_means)
+    if r <= n:
+        gram = np.full((r, r), CONGRUENCE)
+        np.fill_diagonal(gram, 1.0)
+        basis, _ = np.linalg.qr(rng.standard_normal((n, r)))
+        means = basis @ np.linalg.cholesky(gram).T
+    else:
+        means = rng.standard_normal((n, r))
+        means /= np.linalg.norm(means, axis=0)
+    labels = np.arange(p) * r // p
+    V = means[:, labels] + sigma * np.random.default_rng(ss_data).standard_normal((n, p))
+    return means, V
+
+
+def score(means: np.ndarray, A: np.ndarray) -> float:
+    """Mean absolute cosine of the best matching of ``A``'s columns to the means."""
+    from scipy.optimize import linear_sum_assignment
+
+    cos = np.abs((means / np.linalg.norm(means, axis=0)).T @ (A / np.linalg.norm(A, axis=0)))
+    rows, cols = linear_sum_assignment(cos, maximize=True)
+    return float(cos[rows, cols].sum() / min(cos.shape))
+
+
+def fit_side(sigma: float, seed: int, pgtol: float) -> list[dict]:
+    """Every shape fitted by the ``momentcp`` on ``sys.path``."""
+    from momentcp.cli import OptConfig, fit
+    from momentcp.dense import ObservationSet
+
+    fits = []
+    for d, n, r, p, starts in SHAPES:
+        means, V = mixture(n, r, p, sigma, seed)
+        obs = ObservationSet(V)
+        times = []
+        for _ in range(REPEATS):
+            t0 = time.perf_counter()
+            best = fit(obs, d, r, OptConfig(pgtol=pgtol), starts, seed)
+            times.append(time.perf_counter() - t0)
+        bits = hashlib.sha256()
+        for rep in best.runs:
+            bits.update(np.array([rep.f, rep.n_fg, *(f for f, _ in rep.trace)]).tobytes())
+            bits.update(rep.lam.tobytes() + rep.A.tobytes())
+        fits.append({
+            "d": d, "n": n, "r": r, "p": p, "starts": starts, "time_s": min(times),
+            "best_f": float(best.f), "score": score(means, best.A),
+            "evals": int(sum(rep.n_fg for rep in best.runs)), "sha256": bits.hexdigest()[:16],
+        })
+    return fits
+
+
+def run_side(src: str, sigma: float, seed: int, pgtol: float) -> list[dict]:
+    """``fit_side`` in a fresh process on the checkout whose sources are ``src``."""
+    out = subprocess.run(
+        [sys.executable, __file__, "--side", src, "--sigma", repr(sigma), "--seed", str(seed),
+         "--pgtol", repr(pgtol)],
+        env={**os.environ, **ONE_THREAD}, check=True, capture_output=True, text=True,
+    )
+    return json.loads(out.stdout)
+
+
+def rows(parent: dict, change: dict, order: dict) -> list[dict]:
+    """One row per shape from the sides' fits, keyed by seed."""
+    table = []
+    for i, (d, n, r, p, starts) in enumerate(SHAPES):
+        per_seed = []
+        for seed in parent:
+            a, b = parent[seed][i], change[seed][i]
+            f_rel = (b["best_f"] - a["best_f"]) / abs(a["best_f"])
+            per_seed.append({
+                "seed": seed, "order": order[seed],
+                "time_ratio": round(b["time_s"] / a["time_s"], 3),
+                "parent": {k: a[k] for k in ("time_s", "best_f", "score", "evals")},
+                "change": {k: b[k] for k in ("time_s", "best_f", "score", "evals")},
+                "best_f_rel_diff": f_rel,
+                "f_ok": f_rel <= F_RTOL,
+                "score_ok": abs(b["score"] - a["score"]) <= SCORE_TOL if r <= n else None,
+                "bits_identical": a["sha256"] == b["sha256"],
+            })
+        table.append({
+            "d": d, "n": n, "r": r, "p": p, "starts": starts,
+            "k_over_n": round(min(2 * r, n) / n, 3), "past_switch": 4 * r > n,
+            "bits_identical": all(s["bits_identical"] for s in per_seed),
+            "median_time_ratio": round(statistics.median(s["time_ratio"] for s in per_seed), 3),
+            f"best_f_within_{F_RTOL:g}_rel": all(s["f_ok"] for s in per_seed),
+            f"score_within_{SCORE_TOL:g}": all(s["score_ok"] for s in per_seed) if r <= n else None,
+            "per_seed": per_seed,
+        })
+    return table
+
+
+def summary(table: list[dict]) -> dict:
+    below = [row["median_time_ratio"] for row in table if not row["past_switch"]]
+    past = [row for row in table if row["past_switch"]]
+    fits = [s for row in past for s in row["per_seed"]]
+    return {
+        "same_code_median_time_ratio_range": [min(below), max(below)],
+        "past_switch_median_time_ratios": {f"n={row['n']},r={row['r']}": row["median_time_ratio"]
+                                           for row in past},
+        "past_switch_fits": len(fits),
+        "past_switch_fits_f_ok": sum(s["f_ok"] for s in fits),
+        "past_switch_fits_scored": sum(s["score_ok"] is not None for s in fits),
+        "past_switch_fits_score_ok": sum(bool(s["score_ok"]) for s in fits),
+        "max_best_f_rel_diff": max(s["best_f_rel_diff"] for s in fits),
+        "max_abs_score_diff": max(abs(s["change"]["score"] - s["parent"]["score"])
+                                  for s in fits if s["score_ok"] is not None),
+    }
+
+
+def machine() -> dict:
+    blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
+    cpu = platform.processor()
+    if os.path.exists("/proc/cpuinfo"):
+        with open("/proc/cpuinfo") as fh:
+            cpu = next((line.split(":", 1)[1].strip() for line in fh
+                        if line.startswith("model name")), cpu)
+    return {
+        "vcpus": os.cpu_count(), "cpu": cpu, "python": platform.python_version(),
+        "numpy": np.__version__, "blas": f"{blas['name']} {blas.get('version', '')}".strip(),
+        "blas_threads": int(ONE_THREAD["OPENBLAS_NUM_THREADS"]),
+    }
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--pgtol", type=float, required=True)
+    ap.add_argument("--parent", help="source directory of the parent checkout")
+    ap.add_argument("--change", help="source directory of the changed checkout")
+    ap.add_argument("--out", help="output JSON path")
+    ap.add_argument("--side", help="fit this source directory alone and print JSON")
+    ap.add_argument("--sigma", type=float)
+    ap.add_argument("--seed", type=int)
+    args = ap.parse_args(argv)
+    if args.side:
+        sys.path.insert(0, os.path.abspath(args.side))
+        json.dump(fit_side(args.sigma, args.seed, args.pgtol), sys.stdout)
+        return 0
+    if not (args.parent and args.change and args.out):
+        ap.error("--parent, --change and --out are needed unless --side is given")
+    result = {"pgtol": args.pgtol, "repeats": REPEATS, "machine": machine(),
+              "gate": {"f_rtol": F_RTOL, "score_tol": SCORE_TOL}, "tables": {}}
+    for sigma, seeds in TABLES.items():
+        fits = {"parent": {}, "change": {}}
+        order = {}
+        for j, seed in enumerate(seeds):
+            sides = ["parent", "change"] if j % 2 == 0 else ["change", "parent"]
+            order[seed] = f"{sides[0]} first"
+            for side in sides:
+                src = args.parent if side == "parent" else args.change
+                fits[side][seed] = run_side(src, sigma, seed, args.pgtol)
+                print(f"sigma {sigma} seed {seed} {side} done", file=sys.stderr)
+        table = rows(fits["parent"], fits["change"], order)
+        result["tables"][f"sigma_{sigma:g}"] = {"sigma": sigma, "seeds": list(seeds),
+                                                "summary": summary(table), "rows": table}
+        with open(args.out, "w") as fh:
+            json.dump(result, fh, indent=1)
+            fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
