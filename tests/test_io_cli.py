@@ -587,9 +587,7 @@ class TestGmmCommand:
 
 
 class TestFit:
-    """``fit`` with an ``AdamConfig`` gives the bits of ``multistart`` over
-    hand-built closures; the L-BFGS route's stages are checked in
-    ``test_subspace.TestTwoStage``."""
+    """``fit`` gives the bits of ``multistart`` over hand-built closures."""
 
     @staticmethod
     def _problem():
@@ -598,22 +596,67 @@ class TestFit:
         rng = np.random.default_rng(87)
         return sample_gmm(correlated_means(6, 2, 0.5, rng), 1e-2, 300, rng)
 
+    @staticmethod
+    def _by_hand(obs, cfg, seed, init, alpha):
+        from dataclasses import replace
+
+        from momentcp import (AdamConfig, adam_minimize, gaussian_init, lbfgs_minimize,
+                              multistart, pack, packed_fg_implicit, rrf_init)
+        from momentcp.implicit import principal_basis
+        from momentcp.objective import lift_direction
+
+        full = packed_fg_implicit(obs, 3, 2, alpha)
+        if isinstance(cfg, AdamConfig):
+            space = obs
+
+            def minimize(x0, rng):
+                return adam_minimize(obs, 3, 2, x0, cfg, rng)
+        else:
+            # fitted on U'V, lifted to U B and polished on the full data
+            U = principal_basis(obs, 4)
+            space = ObservationSet(U.T @ obs.V, obs.nu)
+            comp = packed_fg_implicit(space, 3, 2, alpha)
+
+            def minimize(x0, rng):
+                sub = lbfgs_minimize(comp, x0, replace(cfg, max_total_iters=cfg.max_total_iters - 1),
+                                     shape=(space.n, 2))
+                rep = lbfgs_minimize(
+                    full, pack(sub.lam, U @ sub.A),
+                    replace(cfg, max_iters=cfg.max_iters - sub.n_steps,
+                            max_total_iters=cfg.max_total_iters - sub.n_fg),
+                    shape=(obs.n, 2),
+                    first_direction=lambda x, g: lift_direction(x, g, (obs.n, 2), 3),
+                )
+                rep.n_fg += sub.n_fg
+                rep.n_steps += sub.n_steps
+                rep.trace = sub.trace + [(f, t + sub.wall_time) for f, t in rep.trace]
+                return rep
+        make_A = rrf_init if init == "rrf" else lambda o, r, rng: gaussian_init(o.n, r, rng)
+        best = multistart(3, lambda rng: pack(np.full(2, 0.5), make_A(space, 2, rng)),
+                          minimize, seed)
+        if isinstance(cfg, AdamConfig):
+            # Adam's own f is a shifted estimate: fit reports the full objective
+            best.f, g = full(pack(best.lam, best.A))
+            best.grad_inf_norm = float(np.abs(g).max())
+        return best
+
     @pytest.mark.parametrize("seed", [
         lambda: 9, lambda: np.random.SeedSequence(9),
-    ], ids=["adam-rrf-int", "adam-rrf-SeedSequence"])
-    def test_matches_multistart_bitwise(self, seed):
-        from momentcp import (AdamConfig, adam_minimize, multistart, pack,
-                              packed_fg_implicit, rrf_init)
+    ], ids=["int", "SeedSequence"])
+    @pytest.mark.parametrize("solver, init", [
+        ("lbfgs", "rrf"), ("lbfgs", "gaussian"), ("adam", "rrf"),
+    ])
+    def test_matches_multistart_bitwise(self, seed, solver, init):
+        from momentcp import AdamConfig, OptConfig
 
         obs = self._problem()
-        cfg = AdamConfig(epoch_len=10, batch=20, estimate_samples=100, max_epochs=5)
+        if solver == "adam":
+            cfg = AdamConfig(epoch_len=10, batch=20, estimate_samples=100, max_epochs=5)
+        else:
+            cfg = OptConfig(pgtol=1e-6)
         alpha = 0.25
-        got = fit(obs, 3, 2, cfg, 3, seed(), alpha=alpha)
-        want = multistart(3, lambda rng: pack(np.full(2, 0.5), rrf_init(obs, 2, rng)),
-                          lambda x0, rng: adam_minimize(obs, 3, 2, x0, cfg, rng), seed())
-        # Adam's own f is a shifted estimate: fit reports the full objective
-        want.f, g = packed_fg_implicit(obs, 3, 2, alpha)(pack(want.lam, want.A))
-        want.grad_inf_norm = float(np.abs(g).max())
+        got = fit(obs, 3, 2, cfg, 3, seed(), init=init, alpha=alpha)
+        want = self._by_hand(obs, cfg, seed(), init, alpha)
         assert np.array_equal(got.lam, want.lam) and np.array_equal(got.A, want.A)
         assert got.f == want.f and got.grad_inf_norm == want.grad_inf_norm
         assert (got.run_index, got.seed, got.reason) == (want.run_index, want.seed, want.reason)

@@ -125,13 +125,22 @@ class TestTwoStage:
         monkeypatch.setattr(cli, "lbfgs_minimize", spy)
         return calls
 
-    @pytest.mark.parametrize("seed", [
-        lambda: 9, lambda: np.random.SeedSequence(9),
-    ], ids=["int", "SeedSequence"])
-    # n = 8 = 4 r_hat; at n = 4 the basis is all of R^n (k = n)
-    @pytest.mark.parametrize("n", [4, 7, 8])
     @pytest.mark.parametrize("init", ["rrf", "gaussian"])
-    def test_stages_compose(self, monkeypatch, init, n, seed):
+    def test_stages_compose(self, monkeypatch, init):
+        # n = 8 = 4 r_hat, with an int seed
+        self._check_stages_compose(monkeypatch, init, 8, lambda: 9)
+
+    @pytest.mark.parametrize("n, seed", [
+        (4, lambda: 9), (4, lambda: np.random.SeedSequence(9)),
+        (7, lambda: 9), (7, lambda: np.random.SeedSequence(9)),
+        (8, lambda: np.random.SeedSequence(9)),
+    ], ids=["4-int", "4-SeedSequence", "7-int", "7-SeedSequence", "8-SeedSequence"])
+    @pytest.mark.parametrize("init", ["rrf", "gaussian"])
+    def test_stages_compose_other_n_and_seed(self, monkeypatch, init, n, seed):
+        # at n = 4 the basis is all of R^n (k = n); n = 7 is below 4 r_hat
+        self._check_stages_compose(monkeypatch, init, n, seed)
+
+    def _check_stages_compose(self, monkeypatch, init, n, seed):
         r, alpha = 2, 0.25
         obs = _mixture(n, 300, r, 40)
         cfg = OptConfig(pgtol=1e-7)
