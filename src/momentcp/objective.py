@@ -9,8 +9,10 @@ norm.
 
 Every route shares one algebraic tail and differs only in how the TTSV
 matrix ``Y`` is produced: from a dense tensor (explicit, the oracle), from
-the observation matrix (implicit), or from a random subsample of
-observations (stochastic, an unbiased estimator of the implicit route).
+the observation matrix (implicit), from the moment's mode-1 unfolding
+(small compressed data, :func:`packed_fg_compressed`), or from a random
+subsample of observations (stochastic, an unbiased estimator of the
+implicit route).
 The solvers call one packed evaluator, :func:`packed_fg`, which checks the
 problem once when it is built and then only that each point is finite;
 :func:`fg_explicit` and :func:`fg_implicit` build it for one point and
@@ -38,7 +40,8 @@ import numpy as np
 
 from momentcp.dense import DenseSymTensor, ObservationSet, ttsv_batch_dense
 from momentcp.implicit import (
-    TTSV_BLOCK_BYTES, _column_blocks, _elementwise_power, _ttsv, _ttsv_back, ttsv_batch,
+    TTSV_BLOCK_BYTES, _column_blocks, _elementwise_power, _ttsv, _ttsv_back, kr_power,
+    moment_unfolding, ttsv_batch,
 )
 
 FgCallback = Callable[[np.ndarray], tuple[float, np.ndarray]]
@@ -247,6 +250,23 @@ def packed_fg_implicit(
     if len(_column_blocks(V)) > 1:
         fg.line = functools.partial(_ImplicitLine, V, nu, d, r, alpha)
     return fg
+
+
+def packed_fg_compressed(
+    obs: ObservationSet, d: int, r: int, alpha: float = 0.0
+) -> FgCallback:
+    """The evaluator of ``cli.fit``'s subspace stage on the compressed data
+    ``obs``, its route chosen by flop count.
+
+    Where ``n^(d-1) <= p`` it is :func:`packed_fg` on ``T @ KR_{d-1}(A)``,
+    with the unfolding ``T`` (:func:`~momentcp.implicit.moment_unfolding`)
+    made here, once, in O(p n^d): a TTSV then costs O(n^d r) and reads no
+    ``V``.  Otherwise it is :func:`packed_fg_implicit`, at O(p n r) a TTSV.
+    """
+    if obs.n ** (d - 1) > obs.p:
+        return packed_fg_implicit(obs, d, r, alpha)
+    T = moment_unfolding(obs, d)
+    return packed_fg(lambda A: T @ kr_power(A, d - 1), obs.n, r, d, alpha)
 
 
 class _ImplicitLine:

@@ -119,7 +119,8 @@ class RunReport:
     on a multi-block ``V``, worked from the kept ``V'A`` (for Adam:
     mini-batch gradient steps).  ``setup_time`` is the time a multistart fit
     spent before its starts on work they share (:func:`momentcp.cli.fit`'s
-    subspace basis); no run's ``wall_time`` includes it.
+    subspace basis and compressed moment unfolding); no run's ``wall_time``
+    includes it.
     """
 
     lam: np.ndarray

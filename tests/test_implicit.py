@@ -17,7 +17,10 @@ from momentcp import (
     ttsv_all_but_one,
     ttsv_batch,
 )
-from momentcp.implicit import _elementwise_power, _ttsv, _ttsv_back
+from momentcp.dense import ttsv_batch_dense
+from momentcp.implicit import (
+    _elementwise_power, _ttsv, _ttsv_back, kr_power, moment_unfolding,
+)
 
 
 def random_instance(rng, d_choices=(2, 3, 4)):
@@ -171,6 +174,39 @@ class TestBlockedTtsv:
         assert peak < 1e6
         want = obs.V @ (obs.nu[:, None] * _elementwise_power(obs.V.T @ A, d - 1))
         assert np.allclose(Y, want, rtol=1e-13, atol=1e-13 * float(np.abs(want).max()))
+
+
+class TestMomentUnfolding:
+    """``T @ KR_{d-1}(A)`` with the moment's mode-1 unfolding ``T`` is the TTSV."""
+
+    def test_kr_power_columns_are_kronecker_powers(self):
+        B = np.random.default_rng(40).standard_normal((3, 4))
+        assert kr_power(B, 1) is B
+        K = kr_power(B, 3)
+        for j in range(4):
+            assert np.array_equal(K[:, j], np.kron(np.kron(B[:, j], B[:, j]), B[:, j]))
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_matches_dense_oracle_and_matrix_free(self, d):
+        rng = np.random.default_rng(40 + d)
+        n, p, r = 5, 37, 3
+        obs = ObservationSet(rng.standard_normal((n, p)), rng.uniform(0.5, 2.0, p))
+        A = rng.standard_normal((n, r))
+        T = moment_unfolding(obs, d)
+        assert T.shape == (n, n ** (d - 1))
+        Y = T @ kr_power(A, d - 1)
+        for want in (ttsv_batch_dense(build_moment(obs, d), A), ttsv_batch(obs, A, d)):
+            assert np.abs(Y - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_block_split_does_not_matter(self, monkeypatch, d):
+        rng = np.random.default_rng(50 + d)
+        obs = ObservationSet(rng.standard_normal((4, 29)), rng.uniform(0.5, 2.0, 29))
+        monkeypatch.setattr("momentcp.implicit.UNFOLD_BLOCK", 29)
+        T = moment_unfolding(obs, d)
+        for block in (1, 7):
+            monkeypatch.setattr("momentcp.implicit.UNFOLD_BLOCK", block)
+            assert np.abs(moment_unfolding(obs, d) - T).max() <= 1e-12 * np.abs(T).max()
 
 
 class TestKruskalNormSq:

@@ -338,6 +338,23 @@ class TestDecomposeCommand:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["decompose", "gmm", "bench"])
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys, command):
+        # as for --order: exit 2 with no input file shows the seed is checked before any I/O
+        argv = {
+            "decompose": ["decompose", "--input", str(tmp_path / "nope.csv"), "--order", "3",
+                          "--rank", "1", "--alpha", "exact", "--output", str(tmp_path / "o.json")],
+            "gmm": ["gmm", "--n", "4", "--r", "1", "--sigma", "0", "--order", "3",
+                    "--rank-min", "1", "--rank-max", "1", "--output", str(tmp_path / "o.csv")],
+            "bench": ["bench", "-d", "3", "-n", "4", "-p", "10", "-r", "1",
+                      "--output", str(tmp_path / "o.csv")],
+        }[command]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--seed", "-3"])
+        assert exc.value.code == 2
+        assert "argument --seed: must be >= 0, got -3" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["decompose", "gmm", "bench"])
     @pytest.mark.parametrize("pgtol", ["0", "-1e-4", "nan"])
     def test_pgtol_not_positive_is_usage_error(self, tmp_path, capsys, command, pgtol):
         # as for --order: the input file does not exist, so exit 2 shows
@@ -590,20 +607,20 @@ class TestFit:
     """``fit`` gives the bits of ``multistart`` over hand-built closures."""
 
     @staticmethod
-    def _problem():
+    def _problem(p=300):
         from momentcp.gmm import correlated_means, sample_gmm
 
         rng = np.random.default_rng(87)
-        return sample_gmm(correlated_means(6, 2, 0.5, rng), 1e-2, 300, rng)
+        return sample_gmm(correlated_means(6, 2, 0.5, rng), 1e-2, p, rng)
 
     @staticmethod
-    def _by_hand(obs, cfg, seed, init, alpha):
+    def _by_hand(obs, cfg, seed, init, alpha, compressed=None):
         from dataclasses import replace
 
         from momentcp import (AdamConfig, adam_minimize, gaussian_init, lbfgs_minimize,
                               multistart, pack, packed_fg_implicit, rrf_init)
         from momentcp.implicit import principal_basis
-        from momentcp.objective import lift_direction
+        from momentcp.objective import lift_direction, packed_fg_compressed
 
         full = packed_fg_implicit(obs, 3, 2, alpha)
         if isinstance(cfg, AdamConfig):
@@ -615,7 +632,7 @@ class TestFit:
             # fitted on U'V, lifted to U B and polished on the full data
             U = principal_basis(obs, 4)
             space = ObservationSet(U.T @ obs.V, obs.nu)
-            comp = packed_fg_implicit(space, 3, 2, alpha)
+            comp = (compressed or packed_fg_compressed)(space, 3, 2, alpha)
 
             def minimize(x0, rng):
                 sub = lbfgs_minimize(comp, x0, replace(cfg, max_total_iters=cfg.max_total_iters - 1),
@@ -640,6 +657,14 @@ class TestFit:
             best.grad_inf_norm = float(np.abs(g).max())
         return best
 
+    @staticmethod
+    def _assert_same_bits(got, want):
+        assert np.array_equal(got.lam, want.lam) and np.array_equal(got.A, want.A)
+        assert got.f == want.f and got.grad_inf_norm == want.grad_inf_norm
+        assert (got.run_index, got.seed, got.reason) == (want.run_index, want.seed, want.reason)
+        assert [rp.trace[-1][0] for rp in got.runs] == [rp.trace[-1][0] for rp in want.runs]
+        assert [rp.n_fg for rp in got.runs] == [rp.n_fg for rp in want.runs]
+
     @pytest.mark.parametrize("seed", [
         lambda: 9, lambda: np.random.SeedSequence(9),
     ], ids=["int", "SeedSequence"])
@@ -656,12 +681,16 @@ class TestFit:
             cfg = OptConfig(pgtol=1e-6)
         alpha = 0.25
         got = fit(obs, 3, 2, cfg, 3, seed(), init=init, alpha=alpha)
-        want = self._by_hand(obs, cfg, seed(), init, alpha)
-        assert np.array_equal(got.lam, want.lam) and np.array_equal(got.A, want.A)
-        assert got.f == want.f and got.grad_inf_norm == want.grad_inf_norm
-        assert (got.run_index, got.seed, got.reason) == (want.run_index, want.seed, want.reason)
-        assert [rp.trace[-1][0] for rp in got.runs] == [rp.trace[-1][0] for rp in want.runs]
-        assert [rp.n_fg for rp in got.runs] == [rp.n_fg for rp in want.runs]
+        self._assert_same_bits(got, self._by_hand(obs, cfg, seed(), init, alpha))
+
+    def test_matches_matrix_free_multistart_bitwise(self):
+        # at p = 15 < k^(d-1) = 16 the subspace stage is packed_fg_implicit on U'V
+        from momentcp import OptConfig, packed_fg_implicit
+
+        obs, cfg = self._problem(p=15), OptConfig(pgtol=1e-6)
+        got = fit(obs, 3, 2, cfg, 3, 9, alpha=0.25)
+        self._assert_same_bits(
+            got, self._by_hand(obs, cfg, 9, "rrf", 0.25, compressed=packed_fg_implicit))
 
     def test_runs_with_optconfig_patched_to_partial(self, tmp_path, monkeypatch):
         # the benchmark caps decompose's steps by replacing cli.OptConfig

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from momentcp import (
+    AdamConfig,
     ObservationSet,
     OptConfig,
     SolutionRecord,
@@ -26,8 +27,8 @@ from momentcp import (
 )
 from momentcp.cli import fit, main
 from momentcp.gmm import correlated_means, sample_gmm
-from momentcp.implicit import principal_basis
-from momentcp.objective import lift_direction
+from momentcp.implicit import moment_unfolding, principal_basis
+from momentcp.objective import lift_direction, packed_fg_compressed
 
 
 def _weighted(n, p, seed):
@@ -181,8 +182,8 @@ class TestTwoStage:
         assert best.f == f and best.grad_inf_norm == float(np.abs(g).max())
         assert best.setup_time > 0.0
 
-    # uncapped, the subspace stages take 23 and 12 steps (35 and 24 evaluations)
-    # and the polishes 9 and 8 (23 and 15); the last two caps stop a polish
+    # uncapped, the subspace stages take 23 and 13 steps (35 and 24 evaluations)
+    # and the polishes 9 and 8 (15 and 10); the last two caps stop a polish
     @pytest.mark.parametrize("max_iters, max_total_iters", [
         (3, 50_000), (10_000, 6), (10_000, 1), (8, 14), (25, 50_000), (10_000, 40),
     ])
@@ -244,6 +245,42 @@ class TestFitEdges:
         assert np.isfinite(best.f)
         # V is 0.48 MB; an n x n float64 array would be 32 MB
         assert peak < 4 * obs.V.nbytes
+
+    @pytest.mark.parametrize("p, unfolded", [(216, True), (215, False)])
+    def test_rule_edge_forms_no_large_array(self, monkeypatch, p, unfolded):
+        # k = 6 at d = 4: the stage takes the unfolding while k^3 = 216 <= p
+        import momentcp.objective as objective
+
+        calls = []
+        monkeypatch.setattr(objective, "moment_unfolding",
+                            lambda space, d: calls.append(d) or moment_unfolding(space, d))
+        obs = _mixture(1000, p, 3, 35)
+        tracemalloc.start()
+        try:
+            best = fit(obs, 4, 3, OptConfig(pgtol=1e-6), 2, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(best.f) and calls == ([4] if unfolded else [])
+        # V is 1.7 MB, T 10 KB; a Kronecker block 0.4 MB
+        assert peak < 4 * obs.V.nbytes
+
+    @pytest.mark.parametrize("solver, p, formed", [
+        ("lbfgs", 300, 1), ("lbfgs", 15, 0), ("adam", 300, 0),
+    ], ids=["unfolded", "matrix-free", "adam"])
+    def test_unfolding_formed_once_per_fit(self, monkeypatch, solver, p, formed):
+        # k = 4 at d = 3: the rule k^2 <= p holds at p = 300, not at p = 15
+        import momentcp.objective as objective
+
+        shapes = []
+        monkeypatch.setattr(objective, "moment_unfolding",
+                            lambda space, d: shapes.append(space.V.shape) or moment_unfolding(space, d))
+        if solver == "adam":
+            cfg = AdamConfig(epoch_len=10, batch=20, estimate_samples=100, max_epochs=2)
+        else:
+            cfg = OptConfig(pgtol=1e-6)
+        best = fit(_mixture(8, p, 2, 36), 3, 2, cfg, 3, 0)
+        assert len(best.runs) == 3 and shapes == [(4, p)] * formed
 
     # with r_hat = 2, k = 2 r_hat is clamped to n at (3, 20) and to p at (6, 3)
     @pytest.mark.parametrize("n, p", [(8, 20), (20, 6), (3, 20), (6, 3)])
@@ -431,7 +468,7 @@ class TestLiftDirection:
         monkeypatch.setattr(cli, "lbfgs_minimize", keep)
         fit(obs, d, r, cfg, 2, 7)
         U = principal_basis(obs, 2 * r)
-        comp = packed_fg_implicit(ObservationSet(U.T @ obs.V, obs.nu), d, r)
+        comp = packed_fg_compressed(ObservationSet(U.T @ obs.V, obs.nu), d, r)
         full = packed_fg_implicit(obs, d, r)
         polish_evals = []
         for i in range(2):
