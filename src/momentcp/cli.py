@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+import threading
 import time
 from dataclasses import dataclass, replace
 
@@ -38,6 +39,9 @@ from momentcp.optimize import (
 
 PAIRED_CHECK_RTOL = 1e-10
 PAIRED_CHECK_POINTS = 10
+# relative squared model distance at or below which a start's subspace
+# solution is in the basin of an earlier, polished start
+SAME_BASIN_TOL = 1e-9
 
 
 @dataclass
@@ -163,13 +167,52 @@ def _write_csv(path: str, fieldnames: list[str], rows) -> None:
         writer.writerows(rows)
 
 
+class _Basins:
+    """The starts of one fit grouped by their subspace solutions, in start order.
+
+    ``join(i, lam, B)`` waits until every start below ``i`` is decided, then
+    returns the first polished start whose model is within ``SAME_BASIN_TOL``
+    of ``(lam, B)``'s, or ``None``, in which case start ``i`` is polished and
+    later starts are compared with it.  The test is
+    ``||M_i - M_j||^2 <= SAME_BASIN_TOL * max(||M_i||^2, ||M_j||^2)`` through
+    the Gram identity ``<M_i, M_j> = lam_i' (B_i'B_j)^d lam_j``, O(k r^2) a
+    pair.  ``done(i)`` marks start ``i`` decided, after its ``join`` or when
+    it failed.  A decision thus reads only starts below ``i``, whatever the
+    thread count.
+    """
+
+    def __init__(self, starts: int, d: int) -> None:
+        self.d, self.decided, self.polished = d, [False] * starts, []
+        self.ready = threading.Condition()
+
+    def _inner(self, lam_a, B_a, lam_b, B_b) -> float:
+        return float(lam_a @ (B_a.T @ B_b) ** self.d @ lam_b)
+
+    def join(self, i: int, lam: np.ndarray, B: np.ndarray) -> int | None:
+        norm_sq = self._inner(lam, B, lam, B)
+        with self.ready:
+            self.ready.wait_for(lambda: all(self.decided[:i]))
+            j = next((j for j, lam_j, B_j, nsq in self.polished
+                      if norm_sq + nsq - 2.0 * self._inner(lam, B, lam_j, B_j)
+                      <= SAME_BASIN_TOL * max(norm_sq, nsq)), None)
+            if j is None:
+                self.polished.append((i, lam, B, norm_sq))
+        return j
+
+    def done(self, i: int) -> None:
+        with self.ready:
+            self.decided[i] = True
+            self.ready.notify_all()
+
+
 def fit(
     obs: ObservationSet, d: int, r_hat: int, cfg: OptConfig | AdamConfig, starts: int,
     seed: int | np.random.SeedSequence, *, init: str = "rrf", threads: int = 1,
     alpha: float = 0.0,
 ) -> RunReport:
     """Fit a rank-``r_hat`` model to the order-``d`` moment of ``obs`` from
-    ``starts`` seeded starts; returns the best run, as :func:`multistart` does.
+    ``starts`` seeded starts; returns the best run, as :func:`multistart` does,
+    of the runs that were polished.
 
     Each start has weights ``1/r_hat`` and factors from ``rrf_init`` (or
     ``gaussian_init`` for ``init="gaussian"``).  An ``AdamConfig`` runs Adam
@@ -188,7 +231,14 @@ def fit(
     ``U' G_A``, small.  A singular ``K`` or a failed search falls back to
     steepest descent; every later step is plain L-BFGS.  Its report is the
     polish's, with ``n_fg``, ``n_steps`` and ``wall_time`` summed over both
-    stages and the subspace stage's ``trace`` rows first.  Where
+    stages and the subspace stage's ``trace`` rows first.  The polish is
+    made once per basin: in start order, a start whose subspace model is
+    within ``SAME_BASIN_TOL`` (relative squared distance) of an earlier
+    polished start's gets only the one evaluation at its lift, with
+    ``reason`` ``"grouped with run j"`` naming that start (:class:`_Basins`;
+    clustering multistart, Rinnooy Kan & Timmer, 1987).  Every start still
+    has its run in ``runs``, and the decisions, like the bits, do not
+    depend on ``threads``.  Where
     ``k^(d-1) <= p`` the set-up also forms the ``k x k^(d-1)`` unfolding of
     the compressed moment, once, and the subspace stage evaluates from it
     in O(k^d r) instead of O(p k r)
@@ -214,24 +264,42 @@ def fit(
         sub_cfg = replace(cfg, max_total_iters=max(cfg.max_total_iters - 1, 1))
         setup = time.perf_counter() - t0
 
+    basins = _Basins(starts, d)
+    # multistart seeds run i with the i-th child it spawns from seed
+    first = seed.n_children_spawned if isinstance(seed, np.random.SeedSequence) else 0
+
+    def index(rng):
+        return rng.bit_generator.seed_seq.spawn_key[-1] - first
+
     def lift_step(x, g):
         return lift_direction(x, g, (obs.n, r_hat), d)
 
     def start(rng):
-        if init == "rrf":
-            return pack(lam0, rrf_init(space, r_hat, rng))
-        return pack(lam0, gaussian_init(space.n, r_hat, rng))
+        try:
+            if init == "rrf":
+                return pack(lam0, rrf_init(space, r_hat, rng))
+            return pack(lam0, gaussian_init(space.n, r_hat, rng))
+        except Exception:
+            basins.done(index(rng))  # later starts do not wait for a failed one
+            raise
 
     def minimize(x0, rng):
         if adam:
             return adam_minimize(obs, d, r_hat, x0, cfg, rng)
-        sub = lbfgs_minimize(comp, x0, sub_cfg, shape=(space.n, r_hat))
+        i = index(rng)
+        try:
+            sub = lbfgs_minimize(comp, x0, sub_cfg, shape=(space.n, r_hat))
+            joined = basins.join(i, sub.lam, sub.A)
+        finally:
+            basins.done(i)
         steps, evals = cfg.max_iters - sub.n_steps, cfg.max_total_iters - sub.n_fg
-        if min(steps, evals) < 1:  # budget spent: one evaluation at the lift, no step
+        if joined is not None or min(steps, evals) < 1:  # one evaluation at the lift, no step
             steps, evals = 1, 1
         rep = lbfgs_minimize(full, pack(sub.lam, U @ sub.A),
                              replace(cfg, max_iters=steps, max_total_iters=evals),
                              shape=(obs.n, r_hat), first_direction=lift_step)
+        if joined is not None:
+            rep.reason = f"grouped with run {joined}"
         rep.n_fg += sub.n_fg
         rep.n_steps += sub.n_steps
         rep.trace = sub.trace + [(f, t + sub.wall_time) for f, t in rep.trace]
@@ -239,6 +307,13 @@ def fit(
         return rep
 
     best = multistart(starts, start, minimize, seed, threads=threads)
+    # an unpolished lift can undercut the f its polished start reached by a hair
+    polished = {i for i, *_ in basins.polished}
+    pick = min((rp for rp in best.runs if rp.run_index in polished),
+               key=lambda rp: (rp.f, rp.run_index), default=best)
+    if pick is not best:  # multistart's best-run fields move to pick
+        pick.runs, pick.failures, pick.seed, best.seed = best.runs, best.failures, best.seed, pick.seed
+        best.runs, best.failures, best = None, [], pick
     best.setup_time = setup
     if adam:
         best.f, g = full(pack(best.lam, best.A))

@@ -120,7 +120,11 @@ class RunReport:
     mini-batch gradient steps).  ``setup_time`` is the time a multistart fit
     spent before its starts on work they share (:func:`momentcp.cli.fit`'s
     subspace basis and compressed moment unfolding); no run's ``wall_time``
-    includes it.
+    includes it.  A start of :func:`momentcp.cli.fit` whose subspace
+    solution is in the basin of an earlier, polished start is not polished:
+    its ``reason`` is ``"grouped with run j"``, naming that start, its
+    ``n_fg`` is the subspace stage's plus the one evaluation at its lift,
+    and its ``trace`` is the subspace stage's rows and one row at the lift.
     """
 
     lam: np.ndarray
@@ -473,7 +477,8 @@ def multistart(
 ) -> RunReport:
     """Run ``minimize`` from ``k`` independently seeded starts; keep the best.
 
-    Each run gets its own generator derived from ``(seed, run index)``;
+    Each run gets its own generator derived from ``(seed, run index)``: run
+    ``i``'s is seeded with the ``i``-th child this call spawns from ``seed``.
     ``init(rng)`` produces the starting point and the same generator is then
     handed to ``minimize`` for any in-run randomness.  The returned report is
     the run with the lowest final ``f`` (ties broken by run index), with all

@@ -2,8 +2,13 @@
 data ``U'V`` of the top-``min(2 r, n, p)`` basis ``U``, lifted to ``U B`` and
 polished on the full data."""
 
+import os
+import subprocess
 import sys
+import threading
 import tracemalloc
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +30,7 @@ from momentcp import (
     unpack,
     write_observations_csv,
 )
-from momentcp.cli import fit, main
+from momentcp.cli import SAME_BASIN_TOL, fit, main
 from momentcp.gmm import correlated_means, sample_gmm
 from momentcp.implicit import moment_unfolding, principal_basis
 from momentcp.objective import lift_direction, packed_fg_compressed
@@ -39,6 +44,22 @@ def _weighted(n, p, seed):
 def _mixture(n, p, r, seed, sigma=1e-2):
     rng = np.random.default_rng(seed)
     return sample_gmm(correlated_means(n, r, 0.5, rng), sigma, p, rng)
+
+
+def _basins(subs, d):
+    """``fit``'s grouping rule on dense tensors: for each subspace solution
+    ``(lam, B)`` in start order, the first earlier polished start whose model
+    is within ``SAME_BASIN_TOL`` of relative squared distance, or ``None``
+    for a start that is polished."""
+    polished, joined = [], []
+    for i, (lam, B) in enumerate(subs):
+        M = kruskal_to_dense(SymKruskal(d, lam, B)).entries
+        j = next((j for j, Mj in polished if np.sum((M - Mj) ** 2)
+                  <= SAME_BASIN_TOL * max(np.sum(M * M), np.sum(Mj * Mj))), None)
+        if j is None:
+            polished.append((i, M))
+        joined.append(j)
+    return joined
 
 
 class TestPrincipalBasis:
@@ -152,6 +173,7 @@ class TestTwoStage:
         k = U.shape[1]
         assert k == min(2 * r, n)
         space = ObservationSet(U.T @ obs.V, obs.nu)
+        joined = _basins([(c[3].lam, c[3].A) for c in calls[::2]], 3)
         for i, (run, child) in enumerate(zip(best.runs, np.random.SeedSequence(9).spawn(3))):
             (x_sub, cfg_sub, shape_sub, sub), (x_pol, cfg_pol, shape_pol, pol) = calls[2 * i : 2 * i + 2]
             # the start is drawn on U'V and fitted there, then lifted to U B
@@ -160,30 +182,38 @@ class TestTwoStage:
             assert np.array_equal(x_sub, pack(np.full(r, 1.0 / r), A0))
             assert (shape_sub, shape_pol) == ((k, r), (n, r))
             assert np.array_equal(x_pol, pack(sub.lam, U @ sub.A))
-            # the polish gets what the subspace stage left of the budget
-            assert cfg_pol.max_iters == cfg.max_iters - sub.n_steps
-            assert cfg_pol.max_total_iters == cfg.max_total_iters - sub.n_fg
+            if joined[i] is None:
+                # the polish gets what the subspace stage left of the budget
+                assert cfg_pol.max_iters == cfg.max_iters - sub.n_steps
+                assert cfg_pol.max_total_iters == cfg.max_total_iters - sub.n_fg
+                reason = pol.reason
+            else:
+                # a start in a polished start's basin gets one evaluation at its lift
+                assert (cfg_pol.max_iters, cfg_pol.max_total_iters) == (1, 1)
+                assert (pol.n_fg, pol.n_steps) == (1, 0)
+                reason = f"grouped with run {joined[i]}"
             assert cfg_pol.pgtol == cfg_sub.pgtol == cfg.pgtol
             # the run is the polish, with counts and time summed and traces joined
             assert run.run_index == i
             assert np.array_equal(run.lam, pol.lam) and np.array_equal(run.A, pol.A)
-            assert (run.f, run.grad_inf_norm, run.reason) == (pol.f, pol.grad_inf_norm, pol.reason)
+            assert (run.f, run.grad_inf_norm, run.reason) == (pol.f, pol.grad_inf_norm, reason)
             assert run.n_fg == sub.n_fg + pol.n_fg and run.n_steps == sub.n_steps + pol.n_steps
             assert run.wall_time == pol.wall_time + sub.wall_time
             assert [f for f, _ in run.trace] == [f for f, _ in sub.trace + pol.trace]
             times = [t for _, t in run.trace]
             assert times == sorted(times) and times[len(sub.trace)] >= sub.wall_time
-        # the best run, lowest f first and then lowest index, is the full
-        # objective with alpha at its lam and A
-        i_best = min(range(3), key=lambda i: (best.runs[i].f, i))
+        # the best polished run, lowest f first and then lowest index, is the
+        # full objective with alpha at its lam and A
+        i_best = min((i for i in range(3) if joined[i] is None), key=lambda i: (best.runs[i].f, i))
         assert best is best.runs[i_best]
         assert (best.run_index, best.seed) == (i_best, 9 if isinstance(seed(), int) else None)
         f, g = packed_fg_implicit(obs, 3, r, alpha)(pack(best.lam, best.A))
         assert best.f == f and best.grad_inf_norm == float(np.abs(g).max())
         assert best.setup_time > 0.0
 
-    # uncapped, the subspace stages take 23 and 13 steps (35 and 24 evaluations)
-    # and the polishes 9 and 8 (15 and 10); the last two caps stop a polish
+    # uncapped, the subspace stages take 22 and 15 steps (34 and 19
+    # evaluations); start 1's solution is in start 0's basin, so only start 0
+    # is polished, in 30 steps (44 evaluations); the last two caps stop that polish
     @pytest.mark.parametrize("max_iters, max_total_iters", [
         (3, 50_000), (10_000, 6), (10_000, 1), (8, 14), (25, 50_000), (10_000, 40),
     ])
@@ -193,15 +223,19 @@ class TestTwoStage:
         calls = self._spy(monkeypatch)
         best = fit(obs, 3, 2, cfg, 2, 3)
         full = packed_fg_implicit(obs, 3, 2)
+        joined = _basins([(c[3].lam, c[3].A) for c in calls[::2]], 3)
         for i, run in enumerate(best.runs):
             assert run.n_steps <= cfg.max_iters
             assert run.n_fg <= cfg.max_total_iters + cfg.max_line_steps
-            assert run.reason in ("iteration cap", "line-search failure")
+            if joined[i] is None:
+                assert run.reason in ("iteration cap", "line-search failure")
+            else:
+                assert run.reason == f"grouped with run {joined[i]}"
             f, g = full(pack(run.lam, run.A))
             assert run.f == f and run.grad_inf_norm == float(np.abs(g).max())
             sub, pol = calls[2 * i][3], calls[2 * i + 1][3]
-            if sub.n_steps == cfg.max_iters or sub.n_fg >= cfg.max_total_iters:
-                # a spent budget leaves one evaluation at the lift
+            if sub.n_steps == cfg.max_iters or sub.n_fg >= cfg.max_total_iters or joined[i] is not None:
+                # a spent budget, or a polished basin, leaves one evaluation at the lift
                 assert (pol.n_fg, pol.n_steps) == (1, 0)
 
     def test_setup_time_in_reported_totals(self, tmp_path, monkeypatch):
@@ -320,6 +354,9 @@ class TestFitEdges:
         assert [[f for f, _ in rp.trace] for rp in one.runs] == \
             [[f for f, _ in rp.trace] for rp in two.runs]
         assert [rp.n_fg for rp in one.runs] == [rp.n_fg for rp in two.runs]
+        # starts 1-3 are in start 0's basin, whichever thread decides first
+        assert [rp.reason for rp in one.runs] == [rp.reason for rp in two.runs] == \
+            ["tolerance"] + ["grouped with run 0"] * 3
 
 
     def test_threads_match_sequential_bitwise_multi_block(self, monkeypatch):
@@ -349,6 +386,106 @@ class TestFitEdges:
             [[f for f, _ in rp.trace] for rp in many.runs]
         assert [(rp.n_fg, rp.f) for rp in one.runs] == [(rp.n_fg, rp.f) for rp in many.runs]
         assert all(np.array_equal(a.A, b.A) for a, b in zip(one.runs, many.runs))
+        assert [rp.reason for rp in one.runs] == [rp.reason for rp in many.runs] == \
+            ["line-search failure"] + ["grouped with run 0"] * 5
+
+
+class TestBasins:
+    """``fit`` polishes one start per basin of the subspace solutions."""
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_grouped_run_reports_its_lift(self, monkeypatch, d):
+        # at d = 2 a grouped lift is 1.1e-15 below the polished start's f
+        obs = ObservationSet(_mixture(9, 200, 2, 22, sigma=0.1).V, _weighted(1, 200, 2).nu)
+        calls = TestTwoStage._spy(monkeypatch)
+        best = fit(obs, d, 2, OptConfig(pgtol=1e-7), 3, 5, alpha=0.3)
+        assert len(best.runs) == 3
+        full = packed_fg_implicit(obs, d, 2, 0.3)
+        joined = _basins([(c[3].lam, c[3].A) for c in calls[::2]], d)
+        assert joined == [None, 0, 0]
+        for i in (1, 2):
+            run, sub, pol = best.runs[i], calls[2 * i][3], calls[2 * i + 1][3]
+            f, g = full(pack(run.lam, run.A))
+            assert run.f == f and run.grad_inf_norm == float(np.abs(g).max())
+            assert np.array_equal(run.A, principal_basis(obs, 4) @ sub.A)
+            assert run.n_fg == sub.n_fg + 1 and run.n_steps == sub.n_steps
+            assert len(run.trace) == len(sub.trace) + 1 and run.trace[-1][0] == run.f
+            assert run.reason == "grouped with run 0"
+        assert best is best.runs[0] and best.reason == "tolerance"
+        assert best.grad_inf_norm <= 1e-7 and best.seed == 5
+
+    def test_distinct_basins_match_polishing_every_start(self, monkeypatch):
+        # starts 0 and 1 stop near f = -0.218, at points of that flat basin
+        # farther apart than SAME_BASIN_TOL, and start 2 near -0.250
+        import momentcp.cli as cli
+
+        obs, cfg = _mixture(40, 2000, 5, 7), OptConfig(pgtol=1e-6)
+        got = fit(obs, 4, 5, cfg, 3, 7)
+        two = fit(obs, 4, 5, cfg, 3, 7, threads=2)
+        monkeypatch.setattr(cli, "SAME_BASIN_TOL", -np.inf)
+        want = fit(obs, 4, 5, cfg, 3, 7)
+        assert max(rp.f for rp in got.runs) - min(rp.f for rp in got.runs) > 0.03
+        for other in (two, want):
+            assert np.array_equal(got.lam, other.lam) and np.array_equal(got.A, other.A)
+            assert (got.f, got.run_index) == (other.f, other.run_index)
+            assert [[f for f, _ in rp.trace] for rp in got.runs] == \
+                [[f for f, _ in rp.trace] for rp in other.runs]
+            assert [(rp.n_fg, rp.reason) for rp in got.runs] == \
+                [(rp.n_fg, rp.reason) for rp in other.runs]
+        assert not any(rp.reason.startswith("grouped") for rp in got.runs)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("stage", ["init", "subspace"])
+    def test_failed_start_does_not_block_later_starts(self, monkeypatch, stage, threads):
+        # later starts wait for start 0's decision, which its failure must give
+        import momentcp.cli as cli
+
+        real = cli.rrf_init
+
+        def rrf_init(space, r, rng):
+            A0 = real(space, r, rng)
+            if rng.bit_generator.seed_seq.spawn_key[-1] == 0:
+                if stage == "init":
+                    raise ValueError("no start")
+                A0[0, 0] = np.nan  # the subspace stage raises at its first point
+            return A0
+
+        monkeypatch.setattr(cli, "rrf_init", rrf_init)
+        out = []
+        worker = threading.Thread(target=lambda: out.append(
+            fit(_mixture(8, 300, 2, 40), 3, 2, OptConfig(pgtol=1e-8), 3, 0, threads=threads)),
+            daemon=True)
+        worker.start()
+        worker.join(timeout=60)
+        assert out, "fit is still waiting"
+        best = out[0]
+        assert len(best.failures) == 1 and best.failures[0].startswith("run 0: ")
+        assert [rp.run_index for rp in best.runs] == [1, 2]
+        assert [rp.reason for rp in best.runs] == ["tolerance", "grouped with run 1"]
+
+    def test_decompose_imports_no_scipy(self, tmp_path):
+        # scipy takes longer to import than a small fit takes; the grouping
+        # test must not reach for gmm.similarity_score
+        data, out = tmp_path / "obs.csv", tmp_path / "sol.json"
+        write_observations_csv(str(data), _mixture(8, 300, 2, 40))
+        argv = ["decompose", "--input", str(data), "--order", "3", "--rank", "2",
+                "--starts", "3", "--pgtol", "1e-8", "--output", str(out)]
+        code = (
+            "import sys, momentcp.cli as cli\n"
+            "fit, runs = cli.fit, []\n"
+            "cli.fit = lambda *a, **k: runs.append(fit(*a, **k)) or runs[-1]\n"
+            f"assert cli.main({argv!r}) == 0\n"
+            "print([rp.reason for rp in runs[0].runs])\n"
+            "print([m for m in sys.modules if m.startswith('scipy')])\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        reasons, modules = proc.stdout.splitlines()[-2:]  # after decompose's summary line
+        assert reasons == str(["tolerance"] + ["grouped with run 0"] * 2)
+        assert modules == "[]"
 
 
 def _model_jacobian(lam, A, d):
@@ -470,6 +607,9 @@ class TestLiftDirection:
         U = principal_basis(obs, 2 * r)
         comp = packed_fg_compressed(ObservationSet(U.T @ obs.V, obs.nu), d, r)
         full = packed_fg_implicit(obs, d, r)
+        # start 1's subspace solution is in start 0's basin: fit does not
+        # polish it, so its polish is run here from the same lift and budget
+        assert _basins([(c[3].lam, c[3].A) for c in calls[::2]], d) == [None, 0]
         polish_evals = []
         for i in range(2):
             (x_sub, cfg_sub, shape_sub, sub), (x_pol, cfg_pol, shape_pol, pol) = calls[2 * i : 2 * i + 2]
@@ -479,12 +619,16 @@ class TestLiftDirection:
             assert np.array_equal(sub.A, want.A) and np.array_equal(sub.lam, want.lam)
             assert (sub.f, sub.n_fg, sub.n_steps) == (want.f, want.n_fg, want.n_steps)
             assert [f for f, _ in sub.trace] == [f for f, _ in want.trace]
+            budget = replace(cfg, max_iters=cfg.max_iters - sub.n_steps,
+                             max_total_iters=cfg.max_total_iters - sub.n_fg)
+            assert cfg_pol == (budget if i == 0 else replace(cfg, max_iters=1, max_total_iters=1))
             # the polish is L-BFGS opened by the lift's Gauss-Newton direction
-            gn = lbfgs_minimize(full, x_pol, cfg_pol, shape_pol,
+            gn = lbfgs_minimize(full, x_pol, budget, shape_pol,
                                 first_direction=lambda x, g: lift_direction(x, g, (n, r), d))
-            assert np.array_equal(pol.A, gn.A) and (pol.f, pol.n_fg) == (gn.f, gn.n_fg)
-            plain = lbfgs_minimize(full, x_pol, cfg_pol, shape_pol)
-            assert pol.reason == plain.reason == "tolerance"
-            assert abs(pol.f - plain.f) <= 1e-12 * abs(plain.f)
-            polish_evals.append((pol.n_fg, plain.n_fg))
+            if i == 0:
+                assert np.array_equal(pol.A, gn.A) and (pol.f, pol.n_fg) == (gn.f, gn.n_fg)
+            plain = lbfgs_minimize(full, x_pol, budget, shape_pol)
+            assert gn.reason == plain.reason == "tolerance"
+            assert abs(gn.f - plain.f) <= 1e-12 * abs(plain.f)
+            polish_evals.append((gn.n_fg, plain.n_fg))
         assert all(a < b for a, b in polish_evals), polish_evals

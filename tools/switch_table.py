@@ -18,15 +18,22 @@ which runs first, on one BLAS thread::
 prints its fits as JSON.  The data and the similarity score are made here
 with numpy and scipy, not with ``momentcp.gmm``, so that both checkouts fit
 the same arrays and are scored the same way.  Each row of the output has
-BENCH_one_route.json's layout: per seed, both sides' time (the minimum of
-``REPEATS`` fits, the basis included), best ``f``, score against the true
-means and summed evaluations.  The gate marks a fit whose changed best ``f``
+BENCH_one_route.json's layout: per seed, both sides' wall and CPU time (the
+medians of ``REPEATS`` fits by ``perf_counter`` and ``process_time``, the
+basis included), best ``f``, score against the true means, summed
+evaluations and the number of starts polished (runs whose ``reason`` is not
+``"grouped with run j"``).  Each side also records, per start after the
+first, the relative squared distance ``||M_i - M_j||^2 / max(||M_i||^2,
+||M_j||^2)`` from its subspace solution to the nearest earlier start's
+(read off the first of each start's two ``lbfgs_minimize`` calls), so the
+summary's decade counts show where ``cli.SAME_BASIN_TOL`` falls among the
+distances that occur.  The gate marks a fit whose changed best ``f``
 is above the parent's by more than ``F_RTOL`` (relative), or, where
 ``r <= n``, whose score is more than ``SCORE_TOL`` from the parent's; four
 means in three dimensions are not identifiable, so ``r > n`` is gated on
 ``f`` alone.  The summary takes the same-code spread of the time ratios
 from the shapes whose fits are bit-identical on both sides (all of them
-when ``--parent`` and ``--change`` name one checkout).
+when ``--parent`` and ``--change`` name one checkout), for wall and CPU time.
 """
 
 from __future__ import annotations
@@ -45,7 +52,7 @@ import numpy as np
 
 F_RTOL = 1e-6
 SCORE_TOL = 1e-3
-REPEATS = 2
+REPEATS = 3
 CONGRUENCE = 0.5
 TABLES = {0.1: (21, 22, 23, 24), 0.01: (11, 12, 13, 14)}
 # (d, n, r, p, starts)
@@ -88,28 +95,55 @@ def score(means: np.ndarray, A: np.ndarray) -> float:
     return float(cos[rows, cols].sum() / min(cos.shape))
 
 
+def nearest_distances(subs: list[tuple[np.ndarray, np.ndarray]], d: int) -> list[float]:
+    """Per start after the first, the relative squared model distance from
+    its ``(lam, B)`` to the nearest earlier start's, by the Gram identity."""
+    def inner(a, b):
+        return float(a[0] @ (a[1].T @ b[1]) ** d @ b[0])
+
+    def distance(a, b):
+        scale = max(inner(a, a), inner(b, b))
+        return (inner(a, a) + inner(b, b) - 2.0 * inner(a, b)) / scale if scale else 0.0
+
+    return [min(distance(a, b) for b in subs[:i]) for i, a in enumerate(subs) if i]
+
+
 def fit_side(sigma: float, seed: int, pgtol: float) -> list[dict]:
     """Every shape fitted by the ``momentcp`` on ``sys.path``."""
-    from momentcp.cli import OptConfig, fit
+    import momentcp.cli as cli
     from momentcp.dense import ObservationSet
 
+    calls = []
+    lbfgs_minimize = cli.lbfgs_minimize
+
+    def kept(*args, **kwargs):
+        calls.append(lbfgs_minimize(*args, **kwargs))
+        return calls[-1]
+
+    cli.lbfgs_minimize = kept
     fits = []
     for d, n, r, p, starts in SHAPES:
         means, V = mixture(n, r, p, sigma, seed)
         obs = ObservationSet(V)
-        times = []
+        wall, cpu = [], []
         for _ in range(REPEATS):
-            t0 = time.perf_counter()
-            best = fit(obs, d, r, OptConfig(pgtol=pgtol), starts, seed)
-            times.append(time.perf_counter() - t0)
+            calls.clear()
+            t0, c0 = time.perf_counter(), time.process_time()
+            best = cli.fit(obs, d, r, cli.OptConfig(pgtol=pgtol), starts, seed)
+            wall.append(time.perf_counter() - t0)
+            cpu.append(time.process_time() - c0)
         bits = hashlib.sha256()
         for rep in best.runs:
             bits.update(np.array([rep.f, rep.n_fg, *(f for f, _ in rep.trace)]).tobytes())
             bits.update(rep.lam.tobytes() + rep.A.tobytes())
         fits.append({
-            "d": d, "n": n, "r": r, "p": p, "starts": starts, "time_s": min(times),
+            "d": d, "n": n, "r": r, "p": p, "starts": starts,
+            "time_s": statistics.median(wall), "cpu_s": statistics.median(cpu),
             "best_f": float(best.f), "score": score(means, best.A),
-            "evals": int(sum(rep.n_fg for rep in best.runs)), "sha256": bits.hexdigest()[:16],
+            "evals": int(sum(rep.n_fg for rep in best.runs)),
+            "polished": sum(not rep.reason.startswith("grouped with run") for rep in best.runs),
+            "nearest": nearest_distances([(rep.lam, rep.A) for rep in calls[::2]], d),
+            "sha256": bits.hexdigest()[:16],
         })
     return fits
 
@@ -135,8 +169,10 @@ def rows(parent: dict, change: dict, order: dict) -> list[dict]:
             per_seed.append({
                 "seed": seed, "order": order[seed],
                 "time_ratio": round(b["time_s"] / a["time_s"], 3),
-                "parent": {k: a[k] for k in ("time_s", "best_f", "score", "evals")},
-                "change": {k: b[k] for k in ("time_s", "best_f", "score", "evals")},
+                "cpu_ratio": round(b["cpu_s"] / a["cpu_s"], 3),
+                "parent": {k: a[k] for k in ("time_s", "cpu_s", "best_f", "score", "evals", "polished")},
+                "change": {k: b[k] for k in ("time_s", "cpu_s", "best_f", "score", "evals", "polished")},
+                "nearest_distances": [float(f"{x:.2g}") for x in b["nearest"]],
                 "best_f_rel_diff": f_rel,
                 "f_ok": f_rel <= F_RTOL,
                 "score_ok": abs(b["score"] - a["score"]) <= SCORE_TOL if r <= n else None,
@@ -148,6 +184,8 @@ def rows(parent: dict, change: dict, order: dict) -> list[dict]:
             "unfolded": min(2 * r, n, p) ** (d - 1) <= p,
             "bits_identical": all(s["bits_identical"] for s in per_seed),
             "median_time_ratio": round(statistics.median(s["time_ratio"] for s in per_seed), 3),
+            "median_cpu_ratio": round(statistics.median(s["cpu_ratio"] for s in per_seed), 3),
+            "polished": {side: [s[side]["polished"] for s in per_seed] for side in ("parent", "change")},
             f"best_f_within_{F_RTOL:g}_rel": all(s["f_ok"] for s in per_seed),
             f"score_within_{SCORE_TOL:g}": all(s["score_ok"] for s in per_seed) if r <= n else None,
             "per_seed": per_seed,
@@ -156,13 +194,24 @@ def rows(parent: dict, change: dict, order: dict) -> list[dict]:
 
 
 def summary(table: list[dict]) -> dict:
-    same = [row["median_time_ratio"] for row in table if row["bits_identical"]]
+    same = [row for row in table if row["bits_identical"]]
     fits = [s for row in table for s in row["per_seed"]]
     scored = [s for s in fits if s["score_ok"] is not None]
+    decades = {}
+    for s in fits:
+        for x in s["nearest_distances"]:
+            key = "0" if x <= 0 else f"1e{int(np.floor(np.log10(x)))}"
+            decades[key] = decades.get(key, 0) + 1
     return {
-        "same_code_median_time_ratio_range": [min(same), max(same)] if same else None,
-        "changed_median_time_ratios": {
-            f"d={row['d']},n={row['n']},r={row['r']}": row["median_time_ratio"]
+        "same_code_median_time_ratio_range":
+            [min(r["median_time_ratio"] for r in same), max(r["median_time_ratio"] for r in same)]
+            if same else None,
+        "same_code_median_cpu_ratio_range":
+            [min(r["median_cpu_ratio"] for r in same), max(r["median_cpu_ratio"] for r in same)]
+            if same else None,
+        "changed_median_time_and_cpu_ratios": {
+            f"d={row['d']},n={row['n']},r={row['r']}":
+                [row["median_time_ratio"], row["median_cpu_ratio"]]
             for row in table if not row["bits_identical"]
         },
         "fits": len(fits),
@@ -172,6 +221,13 @@ def summary(table: list[dict]) -> dict:
         "max_best_f_rel_diff": max(s["best_f_rel_diff"] for s in fits),
         "max_abs_score_diff": max(abs(s["change"]["score"] - s["parent"]["score"])
                                   for s in scored),
+        "starts": sum(row["starts"] for row in table for _ in row["per_seed"]),
+        "starts_polished": {side: sum(s[side]["polished"] for s in fits)
+                            for side in ("parent", "change")},
+        "fits_with_a_grouped_start": {
+            side: sum(s[side]["polished"] < row["starts"] for row in table for s in row["per_seed"])
+            for side in ("parent", "change")},
+        "nearest_distance_decades": dict(sorted(decades.items(), key=lambda kv: float(kv[0]))),
     }
 
 
