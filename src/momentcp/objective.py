@@ -16,10 +16,13 @@ implicit route).
 The solvers call one packed evaluator, :func:`packed_fg`, which checks the
 problem once when it is built and then only that each point is finite;
 :func:`fg_explicit` and :func:`fg_implicit` build it for one point and
-return its value and gradient blocks as an :class:`FgResult`.
+return its value and gradient blocks as an :class:`FgResult`.  The
+matrix-free one, :func:`packed_fg_implicit`, makes ``V``'s TTSV blocks and
+the weights in the blocks' ``p x r`` shape once, when it is built.
 
 For fixed ``A`` the objective is quadratic in ``lam``, minimized by
-``lam* = G^{-1} w`` with ``G = (A'A)^d`` (elementwise) and ``w_j = a_j'y_j``.
+``lam* = G^{-1} w`` with ``G = (A'A)^d`` (elementwise) and ``w_j = a_j'y_j``,
+solved by ``G``'s Cholesky factor.
 The packed evaluator also has a reduced route over ``A`` alone (variable
 projection): ``f(lam*(A), A)`` and, by the envelope theorem, ``g_A`` at
 ``(lam*, A)``.  L-BFGS minimizes it; Adam, whose sampled ``lam`` gradients
@@ -37,11 +40,12 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from numpy.linalg import _umath_linalg as _gufunc  # np.linalg's LAPACK gufuncs
 
 from momentcp.dense import DenseSymTensor, ObservationSet, ttsv_batch_dense
 from momentcp.implicit import (
-    TTSV_BLOCK_BYTES, _column_blocks, _elementwise_power, _ttsv, _ttsv_back, kr_power,
-    moment_unfolding, ttsv_batch,
+    TTSV_BLOCK_BYTES, _column_blocks, _elementwise_power, _ttsv, _ttsv_back, _weighted_power,
+    kr_power, moment_unfolding, ttsv_batch,
 )
 
 FgCallback = Callable[[np.ndarray], tuple[float, np.ndarray]]
@@ -65,17 +69,20 @@ def _finish(Y: np.ndarray, lam: np.ndarray | None, A: np.ndarray, d: int, alpha:
     ``G = (A'A) * (A'A)^(d-1)``, which is ``(A'A)^d`` bit for bit.  With
     ``lam=None`` the weights are ``lam* = G^{-1} w``."""
     n, r = A.shape
-    B = A.T @ A
-    C = _elementwise_power(B, d - 1)
-    G = B * C
+    G = A.T @ A
+    C = _elementwise_power(G, d - 1)  # a new array, so G is scaled in place
+    G *= C
     w = np.einsum("ij,ij->j", A, Y)  # w_j = a_j.T y_j, as in model_data_inner
     if lam is None:
         lam = _lam_star(G, w)
     u = G @ lam
     f = alpha + float(lam @ u) - 2.0 * float(w @ lam)
     g = np.empty(r + n * r)  # both gradient blocks are written into their packed slots
-    np.multiply(-2.0, w - u, out=g[:r])
-    np.multiply(-2.0 * d * (Y - (A * lam) @ C), lam, out=g[r:].reshape((n, r), order="F"))
+    np.multiply(-2.0, np.subtract(w, u, out=u), out=g[:r])
+    E = (A * lam) @ C
+    np.subtract(Y, E, out=E)
+    E *= -2.0 * d
+    np.multiply(E, lam, out=g[r:].reshape((n, r), order="F"))
     return lam, f, g
 
 
@@ -87,25 +94,28 @@ def _lam_star(G: np.ndarray, w: np.ndarray) -> np.ndarray:
     zero columns, ``r`` above the dimension of the symmetric tensors) and the
     minimum-norm least-squares solution, which gives the same ``f``, is taken.
     An overflowed ``G`` or ``w`` gives NaN weights, hence a non-finite ``f``,
-    which ends an L-BFGS run at its last finite iterate.
+    which ends an L-BFGS run at its last finite iterate.  The factor's two
+    solves call ``np.linalg.solve``'s gufunc directly (see :func:`_cholesky`).
     """
     if not (np.isfinite(G).all() and np.isfinite(w).all()):
         return np.full_like(w, np.nan)
     L = _cholesky(G)
     if L is not None:
-        return np.linalg.solve(L.T, np.linalg.solve(L, w))
+        with np.errstate(all="ignore"):  # L is nonsingular; an overflow gives NaN weights
+            return _gufunc.solve1(L.T, _gufunc.solve1(L, w, signature="dd->d"), signature="dd->d")
     return np.linalg.lstsq(G, w, rcond=None)[0]
 
 
 def _cholesky(G: np.ndarray) -> np.ndarray | None:
     """The lower Cholesky factor of the finite ``G``, or ``None`` when ``G``
     is not positive definite to working precision: a pivot keeps at most
-    ``sqrt(eps)`` of its diagonal entry."""
-    try:
-        L = np.linalg.cholesky(G)
-    except np.linalg.LinAlgError:
-        return None
-    return L if (np.diagonal(L) ** 2 > _PIVOT_FLOOR * np.diagonal(G)).all() else None
+    ``sqrt(eps)`` of its diagonal entry.  It is ``np.linalg.cholesky``'s
+    gufunc without the wrapper, whose checks and error-state switch cost as
+    much as the factorization at ``r <= 10``; a factorization that fails is
+    all NaN, which fails the pivot test."""
+    with np.errstate(all="ignore"):
+        L = _gufunc.cholesky_lo(G, signature="d->d")
+        return L if (L.diagonal() ** 2 > _PIVOT_FLOOR * G.diagonal()).all() else None
 
 
 def lift_direction(
@@ -245,10 +255,11 @@ def packed_fg_implicit(
     (:class:`_ImplicitLine`), whose trials after the first read no ``V``.  A
     ``V`` of one block is read from cache by every pass, so it offers none.
     """
-    V, nu = obs.V, obs.nu
-    fg = packed_fg(lambda A: _ttsv(V, nu, A, d), obs.n, r, d, alpha)
-    if len(_column_blocks(V)) > 1:
-        fg.line = functools.partial(_ImplicitLine, V, nu, d, r, alpha)
+    V, blocks = obs.V, _column_blocks(obs.V)
+    W = np.repeat(obs.nu, r).reshape(obs.p, r)  # the weights in the TTSV blocks' shape
+    fg = packed_fg(lambda A: _ttsv(V, W, A, d, None, blocks), obs.n, r, d, alpha)
+    if len(blocks) > 1:
+        fg.line = functools.partial(_ImplicitLine, V, W, blocks, d, r, alpha)
     return fg
 
 
@@ -276,7 +287,8 @@ class _ImplicitLine:
     ``trial(t)`` gives ``(f, slope)`` at step ``t``, the slope being
     ``g_A . D_A`` (``D``'s ``lam`` slots are ignored), and ``point(t)`` gives
     ``(pack(lam*, A), f, gradient)`` there, as ``fg.project(x + tD)`` does,
-    for a step the line has tried (or ``t = 0`` at a run's start).
+    for a step the line has tried (or ``t = 0`` at a run's start), and sets
+    ``moved`` to ``(x + tD, search gradient)`` there.
     ``prev`` is the line whose ``point`` gave ``x``; it hands on ``VtA = V'A``
     and ``f`` at ``x``.  A line without it (a run's start, with ``D`` None,
     to evaluate ``point(0)``) makes every evaluation a fused pass.
@@ -302,11 +314,11 @@ class _ImplicitLine:
     state.
     """
 
-    def __init__(self, V, nu, d, r, alpha, x, D=None, prev=None):
-        self.V, self.nu, self.d, self.r, self.alpha = V, nu, d, r, alpha
+    def __init__(self, V, W, blocks, d, r, alpha, x, D=None, prev=None):
+        self.V, self.W, self.blocks, self.d, self.r, self.alpha = V, W, blocks, d, r, alpha
         self.x, self.D = x, D
         self.VtA, self.f0 = (None, None) if prev is None else prev.end
-        self.fused = {}  # step -> (V'A, pack(lam*, A), f, gradient) of a fused pass
+        self.fused = {}  # step -> (V'A, pack(lam*, A), f, gradient, x + tD) of a fused pass
         self.delta = self.phi0 = None  # V'D and phi(0), formed at the second trial
         self.end = None  # (V'A, f) at the last point taken
 
@@ -314,8 +326,9 @@ class _ImplicitLine:
         xt = self.x if t == 0.0 else self.x + t * self.D
         A = _factor(xt, self.V.shape[0], self.r)
         VtA = np.empty((self.V.shape[1], self.r))
-        lam, f, g = _finish(_ttsv(self.V, self.nu, A, self.d, VtA), None, A, self.d, self.alpha)
-        self.fused[t] = (VtA, np.concatenate([lam, xt[self.r :]]), f, g)
+        Y = _ttsv(self.V, self.W, A, self.d, VtA, self.blocks)
+        lam, f, g = _finish(Y, None, A, self.d, self.alpha)
+        self.fused[t] = (VtA, np.concatenate([lam, xt[self.r :]]), f, g, xt)
         return self.fused[t]
 
     def _tail(self, w, A):
@@ -329,7 +342,7 @@ class _ImplicitLine:
     def _cheap(self, t):
         """``(phi, slope)`` at ``t`` from ``VtA(t)``, reading no ``V``; its
         first call also forms ``delta`` and ``phi0 = phi(0)``."""
-        n, r, d, nu, VtA = self.V.shape[0], self.r, self.d, self.nu, self.VtA
+        n, r, d, W, VtA = self.V.shape[0], self.r, self.d, self.W, self.VtA
         first = self.delta is None
         if first:
             t1, (VtA1, *_) = next(iter(self.fused.items()))
@@ -343,13 +356,11 @@ class _ImplicitLine:
             if first:
                 db = np.subtract(VtA1[b], VtA[b], out=delta[b])
                 db /= t1
-                P = _elementwise_power(VtA[b], d - 1)
-                P *= nu[b, None]
+                P = _weighted_power(VtA[b], W[b], d - 1)
                 w0 += np.einsum("ij,ij->j", P, VtA[b])
             X = delta[b] * t
             X += VtA[b]
-            P = _elementwise_power(X, d - 1)
-            P *= nu[b, None]
+            P = _weighted_power(X, W[b], d - 1)
             w += np.einsum("ij,ij->j", P, X)
             DY += np.einsum("ij,ij->j", P, delta[b])
         if first:
@@ -362,7 +373,7 @@ class _ImplicitLine:
 
     def trial(self, t: float) -> tuple[float, float]:
         if self.VtA is None or not self.fused:
-            _, _, f, g = self._fused(t)
+            _, _, f, g, _ = self._fused(t)
             return f, float(g[self.r :] @ self.D[self.r :])
         phi, slope = self._cheap(t)
         return self.f0 + (phi - self.phi0), slope
@@ -371,15 +382,16 @@ class _ImplicitLine:
         if t not in self.fused and (self.VtA is None or not self.fused):
             self._fused(t)
         if t in self.fused:
-            VtA, x_star, f, g = self.fused[t]
+            VtA, x_star, f, g, xt = self.fused[t]
         else:
             VtA = self.VtA + t * self.delta
             xt = self.x + t * self.D
             A = _factor(xt, self.V.shape[0], self.r)
-            Y = _ttsv_back(self.V, self.nu, VtA, self.d)
+            Y = _ttsv_back(self.V, self.W, VtA, self.d, self.blocks)
             lam, f, g = _finish(Y, None, A, self.d, self.alpha)
             x_star = np.concatenate([lam, xt[self.r :]])
         self.end = (VtA, f)
+        self.moved = (xt, np.concatenate([np.zeros(self.r), g[self.r :]]))
         return x_star, f, g
 
 

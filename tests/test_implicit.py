@@ -19,8 +19,9 @@ from momentcp import (
 )
 from momentcp.dense import ttsv_batch_dense
 from momentcp.implicit import (
-    _elementwise_power, _ttsv, _ttsv_back, kr_power, moment_unfolding,
+    _column_blocks, _elementwise_power, _ttsv, _ttsv_back, kr_power, moment_unfolding,
 )
+from momentcp.objective import pack, packed_fg_implicit
 
 
 def random_instance(rng, d_choices=(2, 3, 4)):
@@ -124,11 +125,11 @@ class TestBlockedTtsv:
         A = rng.standard_normal((n, r))
         monkeypatch.setattr("momentcp.implicit.TTSV_BLOCK_BYTES", 8 * n * 7)
         VtA = np.empty((p, r))
-        Y = _ttsv(V, nu, A, d, VtA)
-        assert np.array_equal(Y, _ttsv(V, nu, A, d))
+        Y = _ttsv(V, nu[:, None], A, d, VtA)
+        assert np.array_equal(Y, _ttsv(V, nu[:, None], A, d))
         want = V.T @ A
         assert np.abs(VtA - want).max() <= 1e-14 * np.abs(want).max()
-        back = _ttsv_back(V, nu, VtA, d)
+        back = _ttsv_back(V, nu[:, None], VtA, d)
         assert np.allclose(back, Y, rtol=1e-13, atol=1e-13 * float(np.abs(Y).max()))
 
     def test_more_blocks_than_columns(self, monkeypatch):
@@ -157,7 +158,7 @@ class TestBlockedTtsv:
         for obs, _, A, d in cases:
             V, nu = obs.V, obs.nu
             want = V @ (nu[:, None] * _elementwise_power(V.T @ A, d - 1))
-            assert np.array_equal(_ttsv(V, nu, A, d), want)
+            assert np.array_equal(_ttsv(V, nu[:, None], A, d), want)
 
     def test_memory_bounded_in_p(self):
         # the p x r product and its power take 4 MB each; blocks take B x r
@@ -174,6 +175,68 @@ class TestBlockedTtsv:
         assert peak < 1e6
         want = obs.V @ (obs.nu[:, None] * _elementwise_power(obs.V.T @ A, d - 1))
         assert np.allclose(Y, want, rtol=1e-13, atol=1e-13 * float(np.abs(want).max()))
+
+    def test_evaluator_memory_bounded_in_p(self):
+        # the evaluator holds the weights as a p x r array, 4 MB here, made
+        # once; an evaluation adds B x r blocks and n x r arrays to it
+        rng = np.random.default_rng(26)
+        n, p, r, d = 100, 50_000, 10, 3
+        obs = ObservationSet(rng.standard_normal((n, p)) / np.sqrt(n))
+        x = pack(np.ones(r), rng.standard_normal((n, r)))
+        tracemalloc.start()
+        try:
+            fg = packed_fg_implicit(obs, d, r)
+            fg.project(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * p * r + 1e6
+
+    @pytest.mark.parametrize("blocked", [False, True])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_row_weights_match_column_weights_bitwise(self, monkeypatch, d, blocked):
+        # the evaluators' p x r weights scale each block as nu[:, None] does
+        rng = np.random.default_rng(40 + d)
+        n, p, r = 5, 103, 3
+        V = rng.standard_normal((n, p))
+        nu = rng.random(p) + 0.5
+        A = rng.standard_normal((n, r))
+        if blocked:
+            monkeypatch.setattr("momentcp.implicit.TTSV_BLOCK_BYTES", 8 * n * 7)
+        assert (len(_column_blocks(V)) > 1) == blocked
+        W = np.repeat(nu, r).reshape(p, r)
+        Y = _ttsv(V, W, A, d)
+        assert np.array_equal(Y, _ttsv(V, nu[:, None], A, d))
+        if not blocked:  # one block is the unblocked product
+            assert np.array_equal(Y, V @ (nu[:, None] * _elementwise_power(V.T @ A, d - 1)))
+        VtA = V.T @ A
+        assert np.array_equal(_ttsv_back(V, W, VtA, d), _ttsv_back(V, nu[:, None], VtA, d))
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
+    def test_power_is_a_new_array(self, k):
+        # callers scale the power in place, which must leave M as it was
+        M = np.random.default_rng(27).standard_normal((6, 3))
+        kept = M.copy()
+        P = _elementwise_power(M, k)
+        assert P is not M and not np.shares_memory(P, M)
+        P *= 3.0
+        assert np.array_equal(M, kept)
+
+    def test_weighting_leaves_kept_VtA(self, monkeypatch):
+        # at d = 2 the power of a block is its V_b'A: the weighting scales a
+        # copy, so the kept buffer holds V'A, not nu * V'A
+        rng = np.random.default_rng(28)
+        n, p, r = 5, 103, 3
+        V = rng.standard_normal((n, p))
+        nu = rng.random(p) + 0.5
+        A = rng.standard_normal((n, r))
+        monkeypatch.setattr("momentcp.implicit.TTSV_BLOCK_BYTES", 8 * n * 7)
+        VtA = np.empty((p, r))
+        Y = _ttsv(V, np.repeat(nu, r).reshape(p, r), A, 2, VtA)
+        want = V.T @ A
+        assert np.abs(VtA - want).max() <= 1e-14 * np.abs(want).max()
+        assert np.allclose(Y, V @ (nu[:, None] * want), rtol=1e-13,
+                           atol=1e-13 * float(np.abs(Y).max()))
 
 
 class TestMomentUnfolding:

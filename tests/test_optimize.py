@@ -245,7 +245,7 @@ class TestLbfgs:
 
         def counted_ttsv(A):
             passes.append(A)
-            return _ttsv(obs.V, obs.nu, A, d)
+            return _ttsv(obs.V, obs.nu[:, None], A, d)
 
         plain = packed_fg(counted_ttsv, n, r, d)
         x0 = pack(np.full(r, 1.0 / r), rrf_init(obs, r, rng))
@@ -378,16 +378,18 @@ class TestTwoLoop:
             Q = Q @ Q.T + 3.0 * np.eye(3)
             b = rng.standard_normal(3)
             x = rng.standard_normal(3)
-            s_list, y_list = [], []
+            # each pair's 1 / (s'y) is stored with it, as lbfgs_minimize does
+            s_list, y_list, rhos = [], [], []
             for _ in range(5):
                 g = Q @ x - b
                 step = -rng.uniform(0.05, 0.2) * g
                 s_list.append(step)
                 y_list.append(Q @ step)
+                rhos.append(1.0 / float(s_list[-1] @ y_list[-1]))
                 x = x + step
                 g_new = Q @ x - b
                 gamma = float(s_list[-1] @ y_list[-1]) / float(y_list[-1] @ y_list[-1])
-                got = two_loop_direction(g_new, s_list, y_list, gamma)
+                got = two_loop_direction(g_new, list(zip(s_list, y_list, rhos)), gamma)
                 want = dense_bfgs_direction(g_new, s_list, y_list, gamma)
                 assert np.allclose(got, want, rtol=1e-12, atol=1e-14)
 
