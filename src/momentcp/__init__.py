@@ -26,7 +26,6 @@ from momentcp.dense import (
     unique_entries,
 )
 from momentcp.gmm import (
-    GmmSpec,
     ScoreResult,
     correlated_means,
     gaussian_init,
@@ -69,7 +68,6 @@ __all__ = [
     "CapExceededError",
     "DenseSymTensor",
     "FgResult",
-    "GmmSpec",
     "ObservationSet",
     "OptConfig",
     "ParseError",

@@ -20,14 +20,7 @@ import numpy as np
 
 import momentcp
 from momentcp.dense import ObservationSet, build_moment, element_cap, ttsv_batch_dense
-from momentcp.gmm import (
-    GmmSpec,
-    correlated_means,
-    gaussian_init,
-    rrf_init,
-    sample_gmm,
-    similarity_score,
-)
+from momentcp.gmm import correlated_means, gaussian_init, rrf_init, sample_gmm, similarity_score
 from momentcp.implicit import data_norm_sq, principal_basis, ttsv_batch
 from momentcp.io import ParseError, SolutionRecord, read_observations
 from momentcp.objective import (
@@ -42,6 +35,10 @@ PAIRED_CHECK_POINTS = 10
 # relative squared model distance at or below which a start's subspace
 # solution is in the basin of an earlier, polished start
 SAME_BASIN_TOL = 1e-9
+# the gmm sweep's mixture: observations per component and the pairwise inner
+# product of its unit-norm means
+GMM_SAMPLES_PER_COMPONENT = 250
+GMM_CONGRUENCE = 0.5
 
 
 @dataclass
@@ -332,9 +329,12 @@ def run_gmm_sweep(
     seed: int,
     pgtol: float = 1e-4,
     threads: int = 1,
-    congruence: float = 0.5,
 ) -> list[dict]:
     """Generate mixture data and fit each rank in ``[rank_min, rank_max]``.
+
+    The data are ``GMM_SAMPLES_PER_COMPONENT * r`` draws from ``r`` unit-norm
+    means in dimension ``n`` whose pairwise inner products are
+    ``GMM_CONGRUENCE``, with covariance ``sigma**2 * I``.
 
     Per rank: a multistart fit (range-finder initialization), the relative
     error ``||X - M|| / ||X||`` computed entirely matrix-free, the similarity
@@ -342,11 +342,10 @@ def run_gmm_sweep(
     """
     if rank_min < 1 or rank_max < rank_min:
         raise ValueError(f"bad rank range [{rank_min}, {rank_max}]")
-    spec = GmmSpec(n=n, r=r, sigma=sigma, congruence=congruence)  # checks 1 <= r <= n
     ranks = list(range(rank_min, rank_max + 1))
     ss_means, ss_data, *ss_runs = np.random.SeedSequence(seed).spawn(2 + len(ranks))
-    means = correlated_means(n, r, congruence, np.random.default_rng(ss_means))
-    obs = sample_gmm(means, sigma, spec.p, np.random.default_rng(ss_data))
+    means = correlated_means(n, r, GMM_CONGRUENCE, np.random.default_rng(ss_means))
+    obs = sample_gmm(means, sigma, GMM_SAMPLES_PER_COMPONENT * r, np.random.default_rng(ss_data))
     norm_x_sq = data_norm_sq(obs, d)
 
     rows = []

@@ -5,8 +5,8 @@ stored as a full d-way numpy array of shape ``(n,) * d``, laid out row-major
 (C order) on the multiindex ``(i1, ..., id)``.  It exists to be simple and
 obviously correct, so that the matrix-free kernels in :mod:`momentcp.implicit`
 can be checked against it entry by entry.  It is only meant for desk-scale
-problems; a configurable element cap refuses constructions that would
-allocate more than ``element_cap()`` entries.
+problems; an element cap refuses constructions that would allocate more
+than ``element_cap()`` entries (``MOMENTCP_ELEMENT_CAP`` sets it).
 
 Entry values produced by the constructors here depend only on the *multiset*
 of indices: products are accumulated over the sorted multiindex, so the
@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
@@ -45,8 +45,8 @@ def element_cap() -> int:
     return int(raw) if raw else DEFAULT_ELEMENT_CAP
 
 
-def _check_cap(n: int, d: int, cap: int | None = None) -> None:
-    limit = element_cap() if cap is None else int(cap)
+def _check_cap(n: int, d: int) -> None:
+    limit = element_cap()
     count = n**d
     if count > limit:
         gib = count * 8 / 1e9
@@ -68,15 +68,10 @@ class ObservationSet:
     nu:
         Strictly positive weight vector of length ``p``.  Defaults to the
         uniform weights ``1/p``.
-    labels:
-        Optional integer component labels, one per observation.  Carried
-        purely as evaluation metadata (e.g. which mixture component generated
-        each sample); no solver in this package reads them.
     """
 
     V: np.ndarray
     nu: np.ndarray | None = None
-    labels: np.ndarray | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         self.V = np.asarray(self.V, dtype=float)
@@ -97,10 +92,6 @@ class ObservationSet:
                 )
             if not np.isfinite(self.nu).all() or np.any(self.nu <= 0.0):
                 raise ValueError("nu entries must be finite and strictly positive")
-        if self.labels is not None:
-            self.labels = np.asarray(self.labels)
-            if self.labels.shape != (p,):
-                raise ValueError(f"labels must have length p={p}")
 
     @property
     def n(self) -> int:
@@ -110,8 +101,8 @@ class ObservationSet:
     def p(self) -> int:
         return self.V.shape[1]
 
-    def has_uniform_weights(self, rtol: float = 1e-14) -> bool:
-        return bool(np.allclose(self.nu, 1.0 / self.p, rtol=rtol, atol=0.0))
+    def has_uniform_weights(self) -> bool:
+        return bool(np.allclose(self.nu, 1.0 / self.p, rtol=1e-14, atol=0.0))
 
 
 @dataclass
@@ -126,14 +117,13 @@ class DenseSymTensor:
     order: int
     dim: int
     entries: np.ndarray
-    cap: InitVar[int | None] = None
 
-    def __post_init__(self, cap: int | None) -> None:
+    def __post_init__(self) -> None:
         if self.order < 2:
             raise ValueError(f"order must be >= 2, got {self.order}")
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
-        _check_cap(self.dim, self.order, cap)
+        _check_cap(self.dim, self.order)
         self.entries = np.asarray(self.entries, dtype=float)
         expected = (self.dim,) * self.order
         if self.entries.size != self.dim**self.order:
@@ -141,12 +131,6 @@ class DenseSymTensor:
                 f"entry count {self.entries.size} != dim**order = {self.dim**self.order}"
             )
         self.entries = self.entries.reshape(expected)
-
-    def __getitem__(self, multiindex):
-        return self.entries[multiindex]
-
-    def norm_sq(self) -> float:
-        return inner(self, self)
 
 
 @lru_cache(maxsize=8)
@@ -181,7 +165,7 @@ def _multiset_products(vec: np.ndarray, parts: np.ndarray) -> np.ndarray:
     return vals
 
 
-def outer_power(a: np.ndarray, d: int, cap: int | None = None) -> DenseSymTensor:
+def outer_power(a: np.ndarray, d: int) -> DenseSymTensor:
     """d-way symmetric outer power of a vector.
 
     Entry ``(i1, ..., id)`` is ``a[i1] * a[i2] * ... * a[id]``, the rank-1
@@ -193,8 +177,6 @@ def outer_power(a: np.ndarray, d: int, cap: int | None = None) -> DenseSymTensor
         Vector of length ``n``.
     d:
         Order, at least 2.
-    cap:
-        Optional element-cap override for this call.
 
     Returns
     -------
@@ -205,10 +187,10 @@ def outer_power(a: np.ndarray, d: int, cap: int | None = None) -> DenseSymTensor
         raise ValueError("a must be a nonempty 1-D vector")
     if d < 2:
         raise ValueError(f"order must be >= 2, got {d}")
-    return _sum_outer_powers(a[:, None], np.ones(1), d, cap)
+    return _sum_outer_powers(a[:, None], np.ones(1), d)
 
 
-def build_moment(obs: ObservationSet, d: int, cap: int | None = None) -> DenseSymTensor:
+def build_moment(obs: ObservationSet, d: int) -> DenseSymTensor:
     """Weighted d-th moment tensor ``sum_l nu_l * v_l^{outer d}`` of an observation set.
 
     Accumulation runs in a fixed sequential order over observations, so
@@ -216,23 +198,23 @@ def build_moment(obs: ObservationSet, d: int, cap: int | None = None) -> DenseSy
     """
     if d < 2:
         raise ValueError(f"order must be >= 2, got {d}")
-    return _sum_outer_powers(obs.V, obs.nu, d, cap)
+    return _sum_outer_powers(obs.V, obs.nu, d)
 
 
-def kruskal_to_dense(model: "SymKruskal", cap: int | None = None) -> DenseSymTensor:
+def kruskal_to_dense(model: "SymKruskal") -> DenseSymTensor:
     """Expand a symmetric Kruskal model ``sum_j lam_j * a_j^{outer d}`` to dense form."""
-    return _sum_outer_powers(model.A, model.lam, model.order, cap)
+    return _sum_outer_powers(model.A, model.lam, model.order)
 
 
-def _sum_outer_powers(M: np.ndarray, w: np.ndarray, d: int, cap: int | None) -> DenseSymTensor:
+def _sum_outer_powers(M: np.ndarray, w: np.ndarray, d: int) -> DenseSymTensor:
     """``sum_j w[j] * M[:, j]^{outer d}``, accumulated in column order."""
     n = M.shape[0]
-    _check_cap(n, d, cap)
+    _check_cap(n, d)
     parts, inverse = _multiset_index(n, d)
     acc = np.zeros(parts.shape[1])
     for j in range(M.shape[1]):
         acc += w[j] * _multiset_products(M[:, j], parts)
-    return DenseSymTensor(d, n, acc[inverse], cap=cap)
+    return DenseSymTensor(d, n, acc[inverse])
 
 
 def inner(X: DenseSymTensor, Y: DenseSymTensor) -> float:

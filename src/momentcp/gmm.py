@@ -20,42 +20,16 @@ from momentcp.dense import ObservationSet
 
 
 @dataclass
-class GmmSpec:
-    """Shape of a spherical mixture experiment: ``r`` unit-norm means in
-    dimension ``n`` with pairwise inner product ``congruence``, common
-    covariance ``sigma**2 * I``, and ``samples_per_component * r`` draws."""
-
-    n: int
-    r: int
-    sigma: float
-    samples_per_component: int = 250
-    congruence: float = 0.5
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.sigma < np.inf:
-            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
-        if not 1 <= self.r <= self.n:
-            raise ValueError(f"need 1 <= r <= n, got r={self.r}, n={self.n}")
-        if not abs(self.congruence) < 1:
-            raise ValueError(f"|congruence| must be < 1, got {self.congruence}")
-
-    @property
-    def p(self) -> int:
-        return self.samples_per_component * self.r
-
-
-@dataclass
 class ScoreResult:
     """Matched-cosine similarity between two factor matrices.
 
     ``matching`` holds ``(true_column, estimated_column)`` index pairs for
-    the optimal injective assignment; ``cosines`` the corresponding absolute
-    cosines; ``score`` their mean.
+    the optimal injective assignment; ``score`` is the mean of their absolute
+    cosines.
     """
 
     score: float
     matching: np.ndarray
-    cosines: np.ndarray
 
 
 def correlated_means(
@@ -87,9 +61,9 @@ def sample_gmm(
 ) -> ObservationSet:
     """Draw ``p`` observations from the spherical mixture with the given means.
 
-    Samples are divided proportionally across components (any remainder is
-    assigned round-robin to the first components).  Component labels ride
-    along as evaluation-only metadata; weights are uniform.
+    Samples are divided proportionally across components and ordered by
+    component (any remainder is assigned round-robin to the first
+    components); weights are uniform.
     """
     means = np.asarray(means, dtype=float)
     n, r = means.shape
@@ -99,9 +73,8 @@ def sample_gmm(
         raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
     counts = np.full(r, p // r)
     counts[: p % r] += 1
-    labels = np.repeat(np.arange(r), counts)
-    V = means[:, labels] + sigma * rng.standard_normal((n, p))
-    return ObservationSet(V, labels=labels)
+    V = means[:, np.repeat(np.arange(r), counts)] + sigma * rng.standard_normal((n, p))
+    return ObservationSet(V)
 
 
 def rrf_init(
@@ -159,9 +132,7 @@ def similarity_score(A_true: np.ndarray, A_hat: np.ndarray) -> ScoreResult:
     from scipy.optimize import linear_sum_assignment
 
     rows, cols = linear_sum_assignment(cos, maximize=True)
-    matched = cos[rows, cols]
     return ScoreResult(
-        score=float(matched.sum() / min(cos.shape)),
+        score=float(cos[rows, cols].sum() / min(cos.shape)),
         matching=np.stack([rows, cols], axis=1),
-        cosines=matched,
     )

@@ -80,17 +80,6 @@ class SymKruskal:
         if not (np.isfinite(self.lam).all() and np.isfinite(self.A).all()):
             raise ValueError("model variables must be finite")
 
-    @property
-    def dim(self) -> int:
-        return self.A.shape[0]
-
-    @property
-    def rank(self) -> int:
-        return self.lam.size
-
-    def norm_sq(self) -> float:
-        return kruskal_norm_sq(self)
-
 
 def _elementwise_power(M: np.ndarray, k: int) -> np.ndarray:
     """Elementwise integer power by repeated multiplication (exact for small k)."""

@@ -63,20 +63,29 @@ class FgResult:
     g_A: np.ndarray
 
 
-def _finish(Y: np.ndarray, lam: np.ndarray | None, A: np.ndarray, d: int, alpha: float) -> tuple:
-    """``(lam, f, pack(g_lam, g_A))`` from the TTSVs ``Y`` through the ``r x r``
-    Gram tail: ``||M||^2 = lam.T @ G @ lam`` and ``<X, M> = w.T @ lam``, with
-    ``G = (A'A) * (A'A)^(d-1)``, which is ``(A'A)^d`` bit for bit.  With
-    ``lam=None`` the weights are ``lam* = G^{-1} w``."""
-    n, r = A.shape
+def _gram_tail(
+    w: np.ndarray, lam: np.ndarray | None, A: np.ndarray, d: int, alpha: float
+) -> tuple:
+    """``(lam, f, G lam, C)`` from the inner products ``w_j = a_j'y_j``: the
+    ``r x r`` Gram tail ``f = alpha + lam.T @ G @ lam - 2 w.T @ lam``, with
+    ``C = (A'A)^(d-1)`` and ``G = (A'A) * C``, which is ``(A'A)^d`` bit for
+    bit.  With ``lam=None`` the weights are ``lam* = G^{-1} w``."""
     G = A.T @ A
     C = _elementwise_power(G, d - 1)  # a new array, so G is scaled in place
     G *= C
-    w = np.einsum("ij,ij->j", A, Y)  # w_j = a_j.T y_j, as in model_data_inner
     if lam is None:
         lam = _lam_star(G, w)
     u = G @ lam
-    f = alpha + float(lam @ u) - 2.0 * float(w @ lam)
+    return lam, alpha + float(lam @ u) - 2.0 * float(w @ lam), u, C
+
+
+def _finish(Y: np.ndarray, lam: np.ndarray | None, A: np.ndarray, d: int, alpha: float) -> tuple:
+    """``(lam, f, pack(g_lam, g_A))`` from the TTSVs ``Y`` through
+    :func:`_gram_tail`, whose ``||M||^2 = lam.T @ G @ lam`` and
+    ``<X, M> = w.T @ lam``.  With ``lam=None`` the weights are ``lam*``."""
+    n, r = A.shape
+    w = np.einsum("ij,ij->j", A, Y)  # w_j = a_j.T y_j, as in model_data_inner
+    lam, f, u, C = _gram_tail(w, lam, A, d, alpha)
     g = np.empty(r + n * r)  # both gradient blocks are written into their packed slots
     np.multiply(-2.0, np.subtract(w, u, out=u), out=g[:r])
     E = (A * lam) @ C
@@ -299,7 +308,8 @@ class _ImplicitLine:
     ``delta = V'D = (VtA(t1) - VtA) / t1`` formed at the second trial:
     ``w_j = sum_l nu_l VtA_lj(t)^d``, ``G`` from ``(A + tD)'(A + tD)``,
     ``lam*`` by the ``r x r`` Cholesky, and the slope from
-    ``D_j'y_j = sum_l nu_l VtA_lj(t)^(d-1) delta_lj`` and the Gram tail, in
+    ``D_j'y_j = sum_l nu_l VtA_lj(t)^(d-1) delta_lj`` and
+    :func:`_gram_tail`, the one :func:`_finish` takes, in
     ``O(pr + nr^2 + r^3)``, over row chunks of ``VtA`` small enough for their
     temporaries to stay in cache.  Such a trial returns
     ``f(0) + (phi(t) - phi(0))``, where ``phi`` is this cheap arithmetic, so
@@ -331,14 +341,6 @@ class _ImplicitLine:
         self.fused[t] = (VtA, np.concatenate([lam, xt[self.r :]]), f, g, xt)
         return self.fused[t]
 
-    def _tail(self, w, A):
-        """``(phi, lam*, C)`` at factor matrix ``A`` from the inner products ``w``."""
-        B = A.T @ A
-        C = _elementwise_power(B, self.d - 1)
-        G = B * C
-        lam = _lam_star(G, w)
-        return self.alpha + float(lam @ (G @ lam)) - 2.0 * float(w @ lam), lam, C
-
     def _cheap(self, t):
         """``(phi, slope)`` at ``t`` from ``VtA(t)``, reading no ``V``; its
         first call also forms ``delta`` and ``phi0 = phi(0)``."""
@@ -364,9 +366,9 @@ class _ImplicitLine:
             w += np.einsum("ij,ij->j", P, X)
             DY += np.einsum("ij,ij->j", P, delta[b])
         if first:
-            self.phi0 = self._tail(w0, _factor(self.x, n, r))[0]
+            self.phi0 = _gram_tail(w0, None, _factor(self.x, n, r), d, self.alpha)[1]
         A = _factor(self.x + t * self.D, n, r)
-        phi, lam, C = self._tail(w, A)
+        lam, phi, _, C = _gram_tail(w, None, A, d, self.alpha)
         # g_A . D = -2d sum_j lam_j (D_j'y_j - D_j'((A diag(lam)) C)_j)
         DAC = ((self.D[r:].reshape((n, r), order="F").T @ A) * C) @ lam
         return phi, -2.0 * d * float(lam @ (DY - DAC))
@@ -409,6 +411,4 @@ def sample_observations(
         raise ValueError(f"sample size must be >= 1, got {s}")
     if not obs.has_uniform_weights():
         raise ValueError("sampling requires uniform observation weights")
-    idx = rng.integers(0, obs.p, size=s)
-    labels = obs.labels[idx] if obs.labels is not None else None
-    return ObservationSet(obs.V[:, idx], labels=labels)
+    return ObservationSet(obs.V[:, rng.integers(0, obs.p, size=s)])

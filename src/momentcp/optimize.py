@@ -42,34 +42,33 @@ _SUFFICIENT_DECREASE = 1e-3
 _CURVATURE = 0.9
 _XTOL = 0.1
 _EPS = float(np.finfo(float).eps)
+# correction pairs L-BFGS stores
+MEMORY = 5
+# trials one line search may make; every trial counts as an evaluation,
+# including the trials that read no ``V`` (:class:`~momentcp.objective._ImplicitLine`)
+MAX_LINE_STEPS = 20
 
 
 @dataclass
 class OptConfig:
     """L-BFGS settings.
 
-    ``memory`` is the number of stored correction pairs; ``pgtol`` bounds
-    the gradient's infinity norm at a solution; ``max_iters`` caps accepted
-    steps and ``max_total_iters`` function/gradient evaluations;
-    ``max_line_steps`` caps the trials of one line search.  Every trial
-    counts as an evaluation, including the line-search trials that read no
-    ``V`` (:class:`~momentcp.objective._ImplicitLine`).  The evaluation cap
-    is checked between iterations, so a run makes at most
-    ``max_total_iters + max_line_steps`` evaluations.  ``seed`` is only
-    recorded in the report.
+    ``pgtol`` bounds the gradient's infinity norm at a solution;
+    ``max_iters`` caps accepted steps and ``max_total_iters``
+    function/gradient evaluations.  The evaluation cap is checked between
+    iterations, so a run makes at most ``max_total_iters + MAX_LINE_STEPS``
+    evaluations.  ``seed`` is only recorded in the report.
     """
 
-    memory: int = 5
     pgtol: float = 1e-4
     max_iters: int = 10_000
     max_total_iters: int = 50_000
-    max_line_steps: int = 20
     seed: int = 0
 
     def __post_init__(self) -> None:
         if not self.pgtol > 0:  # also rejects NaN; inf stops at once
             raise ValueError(f"pgtol must be > 0, got {self.pgtol}")
-        for name in ("memory", "max_iters", "max_total_iters", "max_line_steps"):
+        for name in ("max_iters", "max_total_iters"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
@@ -298,7 +297,7 @@ def lbfgs_minimize(
         raise ValueError("objective is not finite at the starting point")
     trace = [(f, time.perf_counter() - start)]
 
-    pairs: deque[tuple] = deque(maxlen=cfg.memory)  # (s, y, 1 / (s'y)), oldest first
+    pairs: deque[tuple] = deque(maxlen=MEMORY)  # (s, y, 1 / (s'y)), oldest first
     n_steps = 0
     capped = False
     while float(np.abs(g).max()) > cfg.pgtol:
@@ -319,7 +318,7 @@ def lbfgs_minimize(
         t, slope = None, float(g.dot(direction))
         if slope < 0.0:
             line = lines(x, direction, here)
-            t, evals = _line_search(line, f, slope, step, cfg.max_line_steps)
+            t, evals = _line_search(line, f, slope, step, MAX_LINE_STEPS)
             n_fg += evals
         if t is None:
             if not (pairs or guided):

@@ -62,9 +62,10 @@ class TestOuterPower:
         with pytest.raises(ValueError):
             outer_power(np.array([1.0, 2.0]), 1)
 
-    def test_cap_enforced(self):
+    def test_cap_enforced(self, monkeypatch):
+        monkeypatch.setenv("MOMENTCP_ELEMENT_CAP", "10")
         with pytest.raises(CapExceededError) as exc:
-            outer_power(np.ones(4), 3, cap=10)
+            outer_power(np.ones(4), 3)
         assert "GB" in str(exc.value)
 
     def test_cap_env_override(self, monkeypatch):
@@ -297,4 +298,4 @@ class TestDenseSymTensor:
 
     def test_norm_sq(self):
         X = outer_power(np.array([1.0, 2.0]), 3)
-        assert X.norm_sq() == pytest.approx(125.0, rel=1e-14)
+        assert inner(X, X) == pytest.approx(125.0, rel=1e-14)

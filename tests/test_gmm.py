@@ -5,8 +5,8 @@ import itertools
 import numpy as np
 import pytest
 
+import momentcp.cli as cli
 from momentcp import (
-    GmmSpec,
     ObservationSet,
     correlated_means,
     gaussian_init,
@@ -14,7 +14,7 @@ from momentcp import (
     sample_gmm,
     similarity_score,
 )
-from momentcp.cli import main
+from momentcp.cli import main, run_gmm_sweep
 
 
 def brute_force_score(A_true, A_hat):
@@ -69,8 +69,7 @@ class TestSampleGmm:
         rng = np.random.default_rng(53)
         means = correlated_means(6, 3, 0.5, rng)
         obs = sample_gmm(means, 0.0, 9, rng)
-        for ell in range(obs.p):
-            assert np.array_equal(obs.V[:, ell], means[:, obs.labels[ell]])
+        assert np.array_equal(obs.V, means[:, np.repeat(np.arange(3), [3, 3, 3])])
 
     def test_zero_noise_single_component(self):
         rng = np.random.default_rng(54)
@@ -79,11 +78,11 @@ class TestSampleGmm:
         assert np.array_equal(obs.V, np.repeat(means, 5, axis=1))
 
     def test_round_robin_remainder(self):
+        # the remainder goes to the first components, and samples come in component order
         rng = np.random.default_rng(55)
         means = correlated_means(4, 3, 0.0, rng)
-        obs = sample_gmm(means, 0.1, 7, rng)
-        counts = np.bincount(obs.labels, minlength=3)
-        assert np.array_equal(counts, [3, 2, 2])
+        obs = sample_gmm(means, 0.0, 7, rng)
+        assert np.array_equal(obs.V, means[:, np.repeat(np.arange(3), [3, 2, 2])])
 
     def test_uniform_weights(self):
         rng = np.random.default_rng(56)
@@ -96,8 +95,9 @@ class TestSampleGmm:
         means = correlated_means(4, 2, 0.5, rng)
         sigma, per = 0.3, 100_000
         obs = sample_gmm(means, sigma, per * 2, rng)
+        labels = np.repeat(np.arange(2), [per, per])
         for j in range(2):
-            emp = obs.V[:, obs.labels == j].mean(axis=1)
+            emp = obs.V[:, labels == j].mean(axis=1)
             assert np.all(np.abs(emp - means[:, j]) <= 4.0 * sigma / np.sqrt(per))
 
 
@@ -230,25 +230,37 @@ class TestSimilarityScore:
 
 
 class TestGmmSpec:
-    def test_defaults(self):
-        spec = GmmSpec(n=100, r=4, sigma=0.1)
-        assert spec.samples_per_component == 250
-        assert spec.congruence == 0.5
-        assert spec.p == 1000
+    """The mixture that ``run_gmm_sweep`` draws: ``250 r`` observations from
+    ``r`` unit-norm means with pairwise inner products 0.5."""
 
-    def test_validation(self):
+    def test_defaults(self, monkeypatch):
+        drawn = []
+
+        def recorded(means, sigma, p, rng):
+            drawn.append((means, sigma, p))
+            return sample_gmm(means, sigma, p, rng)
+
+        monkeypatch.setattr(cli, "sample_gmm", recorded)
+        run_gmm_sweep(n=6, r=3, sigma=0.1, d=3, rank_min=1, rank_max=1, starts=1, seed=0)
+        (means, sigma, p), = drawn
+        assert (means.shape, sigma, p) == ((6, 3), 0.1, 750)
+        want = np.full((3, 3), 0.5)
+        np.fill_diagonal(want, 1.0)
+        assert np.abs(means.T @ means - want).max() <= 1e-12
+
+    def test_validation(self, capsys):
+        with pytest.raises(ValueError, match="r <= n"):
+            run_gmm_sweep(n=3, r=4, sigma=0.1, d=3, rank_min=1, rank_max=1, starts=1, seed=0)
         with pytest.raises(ValueError):
-            GmmSpec(n=3, r=4, sigma=0.1)
-        with pytest.raises(ValueError):
-            GmmSpec(n=10, r=2, sigma=-1.0)
-        with pytest.raises(ValueError):
-            GmmSpec(n=10, r=2, sigma=0.1, congruence=1.0)
+            correlated_means(10, 2, 1.0, np.random.default_rng(0))
+        code = main(["gmm", "--n", "3", "--r", "5", "--sigma", "0.1", "--order", "3",
+                     "--rank-min", "1", "--rank-max", "1"])
+        assert code == 1
+        assert "r <= n" in capsys.readouterr().err
 
     @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -1.0])
     def test_sigma_must_be_finite_and_nonnegative(self, capsys, sigma):
         # NaN compares false with everything, so a plain sigma < 0 test lets it through
-        with pytest.raises(ValueError, match="sigma must be finite and >= 0"):
-            GmmSpec(n=10, r=2, sigma=sigma)
         means = correlated_means(4, 2, 0.5, np.random.default_rng(0))
         with pytest.raises(ValueError, match="sigma must be finite and >= 0"):
             sample_gmm(means, sigma, 10, np.random.default_rng(0))

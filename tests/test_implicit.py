@@ -390,4 +390,4 @@ class TestSymKruskal:
 
     def test_norm_sq_method(self):
         model = SymKruskal(3, np.array([2.0]), np.array([[1.0], [1.0]]))
-        assert model.norm_sq() == pytest.approx(32.0, rel=1e-14)
+        assert kruskal_norm_sq(model) == pytest.approx(32.0, rel=1e-14)

@@ -461,9 +461,3 @@ class TestSampleObservations:
         obs = ObservationSet(np.ones((2, 3)))
         with pytest.raises(ValueError):
             sample_observations(obs, 0, np.random.default_rng(0))
-
-    def test_labels_carried(self):
-        obs = ObservationSet(np.ones((2, 3)), labels=np.array([0, 1, 2]))
-        sampled = sample_observations(obs, 5, np.random.default_rng(1))
-        assert sampled.labels.shape == (5,)
-        assert set(sampled.labels) <= {0, 1, 2}

@@ -23,7 +23,7 @@ from momentcp import (
 from momentcp.gmm import correlated_means, sample_gmm
 from momentcp import data_norm_sq, fg_implicit, packed_fg, sample_observations, ttsv_batch
 from momentcp.implicit import _ttsv
-from momentcp.optimize import packed_fg_implicit, two_loop_direction
+from momentcp.optimize import MAX_LINE_STEPS, packed_fg_implicit, two_loop_direction
 
 
 class TestPacking:
@@ -172,7 +172,7 @@ class TestLbfgs:
         assert np.isfinite(rep.f) and rep.f == f
         assert rep.grad_inf_norm == np.abs(g).max()
         assert rep.reason == "line-search failure"
-        assert rep.n_fg <= cfg.max_total_iters + cfg.max_line_steps
+        assert rep.n_fg <= cfg.max_total_iters + MAX_LINE_STEPS
 
     def test_evaluation_cap(self):
         rng = np.random.default_rng(35)
@@ -183,7 +183,7 @@ class TestLbfgs:
         rep = lbfgs_minimize(fg, x0, cfg, shape=(4, 2))
         assert rep.reason == "iteration cap"
         # the cap is checked between iterations
-        assert cfg.max_total_iters <= rep.n_fg <= cfg.max_total_iters + cfg.max_line_steps
+        assert cfg.max_total_iters <= rep.n_fg <= cfg.max_total_iters + MAX_LINE_STEPS
 
     def test_rounding_stall_ends_run(self):
         # with alpha the exact data norm, f cancels to rounding near the fit
@@ -208,7 +208,7 @@ class TestLbfgs:
         assert rep.n_steps < cfg.max_iters
         assert rep.n_fg == len(values)  # the reported lam* comes from one of them
         last_accepted = values.index(rep.trace[-1][0])
-        assert len(values) - 1 - last_accepted <= 2 * cfg.max_line_steps
+        assert len(values) - 1 - last_accepted <= 2 * MAX_LINE_STEPS
 
     @pytest.mark.parametrize("caps", [{"pgtol": 1e-8}, {"pgtol": 1e-14, "max_iters": 3}])
     def test_report_from_search_evaluations(self, caps):
@@ -299,7 +299,7 @@ class TestLbfgs:
         # the point of the last accepted step, after the start's point(0)
         last_accepted = [i for i, (kind, _) in enumerate(calls) if kind == "point"][rep.n_steps]
         after = sum(i > last_accepted for i in trials)
-        assert 1 < after <= 2 * cfg.max_line_steps  # the last search went past its fused trial
+        assert 1 < after <= 2 * MAX_LINE_STEPS  # the last search went past its fused trial
 
     @pytest.mark.parametrize("caps", [{"pgtol": 1e-8}, {"pgtol": 1e-14, "max_iters": 3}])
     def test_report_from_search_evaluations_multi_block(self, monkeypatch, caps):
@@ -663,7 +663,7 @@ class TestConfigs:
             OptConfig(pgtol=0.0)
         with pytest.raises(ValueError):
             OptConfig(pgtol=float("nan"))
-        for name in ("memory", "max_iters", "max_total_iters", "max_line_steps"):
+        for name in ("max_iters", "max_total_iters"):
             with pytest.raises(ValueError, match=name):
                 OptConfig(**{name: 0})
 

@@ -34,6 +34,7 @@ from momentcp.cli import SAME_BASIN_TOL, fit, main
 from momentcp.gmm import correlated_means, sample_gmm
 from momentcp.implicit import moment_unfolding, principal_basis
 from momentcp.objective import lift_direction, packed_fg_compressed
+from momentcp.optimize import MAX_LINE_STEPS
 
 
 def _weighted(n, p, seed):
@@ -226,7 +227,7 @@ class TestTwoStage:
         joined = _basins([(c[3].lam, c[3].A) for c in calls[::2]], 3)
         for i, run in enumerate(best.runs):
             assert run.n_steps <= cfg.max_iters
-            assert run.n_fg <= cfg.max_total_iters + cfg.max_line_steps
+            assert run.n_fg <= cfg.max_total_iters + MAX_LINE_STEPS
             if joined[i] is None:
                 assert run.reason in ("iteration cap", "line-search failure")
             else:
