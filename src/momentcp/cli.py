@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-import threading
 import time
 from dataclasses import dataclass, replace
 
@@ -167,45 +166,34 @@ def _write_csv(path: str, fieldnames: list[str], rows) -> None:
 class _Basins:
     """The starts of one fit grouped by their subspace solutions, in start order.
 
-    ``join(i, lam, B)`` waits until every start below ``i`` is decided, then
-    returns the first polished start whose model is within ``SAME_BASIN_TOL``
-    of ``(lam, B)``'s, or ``None``, in which case start ``i`` is polished and
-    later starts are compared with it.  The test is
-    ``||M_i - M_j||^2 <= SAME_BASIN_TOL * max(||M_i||^2, ||M_j||^2)`` through
-    the Gram identity ``<M_i, M_j> = lam_i' (B_i'B_j)^d lam_j``, O(k r^2) a
-    pair.  ``done(i)`` marks start ``i`` decided, after its ``join`` or when
-    it failed.  A decision thus reads only starts below ``i``, whatever the
-    thread count.
+    ``join(i, lam, B)`` returns the first polished start whose model is
+    within ``SAME_BASIN_TOL`` of ``(lam, B)``'s, or ``None``, in which case
+    start ``i`` is polished and later starts are compared with it.  The test
+    is ``||M_i - M_j||^2 <= SAME_BASIN_TOL * max(||M_i||^2, ||M_j||^2)``
+    through the Gram identity ``<M_i, M_j> = lam_i' (B_i'B_j)^d lam_j``,
+    O(k r^2) a pair.  The starts join in start order, so a decision reads
+    only starts below ``i``.
     """
 
-    def __init__(self, starts: int, d: int) -> None:
-        self.d, self.decided, self.polished = d, [False] * starts, []
-        self.ready = threading.Condition()
+    def __init__(self, d: int) -> None:
+        self.d, self.polished = d, []
 
     def _inner(self, lam_a, B_a, lam_b, B_b) -> float:
         return float(lam_a @ (B_a.T @ B_b) ** self.d @ lam_b)
 
     def join(self, i: int, lam: np.ndarray, B: np.ndarray) -> int | None:
         norm_sq = self._inner(lam, B, lam, B)
-        with self.ready:
-            self.ready.wait_for(lambda: all(self.decided[:i]))
-            j = next((j for j, lam_j, B_j, nsq in self.polished
-                      if norm_sq + nsq - 2.0 * self._inner(lam, B, lam_j, B_j)
-                      <= SAME_BASIN_TOL * max(norm_sq, nsq)), None)
-            if j is None:
-                self.polished.append((i, lam, B, norm_sq))
+        j = next((j for j, lam_j, B_j, nsq in self.polished
+                  if norm_sq + nsq - 2.0 * self._inner(lam, B, lam_j, B_j)
+                  <= SAME_BASIN_TOL * max(norm_sq, nsq)), None)
+        if j is None:
+            self.polished.append((i, lam, B, norm_sq))
         return j
-
-    def done(self, i: int) -> None:
-        with self.ready:
-            self.decided[i] = True
-            self.ready.notify_all()
 
 
 def fit(
     obs: ObservationSet, d: int, r_hat: int, cfg: OptConfig | AdamConfig, starts: int,
-    seed: int | np.random.SeedSequence, *, init: str = "rrf", threads: int = 1,
-    alpha: float = 0.0,
+    seed: int | np.random.SeedSequence, *, init: str = "rrf", alpha: float = 0.0,
 ) -> RunReport:
     """Fit a rank-``r_hat`` model to the order-``d`` moment of ``obs`` from
     ``starts`` seeded starts; returns the best run, as :func:`multistart` does,
@@ -234,8 +222,8 @@ def fit(
     polished start's gets only the one evaluation at its lift, with
     ``reason`` ``"grouped with run j"`` naming that start (:class:`_Basins`;
     clustering multistart, Rinnooy Kan & Timmer, 1987).  Every start still
-    has its run in ``runs``, and the decisions, like the bits, do not
-    depend on ``threads``.  Where
+    has its run in ``runs``.  The starts run one after another in the
+    calling thread (:func:`~momentcp.optimize.multistart`).  Where
     ``k^(d-1) <= p`` the set-up also forms the ``k x k^(d-1)`` unfolding of
     the compressed moment, once, and the subspace stage evaluates from it
     in O(k^d r) instead of O(p k r)
@@ -261,7 +249,7 @@ def fit(
         sub_cfg = replace(cfg, max_total_iters=max(cfg.max_total_iters - 1, 1))
         setup = time.perf_counter() - t0
 
-    basins = _Basins(starts, d)
+    basins = _Basins(d)
     # multistart seeds run i with the i-th child it spawns from seed
     first = seed.n_children_spawned if isinstance(seed, np.random.SeedSequence) else 0
 
@@ -272,23 +260,15 @@ def fit(
         return lift_direction(x, g, (obs.n, r_hat), d)
 
     def start(rng):
-        try:
-            if init == "rrf":
-                return pack(lam0, rrf_init(space, r_hat, rng))
-            return pack(lam0, gaussian_init(space.n, r_hat, rng))
-        except Exception:
-            basins.done(index(rng))  # later starts do not wait for a failed one
-            raise
+        if init == "rrf":
+            return pack(lam0, rrf_init(space, r_hat, rng))
+        return pack(lam0, gaussian_init(space.n, r_hat, rng))
 
     def minimize(x0, rng):
         if adam:
             return adam_minimize(obs, d, r_hat, x0, cfg, rng)
-        i = index(rng)
-        try:
-            sub = lbfgs_minimize(comp, x0, sub_cfg, shape=(space.n, r_hat))
-            joined = basins.join(i, sub.lam, sub.A)
-        finally:
-            basins.done(i)
+        sub = lbfgs_minimize(comp, x0, sub_cfg, shape=(space.n, r_hat))
+        joined = basins.join(index(rng), sub.lam, sub.A)
         steps, evals = cfg.max_iters - sub.n_steps, cfg.max_total_iters - sub.n_fg
         if joined is not None or min(steps, evals) < 1:  # one evaluation at the lift, no step
             steps, evals = 1, 1
@@ -303,7 +283,7 @@ def fit(
         rep.wall_time += sub.wall_time
         return rep
 
-    best = multistart(starts, start, minimize, seed, threads=threads)
+    best = multistart(starts, start, minimize, seed)
     # an unpolished lift can undercut the f its polished start reached by a hair
     polished = {i for i, *_ in basins.polished}
     pick = min((rp for rp in best.runs if rp.run_index in polished),
@@ -328,7 +308,6 @@ def run_gmm_sweep(
     starts: int,
     seed: int,
     pgtol: float = 1e-4,
-    threads: int = 1,
 ) -> list[dict]:
     """Generate mixture data and fit each rank in ``[rank_min, rank_max]``.
 
@@ -350,7 +329,7 @@ def run_gmm_sweep(
 
     rows = []
     for j, r_hat in enumerate(ranks):
-        best = fit(obs, d, r_hat, OptConfig(pgtol=pgtol), starts, ss_runs[j], threads=threads)
+        best = fit(obs, d, r_hat, OptConfig(pgtol=pgtol), starts, ss_runs[j])
         rel_err = float(np.sqrt(max(best.f + norm_x_sq, 0.0) / norm_x_sq))
         rows.append({
             "r_hat": r_hat,
@@ -373,7 +352,7 @@ def cmd_decompose(args, parser) -> int:
     else:
         cfg = AdamConfig(batch=args.batch if args.batch is not None else 100)
     best = fit(obs, d, r_hat, cfg, args.starts, args.seed,
-               init=args.init, threads=args.threads, alpha=alpha)
+               init=args.init, alpha=alpha)
     record = SolutionRecord(
         d=d,
         n=obs.n,
@@ -435,7 +414,6 @@ def cmd_gmm(args, parser) -> int:
         n=args.n, r=args.r, sigma=args.sigma, d=args.order,
         rank_min=args.rank_min, rank_max=args.rank_max,
         starts=args.starts, seed=args.seed, pgtol=args.pgtol,
-        threads=args.threads,
     )
     if args.output:
         _write_csv(args.output, ["r_hat", "rel_err", "score", "best_f", "total_time_s"], rows)
@@ -492,7 +470,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_dec.add_argument("--batch", type=_positive_int, default=None, help="sample size per step (adam)")
     p_dec.add_argument("--output", required=True, help="solution JSON path")
     p_dec.add_argument("--trace", default=None, help="optional per-run trace CSV path")
-    p_dec.add_argument("--threads", type=_positive_int, default=1)
     p_dec.set_defaults(handler=cmd_decompose)
 
     p_bench = sub.add_parser("bench", help="time explicit vs implicit evaluation")
@@ -516,7 +493,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gmm.add_argument("--starts", type=_positive_int, default=10)
     p_gmm.add_argument("--seed", type=_seed, default=0)
     p_gmm.add_argument("--pgtol", type=_tolerance, default=1e-4)
-    p_gmm.add_argument("--threads", type=_positive_int, default=1)
     p_gmm.add_argument("--output", default=None, help="sweep CSV path")
     p_gmm.set_defaults(handler=cmd_gmm)
     return parser

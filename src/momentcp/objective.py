@@ -319,9 +319,8 @@ class _ImplicitLine:
     and :func:`_finish`, for its exact ``lam*``, ``f`` and gradient, and
     keeps ``VtA(t)`` for the next line.
 
-    A line belongs to one run.  The evaluator that makes it is shared (by
-    :func:`~momentcp.optimize.multistart`'s threads, say) and holds no line
-    state.
+    A line belongs to one run.  The evaluator that makes it is shared by
+    every start of a fit and holds no line state.
     """
 
     def __init__(self, V, W, blocks, d, r, alpha, x, D=None, prev=None):

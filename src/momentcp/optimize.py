@@ -11,8 +11,9 @@ over ``A`` alone and reporting ``lam = G^{-1} w``.  Adam does not.
 each epoch's samples at once and updating its moments in place, with a
 monitored function estimate that triggers one learning-rate reduction and
 then termination.
-``multistart`` fans a solver out over independently seeded initial guesses
-and keeps the run with the lowest final objective.
+``multistart`` runs a solver from independently seeded initial guesses, one
+after another in the calling thread, and keeps the run with the lowest final
+objective.
 
 All routines are deterministic given (seed, config, data) for a fixed BLAS
 build and thread count; randomness only enters through explicitly passed
@@ -47,6 +48,10 @@ MEMORY = 5
 # trials one line search may make; every trial counts as an evaluation,
 # including the trials that read no ``V`` (:class:`~momentcp.objective._ImplicitLine`)
 MAX_LINE_STEPS = 20
+# Adam's moment decay rates and denominator offset (Kingma & Ba, ICLR 2015)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass
@@ -88,19 +93,13 @@ class AdamConfig:
     reduced_step_size: float = 0.001
     epoch_len: int = 100
     batch: int = 100
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     estimate_samples: int = 1000
     max_epochs: int = 1000
 
     def __post_init__(self) -> None:
-        for name in ("step_size", "reduced_step_size", "eps"):
+        for name in ("step_size", "reduced_step_size"):
             if not 0.0 < getattr(self, name) < np.inf:  # also rejects NaN
                 raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
-        for name in ("beta1", "beta2"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ValueError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
         for name, least in (("epoch_len", 1), ("batch", 1), ("estimate_samples", 1), ("max_epochs", 0)):
             if not isinstance(getattr(self, name), (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
@@ -402,7 +401,7 @@ def adam_minimize(
     x_best = x.copy()
     trace = [(f_best, time.perf_counter() - start)]
 
-    lr, b1, b2 = cfg.step_size, cfg.beta1, cfg.beta2
+    lr, b1, b2 = cfg.step_size, ADAM_BETA1, ADAM_BETA2
     m1, m2, tmp, den = (np.zeros_like(x) for _ in range(4))
     t = 0
     n_iter = 0
@@ -426,7 +425,7 @@ def adam_minimize(
             tmp *= lr
             np.divide(m2, 1.0 - b2**t, out=den)
             np.sqrt(den, out=den)
-            den += cfg.eps
+            den += ADAM_EPS
             tmp /= den
             x -= tmp
             n_iter += 1
@@ -466,14 +465,14 @@ def multistart(
     init: Callable[[np.random.Generator], np.ndarray],
     minimize: Callable[[np.ndarray, np.random.Generator], RunReport],
     seed: int,
-    threads: int = 1,
 ) -> RunReport:
     """Run ``minimize`` from ``k`` independently seeded starts; keep the best.
 
     Each run gets its own generator derived from ``(seed, run index)``: run
     ``i``'s is seeded with the ``i``-th child this call spawns from ``seed``.
     ``init(rng)`` produces the starting point and the same generator is then
-    handed to ``minimize`` for any in-run randomness.  The returned report is
+    handed to ``minimize`` for any in-run randomness.  The runs go in run
+    order, one after another, in the calling thread.  The returned report is
     the run with the lowest final ``f`` (ties broken by run index), with all
     individual reports attached in ``runs``.  Runs that raise are collected;
     if every run fails, a ``RuntimeError`` aggregating the messages is raised.
@@ -481,28 +480,16 @@ def multistart(
     if k < 1:
         raise ValueError(f"number of starts must be >= 1, got {k}")
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    children = root.spawn(k)
-
-    def one(i: int) -> RunReport | str:
+    successes, errors = [], []
+    for i, child in enumerate(root.spawn(k)):
         try:
-            rng = np.random.default_rng(children[i])
+            rng = np.random.default_rng(child)
             report = minimize(init(rng), rng)
         except Exception as exc:  # noqa: BLE001 - aggregated below
-            return f"run {i}: {exc}"
+            errors.append(f"run {i}: {exc}")
+            continue
         report.run_index = i
-        return report
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, range(k)))
-    else:
-        # stay in the calling thread so that Ctrl-C stops a run at once
-        results = list(map(one, range(k)))
-
-    successes = [r for r in results if not isinstance(r, str)]
-    errors = [r for r in results if isinstance(r, str)]
+        successes.append(report)
     if not successes:
         raise RuntimeError("all multistart runs failed: " + "; ".join(errors))
     best = min(successes, key=lambda rp: (rp.f, rp.run_index))

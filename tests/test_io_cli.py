@@ -276,11 +276,8 @@ class TestDecomposeCommand:
 
     @pytest.mark.parametrize("command, flag, value", [
         ("decompose", "--starts", "0"),
-        ("decompose", "--threads", "0"),
-        ("decompose", "--threads", "-2"),
         ("decompose", "--batch", "0"),
         ("gmm", "--starts", "0"),
-        ("gmm", "--threads", "0"),
         ("gmm", "--n", "0"),
         ("gmm", "--r", "0"),
         ("gmm", "--rank-min", "0"),
@@ -307,6 +304,23 @@ class TestDecomposeCommand:
         err = capsys.readouterr().err
         # argparse names a flag with a short alias as, for example, --dim/-n
         assert "argument " in err and f"{flag}: must be >= 1, got {int(value)}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["decompose", "gmm"])
+    def test_threads_flag_is_unrecognized(self, tmp_path, capsys, command):
+        # the starts run in one thread; the flag is gone, not ignored
+        data = tmp_path / "obs.csv"
+        _write_rank_one_csv(data)
+        out = tmp_path / ("o.json" if command == "decompose" else "o.csv")
+        argv = {
+            "decompose": ["decompose", "--input", str(data), "--order", "3", "--rank", "1"],
+            "gmm": ["gmm", "--n", "4", "--r", "1", "--sigma", "0", "--order", "3",
+                    "--rank-min", "1", "--rank-max", "1"],
+        }[command]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--output", str(out), "--threads", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
         assert not out.exists()
 
     def test_rank_max_below_rank_min_is_usage_error(self, tmp_path, capsys):

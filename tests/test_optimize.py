@@ -4,6 +4,7 @@ import copy
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,9 @@ from momentcp import (
 from momentcp.gmm import correlated_means, sample_gmm
 from momentcp import data_norm_sq, fg_implicit, packed_fg, sample_observations, ttsv_batch
 from momentcp.implicit import _ttsv
-from momentcp.optimize import MAX_LINE_STEPS, packed_fg_implicit, two_loop_direction
+from momentcp.optimize import (
+    ADAM_BETA1, ADAM_BETA2, ADAM_EPS, MAX_LINE_STEPS, packed_fg_implicit, two_loop_direction,
+)
 
 
 class TestPacking:
@@ -505,7 +508,7 @@ class TestAdam:
         rep = adam_minimize(obs, 3, r, x0, cfg, rng)
         assert rep.reason == "iteration cap" and len(steps) == 6 * cfg.epoch_len
 
-        b1, b2, lr = cfg.beta1, cfg.beta2, cfg.step_size
+        b1, b2, lr = ADAM_BETA1, ADAM_BETA2, cfg.step_size
         m1 = m2 = np.zeros_like(x0)
         t, x_next, x_best, f_best, rewinds = 0, x0, x0, rep.trace[0][0], 0
         for epoch in range(6):
@@ -516,7 +519,7 @@ class TestAdam:
                 m2 = b2 * m2 + (1.0 - b2) * g * g
                 m1_hat = m1 / (1.0 - b1**t)
                 m2_hat = m2 / (1.0 - b2**t)
-                x_next = x - lr * m1_hat / (np.sqrt(m2_hat) + cfg.eps)
+                x_next = x - lr * m1_hat / (np.sqrt(m2_hat) + ADAM_EPS)
             f_est = rep.trace[epoch + 1][0]
             if f_est < f_best:
                 f_best, x_best = f_est, x_next
@@ -603,7 +606,7 @@ class TestMultistart:
         for a, b in zip(rep1.runs, rep2.runs):
             assert [f for f, _ in a.trace] == [f for f, _ in b.trace]
 
-    def test_threaded_matches_sequential(self):
+    def test_failed_run_is_collected(self):
         init, minimize = self._setup()
         bad_x0 = init(np.random.default_rng(np.random.SeedSequence(11).spawn(4)[2]))
 
@@ -612,17 +615,27 @@ class TestMultistart:
                 raise ValueError("start 2 dies")
             return minimize(x0, rng)
 
-        for fn in (minimize, flaky):
-            rep_seq = multistart(4, init, fn, seed=11, threads=1)
-            rep_par = multistart(4, init, fn, seed=11, threads=3)
-            assert rep_seq.f == rep_par.f
-            assert np.array_equal(rep_seq.A, rep_par.A)
-            assert [(rp.run_index, rp.f, rp.n_fg) for rp in rep_seq.runs] == [
-                (rp.run_index, rp.f, rp.n_fg) for rp in rep_par.runs
-            ]
-            assert rep_seq.failures == rep_par.failures
-        assert rep_seq.failures == ["run 2: start 2 dies"]
-        assert [rp.run_index for rp in rep_seq.runs] == [0, 1, 3]
+        every = multistart(4, init, minimize, seed=11)
+        rep = multistart(4, init, flaky, seed=11)
+        assert rep.failures == ["run 2: start 2 dies"]
+        assert [rp.run_index for rp in rep.runs] == [0, 1, 3]
+        assert [(rp.f, rp.n_fg) for rp in rep.runs] == \
+            [(rp.f, rp.n_fg) for rp in every.runs if rp.run_index != 2]
+
+    def test_runs_in_order_on_calling_thread(self):
+        init, minimize = self._setup()
+        calls = []
+
+        def traced(stage, fn):
+            def call(*args):  # the generator is the last argument of both
+                calls.append((stage, args[-1].bit_generator.seed_seq.spawn_key,
+                              threading.get_ident()))
+                return fn(*args)
+            return call
+
+        multistart(5, traced("init", init), traced("minimize", minimize), seed=8)
+        assert calls == [(stage, (i,), threading.get_ident())
+                         for i in range(5) for stage in ("init", "minimize")]
 
     def test_all_failures_aggregate(self):
         def init(rng):
@@ -674,13 +687,12 @@ class TestConfigs:
             AdamConfig(batch=0)
         bad = [("step_size", 0.0), ("step_size", -1.0), ("step_size", np.inf), ("step_size", np.nan),
                ("reduced_step_size", 0.0), ("reduced_step_size", np.inf),
-               ("beta1", 1.0), ("beta1", -0.1), ("beta1", np.nan), ("beta2", 1.0), ("beta2", -0.1),
-               ("eps", 0.0), ("eps", -1e-8), ("estimate_samples", 0), ("max_epochs", -1)]
+               ("estimate_samples", 0), ("max_epochs", -1)]
         for name, value in bad:
             with pytest.raises(ValueError, match=name):
                 AdamConfig(**{name: value})
         # the edges of each range are accepted
-        AdamConfig(beta1=0.0, beta2=0.0, estimate_samples=1, max_epochs=0)
+        AdamConfig(estimate_samples=1, max_epochs=0)
 
     @pytest.mark.parametrize("name", ["batch", "epoch_len", "estimate_samples", "max_epochs"])
     def test_adamconfig_counts_are_integers(self, name):

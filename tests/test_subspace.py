@@ -5,7 +5,6 @@ polished on the full data."""
 import os
 import subprocess
 import sys
-import threading
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -345,51 +344,6 @@ class TestFitEdges:
         assert rec.r_hat == 4 and rec.n == 3
         assert np.isfinite(rec.lam + rec.A_row_major + [rec.final_f]).all()
 
-    def test_threads_match_sequential_bitwise(self):
-        obs = _mixture(10, 400, 2, 33)
-        cfg = OptConfig(pgtol=1e-7)
-        one = fit(obs, 3, 2, cfg, 4, 12, threads=1)
-        two = fit(obs, 3, 2, cfg, 4, 12, threads=2)
-        assert np.array_equal(one.lam, two.lam) and np.array_equal(one.A, two.A)
-        assert one.f == two.f and one.run_index == two.run_index
-        assert [[f for f, _ in rp.trace] for rp in one.runs] == \
-            [[f for f, _ in rp.trace] for rp in two.runs]
-        assert [rp.n_fg for rp in one.runs] == [rp.n_fg for rp in two.runs]
-        # starts 1-3 are in start 0's basin, whichever thread decides first
-        assert [rp.reason for rp in one.runs] == [rp.reason for rp in two.runs] == \
-            ["tolerance"] + ["grouped with run 0"] * 3
-
-
-    def test_threads_match_sequential_bitwise_multi_block(self, monkeypatch):
-        # the polish's search lines keep V'A per run, and the threads share
-        # one evaluator: a shared V'A would change the bits.  60 x 3000
-        # doubles is two TTSV blocks, so the polish takes fg.line; more
-        # threads than cores and a short switch interval interleave the runs
-        import momentcp.objective as objective
-
-        obs = _mixture(60, 3000, 2, 34)
-        cfg = OptConfig(pgtol=1e-12, max_iters=60)
-        cheap = []
-        real_cheap = objective._ImplicitLine._cheap
-        monkeypatch.setattr(objective._ImplicitLine, "_cheap",
-                            lambda self, t: cheap.append(t) or real_cheap(self, t))
-        one = fit(obs, 3, 2, cfg, 6, 12, threads=1)
-        assert cheap  # some trials read no V
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            many = fit(obs, 3, 2, cfg, 6, 12, threads=4)
-        finally:
-            sys.setswitchinterval(interval)
-        assert np.array_equal(one.lam, many.lam) and np.array_equal(one.A, many.A)
-        assert one.f == many.f and one.run_index == many.run_index
-        assert [[f for f, _ in rp.trace] for rp in one.runs] == \
-            [[f for f, _ in rp.trace] for rp in many.runs]
-        assert [(rp.n_fg, rp.f) for rp in one.runs] == [(rp.n_fg, rp.f) for rp in many.runs]
-        assert all(np.array_equal(a.A, b.A) for a, b in zip(one.runs, many.runs))
-        assert [rp.reason for rp in one.runs] == [rp.reason for rp in many.runs] == \
-            ["line-search failure"] + ["grouped with run 0"] * 5
-
 
 class TestBasins:
     """``fit`` polishes one start per basin of the subspace solutions."""
@@ -422,47 +376,40 @@ class TestBasins:
 
         obs, cfg = _mixture(40, 2000, 5, 7), OptConfig(pgtol=1e-6)
         got = fit(obs, 4, 5, cfg, 3, 7)
-        two = fit(obs, 4, 5, cfg, 3, 7, threads=2)
         monkeypatch.setattr(cli, "SAME_BASIN_TOL", -np.inf)
         want = fit(obs, 4, 5, cfg, 3, 7)
         assert max(rp.f for rp in got.runs) - min(rp.f for rp in got.runs) > 0.03
-        for other in (two, want):
-            assert np.array_equal(got.lam, other.lam) and np.array_equal(got.A, other.A)
-            assert (got.f, got.run_index) == (other.f, other.run_index)
-            assert [[f for f, _ in rp.trace] for rp in got.runs] == \
-                [[f for f, _ in rp.trace] for rp in other.runs]
-            assert [(rp.n_fg, rp.reason) for rp in got.runs] == \
-                [(rp.n_fg, rp.reason) for rp in other.runs]
+        assert np.array_equal(got.lam, want.lam) and np.array_equal(got.A, want.A)
+        assert (got.f, got.run_index) == (want.f, want.run_index)
+        assert [[f for f, _ in rp.trace] for rp in got.runs] == \
+            [[f for f, _ in rp.trace] for rp in want.runs]
+        assert [(rp.n_fg, rp.reason) for rp in got.runs] == \
+            [(rp.n_fg, rp.reason) for rp in want.runs]
         assert not any(rp.reason.startswith("grouped") for rp in got.runs)
 
-    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("failed", [1, 2])
     @pytest.mark.parametrize("stage", ["init", "subspace"])
-    def test_failed_start_does_not_block_later_starts(self, monkeypatch, stage, threads):
-        # later starts wait for start 0's decision, which its failure must give
+    def test_failed_start_does_not_block_later_starts(self, monkeypatch, stage, failed):
+        # a start that fails is never polished, so later starts group without it
         import momentcp.cli as cli
 
         real = cli.rrf_init
 
         def rrf_init(space, r, rng):
             A0 = real(space, r, rng)
-            if rng.bit_generator.seed_seq.spawn_key[-1] == 0:
+            if rng.bit_generator.seed_seq.spawn_key[-1] < failed:
                 if stage == "init":
                     raise ValueError("no start")
                 A0[0, 0] = np.nan  # the subspace stage raises at its first point
             return A0
 
         monkeypatch.setattr(cli, "rrf_init", rrf_init)
-        out = []
-        worker = threading.Thread(target=lambda: out.append(
-            fit(_mixture(8, 300, 2, 40), 3, 2, OptConfig(pgtol=1e-8), 3, 0, threads=threads)),
-            daemon=True)
-        worker.start()
-        worker.join(timeout=60)
-        assert out, "fit is still waiting"
-        best = out[0]
-        assert len(best.failures) == 1 and best.failures[0].startswith("run 0: ")
-        assert [rp.run_index for rp in best.runs] == [1, 2]
-        assert [rp.reason for rp in best.runs] == ["tolerance", "grouped with run 1"]
+        best = fit(_mixture(8, 300, 2, 40), 3, 2, OptConfig(pgtol=1e-8), 3, 0)
+        assert [msg.split(": ")[0] for msg in best.failures] == \
+            [f"run {i}" for i in range(failed)]
+        assert [rp.run_index for rp in best.runs] == list(range(failed, 3))
+        assert [rp.reason for rp in best.runs] == \
+            ["tolerance", f"grouped with run {failed}"][:3 - failed]
 
     def test_decompose_imports_no_scipy(self, tmp_path):
         # scipy takes longer to import than a small fit takes; the grouping

@@ -1,7 +1,7 @@
 """The scripts under tools/: each starts and answers ``--help``, the names
 they import from momentcp (inside functions too) exist, and
-``fit_digest.py`` gives the same digest for the same fit, each in a fresh
-interpreter."""
+``fit_digest.py`` gives the same digest for the same fit, and for the same
+``gmm`` sweep, each in a fresh interpreter."""
 
 import ast
 import os
@@ -89,3 +89,13 @@ def test_fit_digest_repeats(solver, tmp_path):
     assert digests[0] == digests[1]
     assert digests[0] != digests[2]  # another input, another fit
     assert not list(tmp_path.iterdir())  # the input and solution went with their directory
+
+
+def test_gmm_digest_repeats(tmp_path):
+    lines = []
+    for _ in range(2):
+        proc = _run(["-c", "import fit_digest; print(fit_digest.gmm_digest())"], tmp_path)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert re.fullmatch(r"[0-9a-f]{64}\n", proc.stdout), proc.stdout
+        lines.append(proc.stdout)
+    assert lines[0] == lines[1]

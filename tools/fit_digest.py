@@ -7,16 +7,18 @@ with ``perfbench/child.py``'s own ``fit_library`` or ``fit_cli`` (so ``V``
 is read back through ``momentcp.io.read_observations`` in the benchmark's
 layout, and the multistart seed is ``1000 N``), and hashes, start by start,
 ``lam``, ``A``, ``f``, ``grad_inf_norm``, ``n_fg``, ``n_steps`` and the
-trace's ``f`` column.  Nothing under ``perfbench/`` is changed.  Each
-workload is fitted in a fresh interpreter on one BLAS thread, with the
-``momentcp`` of ``--side SRC`` (this checkout's ``src`` by default)::
+trace's ``f`` column.  A fifth line, ``gmm``, hashes the rows of a small
+``momentcp gmm`` sweep (:func:`gmm_digest`), which no workload reaches.
+Nothing under ``perfbench/`` is changed.  Each line is computed in a fresh
+interpreter on one BLAS thread, with the ``momentcp`` of ``--side SRC``
+(this checkout's ``src`` by default)::
 
     git archive PARENT | tar -x -C /tmp/parent
     python tools/fit_digest.py --seed 1 --side /tmp/parent/src > parent.txt
     python tools/fit_digest.py --seed 1 > change.txt
     diff parent.txt change.txt
 
-The four workloads take about 5 s together on a 2-vCPU VM.
+The five lines take about 5 s together on a 2-vCPU VM.
 """
 
 from __future__ import annotations
@@ -36,6 +38,9 @@ PERFBENCH = os.path.join(ROOT, "perfbench")
 ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 CHILD = ("import sys, fit_digest, workloads; "
          "print(sys.argv[1], fit_digest.digest(workloads.WORKLOADS[sys.argv[1]], int(sys.argv[2])))")
+GMM_CHILD = "import fit_digest; print('gmm', fit_digest.gmm_digest())"
+# the sweep gmm_digest hashes: small enough to add little to the four workloads
+GMM_SWEEP = dict(n=12, r=2, sigma=0.01, d=3, rank_min=1, rank_max=3, starts=3, seed=5)
 
 
 def digest(w, seed: int) -> str:
@@ -77,6 +82,17 @@ def digest(w, seed: int) -> str:
     return bits.hexdigest()
 
 
+def gmm_digest() -> str:
+    """The sha256 of ``cli.run_gmm_sweep(**GMM_SWEEP)``'s rows, each row's
+    values but its ``total_time_s``, by the ``momentcp`` on ``sys.path``."""
+    from momentcp import cli
+
+    bits = hashlib.sha256()
+    for row in cli.run_gmm_sweep(**GMM_SWEEP):
+        bits.update(np.array([v for k, v in row.items() if k != "total_time_s"]).tobytes())
+    return bits.hexdigest()
+
+
 def main(argv=None) -> int:
     sys.path.insert(0, PERFBENCH)
     from workloads import WORKLOADS
@@ -91,6 +107,7 @@ def main(argv=None) -> int:
     for name in WORKLOADS:
         # a fresh interpreter per workload, as perfbench runs each round
         subprocess.run([sys.executable, "-c", CHILD, name, str(args.seed)], env=env, check=True)
+    subprocess.run([sys.executable, "-c", GMM_CHILD], env=env, check=True)
     return 0
 
 
