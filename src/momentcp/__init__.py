@@ -16,14 +16,12 @@ from momentcp.dense import (
     DenseSymTensor,
     ObservationSet,
     build_moment,
-    check_symmetric,
     element_cap,
     inner,
     kruskal_to_dense,
     outer_power,
     ttsv_all,
     ttsv_all_but_one,
-    unique_entries,
 )
 from momentcp.gmm import (
     ScoreResult,
@@ -77,7 +75,6 @@ __all__ = [
     "SymKruskal",
     "adam_minimize",
     "build_moment",
-    "check_symmetric",
     "correlated_means",
     "data_norm_sq",
     "element_cap",
@@ -104,7 +101,6 @@ __all__ = [
     "ttsv_all",
     "ttsv_all_but_one",
     "ttsv_batch",
-    "unique_entries",
     "unpack",
     "write_observations_binary",
     "write_observations_csv",

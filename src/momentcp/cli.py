@@ -346,7 +346,16 @@ def cmd_decompose(args, parser) -> int:
         parser.error("--batch only applies to --method adam")
     obs = read_observations(args.input)
     d, r_hat = args.order, args.rank
-    alpha = data_norm_sq(obs, d) if args.alpha == "exact" else 0.0
+    alpha = 0.0
+    if args.alpha == "exact":
+        # overflow is reported below, as a norm that is not finite
+        with np.errstate(over="ignore", invalid="ignore"):
+            alpha = data_norm_sq(obs, d)
+        if not np.isfinite(alpha):
+            raise ValueError(
+                f"the data norm ||X||^2 of the order-{d} moment is not finite ({alpha}) "
+                "at this data scale; rescale the data"
+            )
     if args.method == "lbfgs":
         cfg = OptConfig(pgtol=args.pgtol, seed=args.seed)
     else:

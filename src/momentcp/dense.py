@@ -15,8 +15,6 @@ outputs are symmetric to the bit, not merely up to roundoff.
 
 from __future__ import annotations
 
-import itertools
-import math
 import os
 from dataclasses import dataclass
 from functools import lru_cache
@@ -30,9 +28,8 @@ if TYPE_CHECKING:
 DEFAULT_ELEMENT_CAP = 100_000_000
 ELEMENT_CAP_ENV = "MOMENTCP_ELEMENT_CAP"
 
-# check_symmetric is exhaustive below this entry count, sampled above it
-_EXHAUSTIVE_SYMMETRY_LIMIT = 1_000_000
-_SYMMETRY_SAMPLES = 100_000
+# entries of V that ObservationSet tests for finiteness at a time
+FINITE_BLOCK = 1 << 16
 
 
 class CapExceededError(RuntimeError):
@@ -57,6 +54,15 @@ def _check_cap(n: int, d: int) -> None:
         )
 
 
+def _all_finite(V: np.ndarray) -> bool:
+    """Whether every entry of the 2-D ``V`` is finite, tested
+    ``FINITE_BLOCK`` entries at a time along its memory, so that the
+    temporary is a small block of booleans rather than one per entry."""
+    cols = V if abs(V.strides[0]) <= abs(V.strides[1]) else V.T
+    step = max(1, FINITE_BLOCK // cols.shape[0])
+    return all(np.isfinite(cols[:, j:j + step]).all() for j in range(0, cols.shape[1], step))
+
+
 @dataclass
 class ObservationSet:
     """A set of ``p`` weighted observations of an ``n``-vector.
@@ -65,6 +71,9 @@ class ObservationSet:
     ----------
     V:
         Observation matrix, shape ``(n, p)``; column ``l`` is observation ``v_l``.
+        A float64 array is kept as it is, not copied, so ``V`` may be a
+        read-only view (a MOMV read maps its file); ``np.array(obs.V)``
+        gives a writable copy.
     nu:
         Strictly positive weight vector of length ``p``.  Defaults to the
         uniform weights ``1/p``.
@@ -80,7 +89,7 @@ class ObservationSet:
         n, p = self.V.shape
         if n < 1 or p < 1:
             raise ValueError(f"V must be at least 1x1, got shape {self.V.shape}")
-        if not np.isfinite(self.V).all():
+        if not _all_finite(self.V):
             raise ValueError("V contains non-finite entries")
         if self.nu is None:
             self.nu = np.full(p, 1.0 / p)
@@ -111,7 +120,7 @@ class DenseSymTensor:
 
     ``entries`` has shape ``(dim,) * order`` with row-major (C) linearization
     over the multiindex ``(i1, ..., id)``.  Symmetry is an expectation, not
-    an enforced invariant; use :func:`check_symmetric` to verify it.
+    an enforced invariant.
     """
 
     order: int
@@ -257,34 +266,3 @@ def ttsv_all(X: DenseSymTensor, a: np.ndarray) -> float:
     if a.shape != (X.dim,):
         raise ValueError(f"vector length {a.size} != tensor dim {X.dim}")
     return float(np.dot(ttsv_all_but_one(X, a), a))
-
-
-def check_symmetric(X: DenseSymTensor, tol: float) -> bool:
-    """True iff entries are invariant (within ``tol``) under index permutations.
-
-    Exhaustive over all ``d!`` permutations up to 10**6 entries; above that,
-    a fixed random sample of permuted index pairs is compared instead.
-    """
-    if tol < 0:
-        raise ValueError(f"tol must be >= 0, got {tol}")
-    d = X.order
-    E = X.entries
-    if E.size <= _EXHAUSTIVE_SYMMETRY_LIMIT:
-        for perm in itertools.permutations(range(d)):
-            if np.abs(E - np.transpose(E, perm)).max() > tol:
-                return False
-        return True
-    rng = np.random.default_rng(0)  # fixed stream: the check must be repeatable
-    idx = rng.integers(0, X.dim, size=(_SYMMETRY_SAMPLES, d))
-    perm = rng.permuted(np.broadcast_to(np.arange(d), idx.shape).copy(), axis=1)
-    permuted = np.take_along_axis(idx, perm, axis=1)
-    base = E[tuple(idx.T)]
-    swapped = E[tuple(permuted.T)]
-    return bool(np.abs(base - swapped).max() <= tol)
-
-
-def unique_entries(n: int, d: int) -> int:
-    """Number of distinct entries of a d-way n-dimensional symmetric tensor."""
-    if n < 1 or d < 1:
-        raise ValueError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
-    return math.comb(n + d - 1, d)

@@ -8,8 +8,13 @@ Rows of only commas, whitespace and quotes are skipped, and line 1 is a
 header when it does not parse as numbers.  The binary format is: magic
 ``MOMV``, little-endian u32 version (1), u64 ``n``, u64 ``p``, then
 ``n * p`` little-endian float64 values in column-major order (each
-observation contiguous), and nothing after them.  Solutions are written as
-a self-describing JSON record; round-trips are lossless for finite doubles.
+observation contiguous), and nothing after them.  A binary read maps the
+file read-only instead of copying it, so ``V`` is a read-only view of the
+file's pages: the file must not be truncated or rewritten while the set is
+in use, not even by writing the set back to it (a truncated mapping faults
+with ``SIGBUS``), and ``np.array(obs.V)`` gives a writable copy.  Solutions
+are written as a self-describing JSON record; round-trips are lossless for
+finite doubles.
 """
 
 from __future__ import annotations
@@ -107,12 +112,16 @@ def read_observations_csv(path: str) -> ObservationSet:
                 if k in recorded and not _parses(line)
             )
             raise ParseError(f"{path}: row {bad}: non-numeric value") from None
-    if not np.isfinite(M).all():
-        bad = np.argwhere(~np.isfinite(M))[0]
+    try:
+        return ObservationSet(M.T)
+    except ValueError:
+        # ObservationSet's scan is the only one; locate the entry once it fails
+        bad = np.argwhere(~np.isfinite(M))
+        if not bad.size:
+            raise
         raise ValueError(
-            f"{path}: non-finite value at row {linenos[bad[0]]}, column {bad[1] + 1}"
-        )
-    return ObservationSet(M.T)
+            f"{path}: non-finite value at row {linenos[bad[0, 0]]}, column {bad[0, 1] + 1}"
+        ) from None
 
 
 def write_observations_csv(path: str, obs: ObservationSet) -> None:
@@ -130,7 +139,7 @@ def read_observations_binary(path: str) -> ObservationSet:
         version, n, p = struct.unpack("<IQQ", header[4:24])
         if version != BINARY_VERSION:
             raise ParseError(f"{path}: unsupported version {version} (byte offset 4)")
-        # checked before anything is allocated; the offset is where the
+        # checked before anything is mapped; the offset is where the
         # payload ends or, when values follow it, where they start
         want, have = 8 * n * p, os.fstat(fh.fileno()).st_size - 24
         if have != want:
@@ -138,11 +147,14 @@ def read_observations_binary(path: str) -> ObservationSet:
                 f"{path}: expected {n * p} values ({want} bytes) after the header, "
                 f"got {have} bytes (byte offset {24 + min(have, want)})"
             )
-        data = np.fromfile(fh, dtype="<f8", count=n * p)
-    V = data.reshape((n, p), order="F")
-    if not np.isfinite(V).all():
-        raise ValueError(f"{path}: non-finite value in payload")
-    return ObservationSet(V)
+        # a plain ndarray view of the mapping, which keeps the mapping open
+        V = np.asarray(np.memmap(fh, dtype="<f8", mode="r", offset=24, shape=(n, p), order="F"))
+    try:
+        return ObservationSet(V)
+    except ValueError:
+        if np.isfinite(V).all():  # an empty payload, not a bad value
+            raise
+        raise ValueError(f"{path}: non-finite value in payload") from None
 
 
 def write_observations_binary(path: str, obs: ObservationSet) -> None:

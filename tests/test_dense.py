@@ -1,6 +1,7 @@
 """Dense tensor operations checked against direct enumeration."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -11,14 +12,48 @@ from momentcp import (
     ObservationSet,
     SymKruskal,
     build_moment,
-    check_symmetric,
     inner,
     kruskal_to_dense,
     outer_power,
     ttsv_all,
     ttsv_all_but_one,
-    unique_entries,
 )
+from momentcp.dense import FINITE_BLOCK
+
+# check_symmetric is exhaustive below this entry count, sampled above it
+_EXHAUSTIVE_SYMMETRY_LIMIT = 1_000_000
+_SYMMETRY_SAMPLES = 100_000
+
+
+def check_symmetric(X: DenseSymTensor, tol: float) -> bool:
+    """True iff entries are invariant (within ``tol``) under index permutations.
+
+    Exhaustive over all ``d!`` permutations up to 10**6 entries; above that,
+    a fixed random sample of permuted index pairs is compared instead.
+    """
+    if tol < 0:
+        raise ValueError(f"tol must be >= 0, got {tol}")
+    d = X.order
+    E = X.entries
+    if E.size <= _EXHAUSTIVE_SYMMETRY_LIMIT:
+        for perm in itertools.permutations(range(d)):
+            if np.abs(E - np.transpose(E, perm)).max() > tol:
+                return False
+        return True
+    rng = np.random.default_rng(0)  # fixed stream: the check must be repeatable
+    idx = rng.integers(0, X.dim, size=(_SYMMETRY_SAMPLES, d))
+    perm = rng.permuted(np.broadcast_to(np.arange(d), idx.shape).copy(), axis=1)
+    permuted = np.take_along_axis(idx, perm, axis=1)
+    base = E[tuple(idx.T)]
+    swapped = E[tuple(permuted.T)]
+    return bool(np.abs(base - swapped).max() <= tol)
+
+
+def unique_entries(n: int, d: int) -> int:
+    """Number of distinct entries of a d-way n-dimensional symmetric tensor."""
+    if n < 1 or d < 1:
+        raise ValueError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
+    return math.comb(n + d - 1, d)
 
 
 def brute_outer_power(a, d):
@@ -281,6 +316,32 @@ class TestObservationSet:
         V[0, 1] = np.nan
         with pytest.raises(ValueError):
             ObservationSet(V)
+
+    @pytest.mark.parametrize("layout", ["F", "C", "strided"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_scan_reaches_every_block(self, layout, bad):
+        # more entries than one scan block, with the bad one last in memory
+        n, p = 7, 3 * FINITE_BLOCK // 7 + 5
+        if layout == "strided":
+            V = np.ones((n, 2 * p), order="F")[:, ::2]
+        else:
+            V = np.ones((n, p), order=layout)
+        assert ObservationSet(V).V is V
+        V[-1, -1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            ObservationSet(V)
+
+    def test_scan_makes_no_full_size_temporary(self):
+        import tracemalloc
+
+        V = np.ones((50, 20000), order="F")
+        tracemalloc.start()
+        try:
+            ObservationSet(V)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < V.size // 4  # a whole-array scan holds V.size booleans
 
     def test_rejects_weight_shape_mismatch(self):
         with pytest.raises(ValueError):

@@ -200,6 +200,67 @@ class TestBinary:
         assert np.array_equal(read_observations(str(bpath)).V, obs.V)
         assert np.array_equal(read_observations(str(cpath)).V, obs.V)
 
+    def test_read_maps_the_payload(self, tmp_path):
+        rng = np.random.default_rng(74)
+        obs = ObservationSet(rng.standard_normal((6, 11)))
+        path = tmp_path / "mapped.momv"
+        write_observations_binary(str(path), obs)
+        V = read_observations_binary(str(path)).V
+        assert V.flags.f_contiguous and not V.flags.writeable
+        assert type(V) is np.ndarray
+        assert V.tobytes(order="F") == path.read_bytes()[24:]
+        with pytest.raises(ValueError, match="read-only"):
+            V[0, 0] = 1.0
+
+    def test_read_memory_bounded(self, tmp_path):
+        # the payload is mapped, not copied, and scanned a block at a time
+        import tracemalloc
+
+        obs = ObservationSet(np.random.default_rng(75).standard_normal((100, 5000)))
+        path = tmp_path / "big.momv"
+        write_observations_binary(str(path), obs)
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            back = read_observations_binary(str(path))
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert back.V.nbytes >= 4e6
+        assert np.array_equal(back.V, obs.V)
+        assert peak < back.V.nbytes / 4
+
+    def test_mapped_set_evaluates_like_a_copy(self, tmp_path):
+        from momentcp.objective import pack, packed_fg_implicit
+
+        rng = np.random.default_rng(76)
+        path = tmp_path / "fg.momv"
+        write_observations_binary(str(path), ObservationSet(rng.standard_normal((8, 300))))
+        mapped = read_observations_binary(str(path))
+        x = pack(np.full(3, 1.0 / 3.0), rng.standard_normal((8, 3)))
+        f, g = packed_fg_implicit(mapped, 3, 3)(x)
+        f_copy, g_copy = packed_fg_implicit(ObservationSet(np.array(mapped.V)), 3, 3)(x)
+        assert np.float64(f).tobytes() == np.float64(f_copy).tobytes()
+        assert g.tobytes() == g_copy.tobytes()
+
+    @pytest.mark.parametrize("n, p", [(0, 5), (5, 0), (0, 0)])
+    def test_empty_payload_rejected(self, tmp_path, n, p):
+        path = tmp_path / "empty.momv"
+        path.write_bytes(b"MOMV" + struct.pack("<IQQ", 1, n, p))
+        with pytest.raises(ValueError, match="at least 1x1"):
+            read_observations_binary(str(path))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_payload_rejected(self, tmp_path, bad):
+        V = np.ones((4, 9))
+        V[3, 8] = bad
+        path = tmp_path / "bad.momv"
+        with open(path, "wb") as fh:
+            fh.write(b"MOMV" + struct.pack("<IQQ", 1, 4, 9))
+            V.ravel(order="F").astype("<f8").tofile(fh)
+        with pytest.raises(ValueError, match=f"{path}: non-finite value in payload"):
+            read_observations_binary(str(path))
+
 
 class TestSolutionRecord:
     def test_json_round_trip_lossless(self):
@@ -464,6 +525,23 @@ class TestDecomposeCommand:
         ])
         assert code == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("sign", ["positive", "mixed"])
+    def test_data_norm_overflow_is_runtime_error(self, tmp_path, capsys, sign):
+        # ||X||^2 overflows to inf, or to inf - inf = nan with signed values
+        rng = np.random.default_rng(86)
+        V = rng.random((5, 30)) if sign == "positive" else rng.standard_normal((5, 30))
+        data = tmp_path / "obs.csv"
+        write_observations_csv(str(data), ObservationSet(V * 1e100))
+        code = main([
+            "decompose", "--input", str(data), "--order", "3", "--rank", "3",
+            "--alpha", "exact", "--output", str(tmp_path / "o.json"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: the data norm ||X||^2 of the order-3 moment is not finite")
+        assert "at this data scale" in err
+        assert not (tmp_path / "o.json").exists()
 
     @pytest.mark.parametrize("case", ["identical-variables", "rank-above-n"])
     def test_degenerate_input_finite_or_error(self, tmp_path, capsys, case):
