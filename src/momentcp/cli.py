@@ -205,10 +205,12 @@ def fit(
     takes ``U``, the top ``k = min(2 r_hat, n, p)`` eigenvectors of
     ``V diag(nu) V'`` (:func:`~momentcp.implicit.principal_basis`), once for
     all starts.  Each start is then drawn and fitted on the compressed data
-    ``U'V``, whose objective at ``B`` is the full one at ``A = UB``, lifted
-    to ``UB`` and polished by L-BFGS on the full data with what is left of
-    ``cfg``'s step and evaluation caps (a spent budget leaves one evaluation
-    at the lift), so a start keeps ``OptConfig``'s bounds over both stages.
+    ``U'V`` (so ``rrf_init`` draws from the ``k x k`` factor of
+    ``U'V V'U``, made at the first draw), whose objective at ``B`` is the
+    full one at ``A = UB``, lifted to ``UB`` and polished by L-BFGS on the
+    full data with what is left of ``cfg``'s step and evaluation caps (a
+    spent budget leaves one evaluation at the lift), so a start keeps
+    ``OptConfig``'s bounds over both stages.
     The polish opens with the Gauss-Newton direction ``-1/2 G_A K^{-1}`` of
     :func:`~momentcp.objective.lift_direction` at step 1: off ``range(U)``,
     which holds every column of the lift, ``J'J`` is exactly ``K (x) I_n``,

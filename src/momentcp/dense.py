@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
+from numpy.linalg import _umath_linalg as _gufunc  # np.linalg's LAPACK gufuncs
 
 if TYPE_CHECKING:
     from momentcp.implicit import SymKruskal
@@ -30,6 +31,9 @@ ELEMENT_CAP_ENV = "MOMENTCP_ELEMENT_CAP"
 
 # entries of V that ObservationSet tests for finiteness at a time
 FINITE_BLOCK = 1 << 16
+
+# least share of its diagonal entry that a Cholesky pivot may keep
+_PIVOT_FLOOR = float(np.sqrt(np.finfo(float).eps))
 
 
 class CapExceededError(RuntimeError):
@@ -63,6 +67,18 @@ def _all_finite(V: np.ndarray) -> bool:
     return all(np.isfinite(cols[:, j:j + step]).all() for j in range(0, cols.shape[1], step))
 
 
+def _cholesky(G: np.ndarray) -> np.ndarray | None:
+    """The lower Cholesky factor of the finite ``G``, or ``None`` when ``G``
+    is not positive definite to working precision: a pivot keeps at most
+    ``sqrt(eps)`` of its diagonal entry.  It is ``np.linalg.cholesky``'s
+    gufunc without the wrapper, whose checks and error-state switch cost as
+    much as the factorization at ``r <= 10``; a factorization that fails is
+    all NaN, which fails the pivot test."""
+    with np.errstate(all="ignore"):
+        L = _gufunc.cholesky_lo(G, signature="d->d")
+        return L if (L.diagonal() ** 2 > _PIVOT_FLOOR * G.diagonal()).all() else None
+
+
 @dataclass
 class ObservationSet:
     """A set of ``p`` weighted observations of an ``n``-vector.
@@ -77,6 +93,11 @@ class ObservationSet:
     nu:
         Strictly positive weight vector of length ``p``.  Defaults to the
         uniform weights ``1/p``.
+
+    The range-finder starts draw from :attr:`range_factor`, made from ``V``
+    at the first draw and kept: ``n^2`` floats where it is the ``n x n``
+    Cholesky factor, which is at most ``np``.  ``V`` is not to be changed
+    in place after that.
     """
 
     V: np.ndarray
@@ -109,6 +130,28 @@ class ObservationSet:
     @property
     def p(self) -> int:
         return self.V.shape[1]
+
+    @cached_property
+    def range_factor(self) -> np.ndarray:
+        """An ``F`` with ``F F' = V V'``, from which the range finder draws
+        ``F @ z``, ``N(0, V V')`` in each column, at ``O(n r)`` normals a draw.
+
+        Where ``n <= p`` and ``V V'`` (one syrk, ``O(n^2 p)``) is finite,
+        has normal (not underflowed) diagonal entries and is positive
+        definite to working precision (:func:`_cholesky`'s pivot test), it is
+        the ``n x n`` lower Cholesky factor of ``V V'``.  Otherwise it is
+        ``V``: ``n > p``, a rank-deficient ``V``, whose rounded ``V V'``
+        could give draws outside ``range(V)``, and a ``V V'`` that
+        overflows or underflows.
+        """
+        if self.n <= self.p:
+            with np.errstate(all="ignore"):
+                G = self.V @ self.V.T
+            if np.isfinite(G).all() and G.diagonal().min() >= np.finfo(float).tiny:
+                L = _cholesky(G)
+                if L is not None:
+                    return L
+        return self.V
 
     def has_uniform_weights(self) -> bool:
         return bool(np.allclose(self.nu, 1.0 / self.p, rtol=1e-14, atol=0.0))

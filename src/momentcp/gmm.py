@@ -2,10 +2,14 @@
 
 Data generation produces mixtures with unit-norm, pairwise-correlated means
 (a deliberately non-orthogonal test bed).  Initialization offers a plain
-normalized-Gaussian guess and a range-finder guess ``A0 = V @ Omega`` that
-keeps the starting factors inside the span of the data - which matters,
-since a random guess in high dimension is nearly orthogonal to everything
-and stalls the optimizer at tiny gradients.  The similarity score matches
+normalized-Gaussian guess and a range-finder guess that keeps the starting
+factors inside the span of the data - which matters, since a random guess
+in high dimension is nearly orthogonal to everything and stalls the
+optimizer at tiny gradients.  The range finder (Halko, Martinsson & Tropp,
+SIREV 2011) draws ``A0 = F @ z`` with Gaussian ``z`` and ``F F' = V V'``,
+distributed as the sketch ``V @ Omega``; ``F`` is ``V V'``'s ``n x n``
+Cholesky factor, made once per observation set, so a start costs
+``O(n^2 r)`` instead of a pass over ``V``.  The similarity score matches
 estimated factor columns to true means by maximum absolute cosine over all
 injective assignments.
 """
@@ -80,20 +84,27 @@ def sample_gmm(
 def rrf_init(
     obs: ObservationSet, r_hat: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Range-finder initial guess: ``V @ Omega`` with Gaussian ``Omega``, columns normalized.
+    """Range-finder initial guess: ``F @ z`` with Gaussian ``z``, columns normalized.
 
-    Every column lies in the column space of the observations, so inner
-    products with the data start at a useful magnitude instead of the
-    near-zero values a random direction would give.
+    ``F = obs.range_factor`` has ``F F' = V V'``, so each column is
+    ``N(0, V V')``, as a column of the sketch ``V @ Omega`` is, and lies in
+    the column space of the observations: inner products with the data start
+    at a useful magnitude instead of the near-zero values a random direction
+    would give.  Where ``F`` is the ``n x n`` factor, a draw costs
+    ``O(n^2 r)`` instead of the sketch's ``O(n p r)``; where it is ``V``, the
+    draw is the sketch, bit for bit.  Each column is scaled by a power of two
+    before its norm is taken, which changes no bits and keeps the norm from
+    overflowing or underflowing.
     """
     if r_hat < 1:
         raise ValueError(f"r_hat must be >= 1, got {r_hat}")
-    omega = rng.standard_normal((obs.p, r_hat))
-    A0 = obs.V @ omega
-    norms = np.linalg.norm(A0, axis=0)
-    if np.any(norms == 0.0):
+    F = obs.range_factor
+    A0 = F @ rng.standard_normal((F.shape[1], r_hat))
+    top = np.abs(A0).max(axis=0)
+    if np.any(top == 0.0):
         raise ValueError("projection produced a zero column (is V zero?)")
-    return A0 / norms
+    A0 = np.ldexp(A0, -np.frexp(top)[1])
+    return A0 / np.linalg.norm(A0, axis=0)
 
 
 def gaussian_init(n: int, r_hat: int, rng: np.random.Generator) -> np.ndarray:

@@ -10,9 +10,11 @@ header when it does not parse as numbers.  The binary format is: magic
 ``n * p`` little-endian float64 values in column-major order (each
 observation contiguous), and nothing after them.  A binary read maps the
 file read-only instead of copying it, so ``V`` is a read-only view of the
-file's pages: the file must not be truncated or rewritten while the set is
-in use, not even by writing the set back to it (a truncated mapping faults
-with ``SIGBUS``), and ``np.array(obs.V)`` gives a writable copy.  Solutions
+file's pages, and ``np.array(obs.V)`` gives a writable copy.  A binary write
+makes a new file and renames it over the old one, so writing a set back to
+the file it was read from is safe: the mapping keeps the old file.  The file
+must not be truncated or rewritten in place by other means while the set is
+in use; a truncated mapping faults with ``SIGBUS``.  Solutions
 are written as a self-describing JSON record; round-trips are lossless for
 finite doubles.
 """
@@ -23,6 +25,8 @@ import csv
 import itertools
 import json
 import os
+import secrets
+import stat
 import string
 import struct
 from array import array
@@ -158,10 +162,27 @@ def read_observations_binary(path: str) -> ObservationSet:
 
 
 def write_observations_binary(path: str, obs: ObservationSet) -> None:
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<IQQ", BINARY_VERSION, obs.n, obs.p))
-        np.ascontiguousarray(obs.V.ravel(order="F"), dtype="<f8").tofile(fh)
+    """Write ``obs`` to ``path`` in the MOMV format.
+
+    The bytes go to a new file beside ``path`` (beside its target, when
+    ``path`` is a symlink), which then takes ``path``'s place and mode.  So
+    a set read from ``path``, whose ``V`` maps the old file, can be written
+    back to it, and a write that fails leaves ``path`` as it was.
+    """
+    target = os.path.realpath(path)
+    tmp = f"{target}.{secrets.token_hex(6)}.tmp"
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<IQQ", BINARY_VERSION, obs.n, obs.p))
+            np.ascontiguousarray(obs.V.ravel(order="F"), dtype="<f8").tofile(fh)
+        if os.path.exists(target):
+            os.chmod(tmp, stat.S_IMODE(os.stat(target).st_mode))
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 @dataclass

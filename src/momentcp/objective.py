@@ -42,16 +42,13 @@ from typing import Callable
 import numpy as np
 from numpy.linalg import _umath_linalg as _gufunc  # np.linalg's LAPACK gufuncs
 
-from momentcp.dense import DenseSymTensor, ObservationSet, ttsv_batch_dense
+from momentcp.dense import DenseSymTensor, ObservationSet, _cholesky, ttsv_batch_dense
 from momentcp.implicit import (
     TTSV_BLOCK_BYTES, _column_blocks, _elementwise_power, _ttsv, _ttsv_back, _weighted_power,
     kr_power, moment_unfolding, ttsv_batch,
 )
 
 FgCallback = Callable[[np.ndarray], tuple[float, np.ndarray]]
-
-# least share of its diagonal entry that a Cholesky pivot of G may keep
-_PIVOT_FLOOR = float(np.sqrt(np.finfo(float).eps))
 
 
 @dataclass
@@ -113,18 +110,6 @@ def _lam_star(G: np.ndarray, w: np.ndarray) -> np.ndarray:
         with np.errstate(all="ignore"):  # L is nonsingular; an overflow gives NaN weights
             return _gufunc.solve1(L.T, _gufunc.solve1(L, w, signature="dd->d"), signature="dd->d")
     return np.linalg.lstsq(G, w, rcond=None)[0]
-
-
-def _cholesky(G: np.ndarray) -> np.ndarray | None:
-    """The lower Cholesky factor of the finite ``G``, or ``None`` when ``G``
-    is not positive definite to working precision: a pivot keeps at most
-    ``sqrt(eps)`` of its diagonal entry.  It is ``np.linalg.cholesky``'s
-    gufunc without the wrapper, whose checks and error-state switch cost as
-    much as the factorization at ``r <= 10``; a factorization that fails is
-    all NaN, which fails the pivot test."""
-    with np.errstate(all="ignore"):
-        L = _gufunc.cholesky_lo(G, signature="d->d")
-        return L if (L.diagonal() ** 2 > _PIVOT_FLOOR * G.diagonal()).all() else None
 
 
 def lift_direction(

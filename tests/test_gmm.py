@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import momentcp.cli as cli
+import momentcp.dense as dense
 from momentcp import (
     ObservationSet,
     correlated_means,
@@ -14,6 +15,7 @@ from momentcp import (
     sample_gmm,
     similarity_score,
 )
+from momentcp.io import read_observations_binary, write_observations_binary
 from momentcp.cli import main, run_gmm_sweep
 
 
@@ -153,6 +155,85 @@ class TestInits:
             stats["rrf"].append(overlap(rrf_init(obs, 3, r1)))
             stats["random"].append(overlap(gaussian_init(100, 3, r2)))
         assert np.mean(stats["rrf"]) > 2.0 * np.mean(stats["random"])
+
+
+def _sketch(V, r, rng):
+    """The range finder's sketch ``V @ Omega``, Gaussian ``Omega``, columns normalized."""
+    A0 = V @ rng.standard_normal((V.shape[1], r))
+    return A0 / np.linalg.norm(A0, axis=0)
+
+
+class TestRangeFactor:
+    """``rrf_init`` draws ``F @ z`` from one factor ``F F' = V V'`` per set."""
+
+    def test_tall_data_draws_the_sketch_bitwise(self):
+        rng = np.random.default_rng(80)
+        V = rng.standard_normal((30, 7)) * 3.0
+        obs = ObservationSet(V)
+        for seed in range(20):
+            got, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert np.array_equal(rrf_init(obs, 4, got), _sketch(V, 4, ref))
+            assert got.bit_generator.state == ref.bit_generator.state
+        assert obs.range_factor is obs.V
+
+    @pytest.mark.parametrize("n, p", [(6, 6), (12, 400), (100, 5000)])
+    def test_full_rank_draws_from_the_cholesky_factor(self, n, p):
+        rng = np.random.default_rng(81)
+        V = rng.standard_normal((n, p)) + 2.0
+        obs = ObservationSet(V)
+        F = obs.range_factor
+        G = V @ V.T
+        assert F.shape == (n, n) and np.array_equal(F, np.tril(F))
+        assert np.abs(F @ F.T - G).max() <= 1e-13 * np.abs(G).max()
+        got, ref = np.random.default_rng(3), np.random.default_rng(3)
+        A0 = rrf_init(obs, 5, got)
+        assert np.array_equal(A0, _sketch(F, 5, ref))  # F @ z from exactly n * r normals
+        assert got.bit_generator.state == ref.bit_generator.state
+        assert np.allclose(np.linalg.norm(A0, axis=0), 1.0, atol=1e-13)
+
+    def test_rank_deficient_wide_data_falls_back_to_v(self):
+        rng = np.random.default_rng(82)
+        V = rng.standard_normal((10, 3)) @ rng.standard_normal((3, 40))  # rank 3, n <= p
+        obs = ObservationSet(V)
+        A0 = rrf_init(obs, 2, np.random.default_rng(4))
+        assert obs.range_factor is obs.V
+        assert np.array_equal(A0, _sketch(V, 2, np.random.default_rng(4)))
+
+    @pytest.mark.parametrize("exponent", [600, -527, -600])
+    @pytest.mark.parametrize("shape", [(6, 40), (40, 6)], ids=["wide", "tall"])
+    def test_extreme_scales_give_unit_columns_in_range(self, exponent, shape):
+        # V V' overflows or underflows: the draw is the sketch, normalized
+        # without overflow or underflow.  At 2^-527 the wide V V' is
+        # subnormal, and its rounding passes the pivot test of this rank-3 V.
+        rng = np.random.default_rng(83)
+        V = rng.standard_normal((shape[0], 3)) @ rng.standard_normal((3, shape[1]))
+        obs = ObservationSet(np.ldexp(V, exponent))
+        A0 = rrf_init(obs, 2, np.random.default_rng(5))
+        assert obs.range_factor is obs.V
+        assert np.isfinite(A0).all()
+        assert np.allclose(np.linalg.norm(A0, axis=0), 1.0, atol=1e-13)
+        Q, _ = np.linalg.qr(V[:, :3])
+        assert np.abs(A0 - Q @ (Q.T @ A0)).max() <= 1e-10
+        assert np.array_equal(A0, _sketch(V, 2, np.random.default_rng(5)))
+
+    def test_factor_is_formed_once_at_the_first_draw(self, tmp_path, monkeypatch):
+        calls = []
+        real = dense._cholesky
+        monkeypatch.setattr(dense, "_cholesky", lambda G: calls.append(G.shape) or real(G))
+        V = np.random.default_rng(84).standard_normal((8, 300))
+        path = str(tmp_path / "obs.momv")
+        write_observations_binary(path, ObservationSet(V))
+        for obs in (ObservationSet(V), read_observations_binary(path)):
+            assert "range_factor" not in vars(obs) and calls == []
+        rng = np.random.default_rng(6)
+        draws = [rrf_init(obs, 3, rng) for _ in range(4)]
+        assert calls == [(8, 8)] and vars(obs)["range_factor"].shape == (8, 8)
+        assert not any(np.array_equal(draws[0], A) for A in draws[1:])
+
+    def test_zero_tall_data_raises(self):
+        # TestInits covers n <= p, where the zero V V' has no factor
+        with pytest.raises(ValueError, match="projection produced a zero column"):
+            rrf_init(ObservationSet(np.zeros((4, 3))), 2, np.random.default_rng(0))
 
 
 class TestSimilarityScore:

@@ -212,6 +212,42 @@ class TestBinary:
         with pytest.raises(ValueError, match="read-only"):
             V[0, 0] = 1.0
 
+    def test_write_back_to_the_mapped_file(self, tmp_path):
+        # the new bytes replace the file; the set keeps mapping the old one
+        obs = ObservationSet(np.random.default_rng(75).standard_normal((100, 250)))
+        path = tmp_path / "same.momv"
+        write_observations_binary(str(path), obs)
+        before = path.read_bytes()
+        back = read_observations_binary(str(path))
+        write_observations_binary(str(path), back)
+        assert path.read_bytes() == before
+        assert np.array_equal(back.V, obs.V)
+        assert np.array_equal(read_observations_binary(str(path)).V, obs.V)
+        assert sorted(q.name for q in tmp_path.iterdir()) == ["same.momv"]
+
+    def test_failed_write_leaves_the_file(self, tmp_path):
+        class Payload:
+            def ravel(self, order):
+                raise RuntimeError("disk gone")
+
+        path = tmp_path / "keep.momv"
+        write_observations_binary(str(path), ObservationSet(np.ones((2, 3))))
+        before = path.read_bytes()
+        broken = type("Obs", (), {"n": 2, "p": 3, "V": Payload()})()
+        with pytest.raises(RuntimeError, match="disk gone"):  # after the header
+            write_observations_binary(str(path), broken)
+        assert path.read_bytes() == before
+        assert sorted(q.name for q in tmp_path.iterdir()) == ["keep.momv"]
+
+    def test_write_keeps_mode_and_symlink(self, tmp_path):
+        target, link = tmp_path / "data.momv", tmp_path / "link.momv"
+        write_observations_binary(str(target), ObservationSet(np.ones((2, 3))))
+        target.chmod(0o640)
+        link.symlink_to(target)
+        write_observations_binary(str(link), ObservationSet(np.zeros((2, 3))))
+        assert link.is_symlink() and (target.stat().st_mode & 0o777) == 0o640
+        assert np.array_equal(read_observations_binary(str(target)).V, np.zeros((2, 3)))
+
     def test_read_memory_bounded(self, tmp_path):
         # the payload is mapped, not copied, and scanned a block at a time
         import tracemalloc

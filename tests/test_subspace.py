@@ -46,6 +46,14 @@ def _mixture(n, p, r, seed, sigma=1e-2):
     return sample_gmm(correlated_means(n, r, 0.5, rng), sigma, p, rng)
 
 
+def _sketch_init(space, r, rng):
+    """The range-finder draw as a ``p x r`` sketch, ``V @ Omega`` with Gaussian
+    ``Omega``, columns normalized: the starts the basin fixtures below were
+    chosen with.  ``rrf_init`` draws from the same distribution with other bits."""
+    A0 = space.V @ rng.standard_normal((space.p, r))
+    return A0 / np.linalg.norm(A0, axis=0)
+
+
 def _basins(subs, d):
     """``fit``'s grouping rule on dense tensors: for each subspace solution
     ``(lam, B)`` in start order, the first earlier polished start whose model
@@ -374,6 +382,7 @@ class TestBasins:
         # farther apart than SAME_BASIN_TOL, and start 2 near -0.250
         import momentcp.cli as cli
 
+        monkeypatch.setattr(cli, "rrf_init", _sketch_init)
         obs, cfg = _mixture(40, 2000, 5, 7), OptConfig(pgtol=1e-6)
         got = fit(obs, 4, 5, cfg, 3, 7)
         monkeypatch.setattr(cli, "SAME_BASIN_TOL", -np.inf)
@@ -393,10 +402,8 @@ class TestBasins:
         # a start that fails is never polished, so later starts group without it
         import momentcp.cli as cli
 
-        real = cli.rrf_init
-
         def rrf_init(space, r, rng):
-            A0 = real(space, r, rng)
+            A0 = _sketch_init(space, r, rng)
             if rng.bit_generator.seed_seq.spawn_key[-1] < failed:
                 if stage == "init":
                     raise ValueError("no start")
