@@ -173,6 +173,12 @@ class _Basins:
     through the Gram identity ``<M_i, M_j> = lam_i' (B_i'B_j)^d lam_j``,
     O(k r^2) a pair.  The starts join in start order, so a decision reads
     only starts below ``i``.
+
+    Grouping acts where the subspace stage runs to a tight ``pgtol``.  At
+    1e-8 (``tools/switch_table.py``) and 1e-12 (``wide-cli``), starts that
+    reach one minimum end 1e-16 to 1e-10 apart, and every fit groups some
+    of its starts.  At ``pgtol`` 1e-4 they end 1e-8 to 1e-4 apart, and the
+    switch table groups none of its 1,408 starts (``BENCH_one_line.json``).
     """
 
     def __init__(self, d: int) -> None:

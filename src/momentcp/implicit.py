@@ -125,8 +125,7 @@ def _weighted_power(M: np.ndarray, W: np.ndarray, k: int) -> np.ndarray:
 
 
 def _ttsv(
-    V: np.ndarray, W: np.ndarray, A: np.ndarray, d: int,
-    VtA: np.ndarray | None = None, blocks: list[slice] | None = None,
+    V: np.ndarray, W: np.ndarray, A: np.ndarray, d: int, blocks: list[slice] | None = None
 ) -> np.ndarray:
     """The kernel of :func:`ttsv_batch` on arguments the caller has checked.
 
@@ -138,9 +137,7 @@ def _ttsv(
     block of ``B`` columns.  ``Y``'s bits depend on the split, and the split
     only on ``V``'s shape, so a call is deterministic.  A ``V`` under
     ``2 * TTSV_BLOCK_BYTES`` is one block, whose products are made without
-    the block loop.  On a ``V`` of more than one block, a ``p x r`` buffer
-    ``VtA`` receives each block's ``V_b.T @ A`` in its rows ``b``, so it
-    ends holding ``V.T @ A``.
+    the block loop.
     """
     blocks = blocks or _column_blocks(V)
     if len(blocks) == 1:
@@ -148,25 +145,12 @@ def _ttsv(
     Y = None
     for b in blocks:
         Vb = V[:, b]
-        Ab = Vb.T @ A if VtA is None else np.matmul(Vb.T, A, out=VtA[b])
-        Yb = Vb @ _weighted_power(Ab, W[b], d - 1)
+        Yb = Vb @ _weighted_power(Vb.T @ A, W[b], d - 1)
         if Y is None:
             Y = Yb
         else:
             Y += Yb
     return Y
-
-
-def _ttsv_back(
-    V: np.ndarray, W: np.ndarray, VtA: np.ndarray, d: int, blocks: list[slice] | None = None
-) -> np.ndarray:
-    """The back half of :func:`_ttsv` from a given ``VtA = V.T @ A``:
-    ``Y = sum_b V_b @ (W_b * VtA_b ** (d-1))`` over the same blocks.  On a
-    large ``V`` that is about twice as fast as one GEMM over all of it
-    (1.7 against 3.9 ms at ``n=500, p=5000, r=5``, one thread)."""
-    return sum(
-        V[:, b] @ _weighted_power(VtA[b], W[b], d - 1) for b in blocks or _column_blocks(V)
-    )
 
 
 def kr_power(B: np.ndarray, m: int) -> np.ndarray:

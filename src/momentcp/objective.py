@@ -25,17 +25,13 @@ For fixed ``A`` the objective is quadratic in ``lam``, minimized by
 solved by ``G``'s Cholesky factor.
 The packed evaluator also has a reduced route over ``A`` alone (variable
 projection): ``f(lam*(A), A)`` and, by the envelope theorem, ``g_A`` at
-``(lam*, A)``.  L-BFGS minimizes it; Adam, whose sampled ``lam`` gradients
-must stay unbiased, keeps the full ``(lam, A)`` route.
-
-On the matrix-free route the reduced objective along a search line
-``A + tD`` needs no pass over ``V`` after the first: ``V'(A + tD)`` is
-affine in ``t`` (:class:`_ImplicitLine`).
+``(lam*, A)``.  L-BFGS minimizes it, one evaluation per line-search
+trial; Adam, whose sampled ``lam`` gradients must stay unbiased, keeps the
+full ``(lam, A)`` route.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -44,8 +40,7 @@ from numpy.linalg import _umath_linalg as _gufunc  # np.linalg's LAPACK gufuncs
 
 from momentcp.dense import DenseSymTensor, ObservationSet, _cholesky, ttsv_batch_dense
 from momentcp.implicit import (
-    TTSV_BLOCK_BYTES, _column_blocks, _elementwise_power, _ttsv, _ttsv_back, _weighted_power,
-    kr_power, moment_unfolding, ttsv_batch,
+    _column_blocks, _elementwise_power, _ttsv, kr_power, moment_unfolding, ttsv_batch,
 )
 
 FgCallback = Callable[[np.ndarray], tuple[float, np.ndarray]]
@@ -60,29 +55,22 @@ class FgResult:
     g_A: np.ndarray
 
 
-def _gram_tail(
-    w: np.ndarray, lam: np.ndarray | None, A: np.ndarray, d: int, alpha: float
-) -> tuple:
-    """``(lam, f, G lam, C)`` from the inner products ``w_j = a_j'y_j``: the
-    ``r x r`` Gram tail ``f = alpha + lam.T @ G @ lam - 2 w.T @ lam``, with
-    ``C = (A'A)^(d-1)`` and ``G = (A'A) * C``, which is ``(A'A)^d`` bit for
-    bit.  With ``lam=None`` the weights are ``lam* = G^{-1} w``."""
+def _finish(Y: np.ndarray, lam: np.ndarray | None, A: np.ndarray, d: int, alpha: float) -> tuple:
+    """``(lam, f, pack(g_lam, g_A))`` from the TTSVs ``Y`` through the
+    ``r x r`` Gram tail ``f = alpha + lam.T @ G @ lam - 2 w.T @ lam``, whose
+    ``||M||^2 = lam.T @ G @ lam`` and ``<X, M> = w.T @ lam``, with
+    ``w_j = a_j'y_j``, ``C = (A'A)^(d-1)`` and ``G = (A'A) * C``, which is
+    ``(A'A)^d`` bit for bit.  With ``lam=None`` the weights are
+    ``lam* = G^{-1} w``."""
+    n, r = A.shape
+    w = np.einsum("ij,ij->j", A, Y)  # w_j = a_j.T y_j, as in model_data_inner
     G = A.T @ A
     C = _elementwise_power(G, d - 1)  # a new array, so G is scaled in place
     G *= C
     if lam is None:
         lam = _lam_star(G, w)
     u = G @ lam
-    return lam, alpha + float(lam @ u) - 2.0 * float(w @ lam), u, C
-
-
-def _finish(Y: np.ndarray, lam: np.ndarray | None, A: np.ndarray, d: int, alpha: float) -> tuple:
-    """``(lam, f, pack(g_lam, g_A))`` from the TTSVs ``Y`` through
-    :func:`_gram_tail`, whose ``||M||^2 = lam.T @ G @ lam`` and
-    ``<X, M> = w.T @ lam``.  With ``lam=None`` the weights are ``lam*``."""
-    n, r = A.shape
-    w = np.einsum("ij,ij->j", A, Y)  # w_j = a_j.T y_j, as in model_data_inner
-    lam, f, u, C = _gram_tail(w, lam, A, d, alpha)
+    f = alpha + float(lam @ u) - 2.0 * float(w @ lam)
     g = np.empty(r + n * r)  # both gradient blocks are written into their packed slots
     np.multiply(-2.0, np.subtract(w, u, out=u), out=g[:r])
     E = (A * lam) @ C
@@ -216,11 +204,11 @@ def packed_fg(
     makes ``Y``, ``A'A``, its powers and ``w`` once (:func:`_finish`) and
     returns a fresh packed gradient.  The reduced route ignores ``x``'s ``lam``:
     ``fg.project(x)`` gives ``(pack(lam*, A), f, gradient)`` at the optimal
-    weights ``lam* = G^{-1} w``.  A search line on the reduced route,
-    ``fg.line(x, D, prev)``, is offered by :func:`packed_fg_implicit` alone,
-    and only where it saves passes over ``V``;
-    :func:`~momentcp.optimize.lbfgs_minimize` searches any other callback by
-    evaluating ``fg.project(x + tD)`` at every trial.
+    weights ``lam* = G^{-1} w``, and :func:`~momentcp.optimize.lbfgs_minimize`
+    evaluates it once at every line-search trial.  ``fg.alpha`` is ``alpha``:
+    on the reduced route ``G lam* = w``, so ``|alpha| + 3 |f - alpha|`` is
+    ``f``'s rounding scale ``|alpha| + lam*'G lam* + 2 |w'lam*|``, which the
+    search's stall test reads.
     """
     if min(n, r) < 1 or d < 2 or not np.isfinite(alpha):
         raise ValueError(f"need n, r >= 1, d >= 2 and a finite alpha, got {n}, {r}, {d}, {alpha}")
@@ -235,26 +223,20 @@ def packed_fg(
         lam, f, g = _finish(ttsv(A), None, A, d, alpha)
         return np.concatenate([lam, x[r:]]), f, g
 
-    fg.project = project
+    fg.project, fg.alpha = project, alpha
     return fg
 
 
 def packed_fg_implicit(
     obs: ObservationSet, d: int, r: int, alpha: float = 0.0
 ) -> FgCallback:
-    """:func:`packed_fg` on the matrix-free TTSVs of ``obs``.
-
-    On a ``V`` of more than one TTSV block (``2 * TTSV_BLOCK_BYTES`` or more)
-    it also offers the reduced route's search lines, ``fg.line(x, D, prev)``
-    (:class:`_ImplicitLine`), whose trials after the first read no ``V``.  A
-    ``V`` of one block is read from cache by every pass, so it offers none.
-    """
+    """:func:`packed_fg` on the matrix-free TTSVs of ``obs``: every
+    evaluation is one pass over ``V`` (:func:`~momentcp.implicit._ttsv`),
+    with ``V``'s column blocks and the weights in the blocks' ``p x r``
+    shape made here, once."""
     V, blocks = obs.V, _column_blocks(obs.V)
     W = np.repeat(obs.nu, r).reshape(obs.p, r)  # the weights in the TTSV blocks' shape
-    fg = packed_fg(lambda A: _ttsv(V, W, A, d, None, blocks), obs.n, r, d, alpha)
-    if len(blocks) > 1:
-        fg.line = functools.partial(_ImplicitLine, V, W, blocks, d, r, alpha)
-    return fg
+    return packed_fg(lambda A: _ttsv(V, W, A, d, blocks), obs.n, r, d, alpha)
 
 
 def packed_fg_compressed(
@@ -272,113 +254,6 @@ def packed_fg_compressed(
         return packed_fg_implicit(obs, d, r, alpha)
     T = moment_unfolding(obs, d)
     return packed_fg(lambda A: T @ kr_power(A, d - 1), obs.n, r, d, alpha)
-
-
-class _ImplicitLine:
-    """The reduced objective on the line ``x + tD`` over ``V``'s TTSVs, for
-    :func:`~momentcp.optimize.lbfgs_minimize`'s search.
-
-    ``trial(t)`` gives ``(f, slope)`` at step ``t``, the slope being
-    ``g_A . D_A`` (``D``'s ``lam`` slots are ignored), and ``point(t)`` gives
-    ``(pack(lam*, A), f, gradient)`` there, as ``fg.project(x + tD)`` does,
-    for a step the line has tried (or ``t = 0`` at a run's start), and sets
-    ``moved`` to ``(x + tD, search gradient)`` there.
-    ``prev`` is the line whose ``point`` gave ``x``; it hands on ``VtA = V'A``
-    and ``f`` at ``x``.  A line without it (a run's start, with ``D`` None,
-    to evaluate ``point(0)``) makes every evaluation a fused pass.
-
-    The first trial is one fused pass (:func:`~momentcp.implicit._ttsv`) that
-    also stores ``VtA(t1) = V'(A + t1 D)``.  ``V'(A + tD)`` is affine in
-    ``t``, so every later trial works from ``VtA(t) = VtA + t delta``, with
-    ``delta = V'D = (VtA(t1) - VtA) / t1`` formed at the second trial:
-    ``w_j = sum_l nu_l VtA_lj(t)^d``, ``G`` from ``(A + tD)'(A + tD)``,
-    ``lam*`` by the ``r x r`` Cholesky, and the slope from
-    ``D_j'y_j = sum_l nu_l VtA_lj(t)^(d-1) delta_lj`` and
-    :func:`_gram_tail`, the one :func:`_finish` takes, in
-    ``O(pr + nr^2 + r^3)``, over row chunks of ``VtA`` small enough for their
-    temporaries to stay in cache.  Such a trial returns
-    ``f(0) + (phi(t) - phi(0))``, where ``phi`` is this cheap arithmetic, so
-    a rounding stall compares like with like: the trial gives ``f(0)`` back
-    when ``phi(t) == phi(0)``.  ``point(t)`` at a cheap step pays one back
-    pass ``V (nu * VtA(t)^(d-1))`` (:func:`~momentcp.implicit._ttsv_back`)
-    and :func:`_finish`, for its exact ``lam*``, ``f`` and gradient, and
-    keeps ``VtA(t)`` for the next line.
-
-    A line belongs to one run.  The evaluator that makes it is shared by
-    every start of a fit and holds no line state.
-    """
-
-    def __init__(self, V, W, blocks, d, r, alpha, x, D=None, prev=None):
-        self.V, self.W, self.blocks, self.d, self.r, self.alpha = V, W, blocks, d, r, alpha
-        self.x, self.D = x, D
-        self.VtA, self.f0 = (None, None) if prev is None else prev.end
-        self.fused = {}  # step -> (V'A, pack(lam*, A), f, gradient, x + tD) of a fused pass
-        self.delta = self.phi0 = None  # V'D and phi(0), formed at the second trial
-        self.end = None  # (V'A, f) at the last point taken
-
-    def _fused(self, t):
-        xt = self.x if t == 0.0 else self.x + t * self.D
-        A = _factor(xt, self.V.shape[0], self.r)
-        VtA = np.empty((self.V.shape[1], self.r))
-        Y = _ttsv(self.V, self.W, A, self.d, VtA, self.blocks)
-        lam, f, g = _finish(Y, None, A, self.d, self.alpha)
-        self.fused[t] = (VtA, np.concatenate([lam, xt[self.r :]]), f, g, xt)
-        return self.fused[t]
-
-    def _cheap(self, t):
-        """``(phi, slope)`` at ``t`` from ``VtA(t)``, reading no ``V``; its
-        first call also forms ``delta`` and ``phi0 = phi(0)``."""
-        n, r, d, W, VtA = self.V.shape[0], self.r, self.d, self.W, self.VtA
-        first = self.delta is None
-        if first:
-            t1, (VtA1, *_) = next(iter(self.fused.items()))
-            self.delta = np.empty_like(VtA)
-        delta = self.delta
-        w, DY, w0 = np.zeros(r), np.zeros(r), np.zeros(r)
-        # row chunks of half a TTSV block keep each chunk's temporaries in cache
-        step = max(1, TTSV_BLOCK_BYTES // (16 * r))
-        for i in range(0, VtA.shape[0], step):
-            b = slice(i, i + step)
-            if first:
-                db = np.subtract(VtA1[b], VtA[b], out=delta[b])
-                db /= t1
-                P = _weighted_power(VtA[b], W[b], d - 1)
-                w0 += np.einsum("ij,ij->j", P, VtA[b])
-            X = delta[b] * t
-            X += VtA[b]
-            P = _weighted_power(X, W[b], d - 1)
-            w += np.einsum("ij,ij->j", P, X)
-            DY += np.einsum("ij,ij->j", P, delta[b])
-        if first:
-            self.phi0 = _gram_tail(w0, None, _factor(self.x, n, r), d, self.alpha)[1]
-        A = _factor(self.x + t * self.D, n, r)
-        lam, phi, _, C = _gram_tail(w, None, A, d, self.alpha)
-        # g_A . D = -2d sum_j lam_j (D_j'y_j - D_j'((A diag(lam)) C)_j)
-        DAC = ((self.D[r:].reshape((n, r), order="F").T @ A) * C) @ lam
-        return phi, -2.0 * d * float(lam @ (DY - DAC))
-
-    def trial(self, t: float) -> tuple[float, float]:
-        if self.VtA is None or not self.fused:
-            _, _, f, g, _ = self._fused(t)
-            return f, float(g[self.r :] @ self.D[self.r :])
-        phi, slope = self._cheap(t)
-        return self.f0 + (phi - self.phi0), slope
-
-    def point(self, t: float) -> tuple[np.ndarray, float, np.ndarray]:
-        if t not in self.fused and (self.VtA is None or not self.fused):
-            self._fused(t)
-        if t in self.fused:
-            VtA, x_star, f, g, xt = self.fused[t]
-        else:
-            VtA = self.VtA + t * self.delta
-            xt = self.x + t * self.D
-            A = _factor(xt, self.V.shape[0], self.r)
-            Y = _ttsv_back(self.V, self.W, VtA, self.d, self.blocks)
-            lam, f, g = _finish(Y, None, A, self.d, self.alpha)
-            x_star = np.concatenate([lam, xt[self.r :]])
-        self.end = (VtA, f)
-        self.moved = (xt, np.concatenate([np.zeros(self.r), g[self.r :]]))
-        return x_star, f, g
 
 
 def sample_observations(

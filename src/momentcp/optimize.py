@@ -23,7 +23,6 @@ at half the call overhead.
 
 from __future__ import annotations
 
-import functools
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -43,10 +42,12 @@ _SUFFICIENT_DECREASE = 1e-3
 _CURVATURE = 0.9
 _XTOL = 0.1
 _EPS = float(np.finfo(float).eps)
+# a trial that fails sufficient decrease with |f - f0| at most this many eps of
+# f's rounding scale is a rounding stall, which ends its search
+_STALL_EPS = 4.0
 # correction pairs L-BFGS stores
 MEMORY = 5
-# trials one line search may make; every trial counts as an evaluation,
-# including the trials that read no ``V`` (:class:`~momentcp.objective._ImplicitLine`)
+# trials one line search may make; every trial is one evaluation
 MAX_LINE_STEPS = 20
 # Adam's moment decay rates and denominator offset (Kingma & Ba, ICLR 2015)
 ADAM_BETA1 = 0.9
@@ -113,17 +114,17 @@ class RunReport:
 
     ``trace`` rows are ``(f, seconds_since_start)`` at the initial point and
     after every accepted step (for Adam: after every epoch).  ``n_fg`` counts
-    inner iterations: for L-BFGS the starting point and every line-search
-    trial, whether it made a pass over ``V`` or, after a search's first trial
-    on a multi-block ``V``, worked from the kept ``V'A`` (for Adam:
-    mini-batch gradient steps).  ``setup_time`` is the time a multistart fit
-    spent before its starts on work they share (:func:`momentcp.cli.fit`'s
-    subspace basis and compressed moment unfolding); no run's ``wall_time``
-    includes it.  A start of :func:`momentcp.cli.fit` whose subspace
-    solution is in the basin of an earlier, polished start is not polished:
-    its ``reason`` is ``"grouped with run j"``, naming that start, its
-    ``n_fg`` is the subspace stage's plus the one evaluation at its lift,
-    and its ``trace`` is the subspace stage's rows and one row at the lift.
+    inner iterations: for L-BFGS the evaluations, at the starting point and
+    at every line-search trial, so each full-data one is one pass over ``V``
+    (for Adam: mini-batch gradient steps).  ``setup_time`` is the time a
+    multistart fit spent before its starts on work they share
+    (:func:`momentcp.cli.fit`'s subspace basis and compressed moment
+    unfolding); no run's ``wall_time`` includes it.  A start of
+    :func:`momentcp.cli.fit` whose subspace solution is in the basin of an
+    earlier, polished start is not polished: its ``reason`` is
+    ``"grouped with run j"``, naming that start, its ``n_fg`` is the
+    subspace stage's plus the one evaluation at its lift, and its ``trace``
+    is the subspace stage's rows and one row at the lift.
     """
 
     lam: np.ndarray
@@ -173,18 +174,16 @@ def _zoom_step(lo: tuple, hi: tuple) -> float:
 
 
 class _EvalLine:
-    """The line ``x + tD`` of a callback, one evaluation per step: the
-    search line of every objective that offers no ``fg.line``.
+    """The line ``x + tD`` of a callback, one evaluation per step.
 
     ``evaluate(x)`` gives ``(x_star, f, g)``: ``fg.project`` on the reduced
     route, whose search gradient is ``g`` with its ``r`` weight slots set to
     0, or ``(x, *fg(x))`` with ``r = 0``.  ``trial(t)`` gives ``(f, slope)``
     and ``point(t)`` that step's ``(x_star, f, g)``, kept from its trial,
-    setting ``moved`` to the trial's ``(x + tD, search gradient)``.  ``prev``
-    is ignored.
+    setting ``moved`` to the trial's ``(x + tD, search gradient)``.
     """
 
-    def __init__(self, evaluate, r, x, D=None, prev=None):
+    def __init__(self, evaluate, r, x, D=None):
         self.evaluate, self.r, self.x, self.D = evaluate, r, x, D
         self.tried: dict[float, tuple] = {}
 
@@ -202,28 +201,28 @@ class _EvalLine:
         return f, float(self.moved[1].dot(self.D))
 
 
-def _line_search(line, f0, d0, step, max_trials):
+def _line_search(line, f0, d0, step, max_trials, scale):
     """Strong-Wolfe line search (Nocedal & Wright, Algorithms 3.5 and 3.6)
     on a line with ``trial(t) -> (f, slope)``, from ``f0`` and slope ``d0``
-    at step 0.
+    at step 0, where ``scale`` is ``f0``'s rounding scale.
 
     Doubles the step from ``step`` until the objective turns up, then zooms
     into the bracket with :func:`_zoom_step`.  Returns ``(t, trials)`` with
     ``t`` a step that meets both Wolfe conditions; or the best step so far
     (0 if none met sufficient decrease) once the bracket is narrower than
-    ``_XTOL`` of its upper end or a trial's ``f`` equals ``f0`` bit for bit
-    (a rounding stall; a trial that reads no ``V`` gives ``f0`` back when
-    its own arithmetic gives the same value at ``t`` as at 0); or
-    ``(None, max_trials)`` when ``max_trials`` trials found neither.  The
-    caller takes the step's point from the line's ``point(t)``.
+    ``_XTOL`` of its upper end or a trial that fails sufficient decrease
+    lies within ``_STALL_EPS * eps * scale`` of ``f0`` (a rounding stall;
+    a non-finite trial is none); or ``(None, max_trials)`` when
+    ``max_trials`` trials found neither.  The caller takes the step's point
+    from the line's ``point(t)``.
     """
     lo, hi = (0.0, f0, d0), None  # (step, f, slope) at the bracket's ends; lo is the best step
     a = step
     for evals in range(1, max_trials + 1):
         fa, da = line.trial(a)
-        if fa == f0:  # rounding stall
-            return lo[0], evals
         if not (fa <= f0 + _SUFFICIENT_DECREASE * a * d0 and fa < lo[1]):  # NaN fails too
+            if abs(fa - f0) <= _STALL_EPS * _EPS * scale:  # rounding stall
+                return lo[0], evals
             hi = (a, fa, da)
         else:
             if abs(da) <= -_CURVATURE * d0:
@@ -259,10 +258,10 @@ def lbfgs_minimize(
         on its reduced route, ignoring ``x0``'s weights; the report carries
         ``lam = G^{-1} w`` at the final ``A``, with ``f`` and the full
         gradient's norm there, all kept from the evaluation of that ``A``.
-        Each line search runs on ``fg.line(x, D, prev)`` where the
-        evaluator offers one (:func:`~momentcp.objective.packed_fg_implicit`
-        on a multi-block ``V``), and otherwise evaluates ``fg.project`` (or
-        ``fg``) at every trial step.
+        Each line search evaluates ``fg.project`` (or ``fg``) once at every
+        trial step, and ends on a rounding stall measured against
+        ``|fg.alpha| + 3 |f - fg.alpha|``, ``f``'s rounding scale on the
+        reduced route (``|f|`` for a callback without ``project``).
     x0:
         Starting point; ``fg`` must be finite there.
     cfg:
@@ -284,13 +283,11 @@ def lbfgs_minimize(
     start = time.perf_counter()
     project = getattr(fg, "project", None)
     r = 0 if project is None else shape[1]  # the weight slots the search leaves out
-    lines = getattr(fg, "line", None)
-    if lines is None:
-        lines = functools.partial(_EvalLine, project or (lambda x: (x, *fg(x))), r)
+    evaluate = project or (lambda x: (x, *fg(x)))
     x = np.asarray(x0, dtype=float).copy()
-    here = lines(x)  # the line whose point is x
-    x_star, f, g_full = here.point(0.0)
-    g = here.moved[1]
+    start_line = _EvalLine(evaluate, r, x)
+    x_star, f, g_full = start_line.point(0.0)
+    g = start_line.moved[1]
     n_fg = 1
     if not (np.isfinite(f) and np.isfinite(g).all()):
         raise ValueError("objective is not finite at the starting point")
@@ -316,8 +313,9 @@ def lbfgs_minimize(
                 direction, step = -g, 1.0 / float(np.linalg.norm(g))
         t, slope = None, float(g.dot(direction))
         if slope < 0.0:
-            line = lines(x, direction, here)
-            t, evals = _line_search(line, f, slope, step, MAX_LINE_STEPS)
+            scale = abs(f) if project is None else abs(fg.alpha) + 3.0 * abs(f - fg.alpha)
+            line = _EvalLine(evaluate, r, x, direction)
+            t, evals = _line_search(line, f, slope, step, MAX_LINE_STEPS, scale)
             n_fg += evals
         if t is None:
             if not (pairs or guided):
@@ -338,7 +336,7 @@ def lbfgs_minimize(
         if sy > _EPS * -float(g.dot(s)):
             pairs.append((s, y, 1.0 / sy))
             gamma = sy / float(y.dot(y))
-        x, x_star, f, g, g_full, here = x_new, x_star_new, f_new, g_new, g_full_new, line
+        x, x_star, f, g, g_full = x_new, x_star_new, f_new, g_new, g_full_new
         n_steps += 1
         trace.append((f, time.perf_counter() - start))
 
@@ -396,7 +394,7 @@ def adam_minimize(
     V_batch = None
     W = np.full((cfg.batch, r_hat), 1.0 / cfg.batch)
     blocks = _column_blocks(np.empty((n, cfg.batch)))
-    batch_fg = packed_fg(lambda A: _ttsv(V_batch, W, A, d, None, blocks), n, r_hat, d)
+    batch_fg = packed_fg(lambda A: _ttsv(V_batch, W, A, d, blocks), n, r_hat, d)
     f_best, g_best = estimate(x)
     x_best = x.copy()
     trace = [(f_best, time.perf_counter() - start)]

@@ -18,9 +18,7 @@ from momentcp import (
     ttsv_batch,
 )
 from momentcp.dense import ttsv_batch_dense
-from momentcp.implicit import (
-    _column_blocks, _elementwise_power, _ttsv, _ttsv_back, kr_power, moment_unfolding,
-)
+from momentcp.implicit import _column_blocks, _elementwise_power, _ttsv, kr_power, moment_unfolding
 from momentcp.objective import pack, packed_fg_implicit
 
 
@@ -113,25 +111,6 @@ class TestBlockedTtsv:
         scale = float(np.abs(one_block).max())
         assert np.allclose(Y, one_block, rtol=1e-13, atol=1e-13 * scale)
 
-    @pytest.mark.parametrize("order", ["F", "C"])
-    @pytest.mark.parametrize("d", [2, 3, 4])
-    def test_kept_VtA_and_back_half(self, monkeypatch, d, order):
-        # the fused pass stores V'A block by block without changing Y, and
-        # the back half rebuilds Y from it
-        rng = np.random.default_rng(30 + d)
-        n, p, r = 5, 103, 3
-        V = np.asarray(rng.standard_normal((n, p)), order=order)
-        nu = rng.random(p) + 0.5
-        A = rng.standard_normal((n, r))
-        monkeypatch.setattr("momentcp.implicit.TTSV_BLOCK_BYTES", 8 * n * 7)
-        VtA = np.empty((p, r))
-        Y = _ttsv(V, nu[:, None], A, d, VtA)
-        assert np.array_equal(Y, _ttsv(V, nu[:, None], A, d))
-        want = V.T @ A
-        assert np.abs(VtA - want).max() <= 1e-14 * np.abs(want).max()
-        back = _ttsv_back(V, nu[:, None], VtA, d)
-        assert np.allclose(back, Y, rtol=1e-13, atol=1e-13 * float(np.abs(Y).max()))
-
     def test_more_blocks_than_columns(self, monkeypatch):
         # 8 bytes a block asks for n * p blocks; the split stops at one column each
         rng = np.random.default_rng(24)
@@ -209,8 +188,6 @@ class TestBlockedTtsv:
         assert np.array_equal(Y, _ttsv(V, nu[:, None], A, d))
         if not blocked:  # one block is the unblocked product
             assert np.array_equal(Y, V @ (nu[:, None] * _elementwise_power(V.T @ A, d - 1)))
-        VtA = V.T @ A
-        assert np.array_equal(_ttsv_back(V, W, VtA, d), _ttsv_back(V, nu[:, None], VtA, d))
 
     @pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
     def test_power_is_a_new_array(self, k):
@@ -221,22 +198,6 @@ class TestBlockedTtsv:
         assert P is not M and not np.shares_memory(P, M)
         P *= 3.0
         assert np.array_equal(M, kept)
-
-    def test_weighting_leaves_kept_VtA(self, monkeypatch):
-        # at d = 2 the power of a block is its V_b'A: the weighting scales a
-        # copy, so the kept buffer holds V'A, not nu * V'A
-        rng = np.random.default_rng(28)
-        n, p, r = 5, 103, 3
-        V = rng.standard_normal((n, p))
-        nu = rng.random(p) + 0.5
-        A = rng.standard_normal((n, r))
-        monkeypatch.setattr("momentcp.implicit.TTSV_BLOCK_BYTES", 8 * n * 7)
-        VtA = np.empty((p, r))
-        Y = _ttsv(V, np.repeat(nu, r).reshape(p, r), A, 2, VtA)
-        want = V.T @ A
-        assert np.abs(VtA - want).max() <= 1e-14 * np.abs(want).max()
-        assert np.allclose(Y, V @ (nu[:, None] * want), rtol=1e-13,
-                           atol=1e-13 * float(np.abs(Y).max()))
 
 
 class TestMomentUnfolding:

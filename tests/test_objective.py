@@ -15,7 +15,6 @@ from momentcp import (
     SymKruskal,
 )
 from momentcp.dense import ttsv_batch_dense
-from momentcp.implicit import _ttsv, _ttsv_back
 from momentcp.objective import packed_fg
 from momentcp.optimize import pack, packed_fg_implicit
 
@@ -222,95 +221,6 @@ def _term_scale(obs, x, d, r, alpha):
     return abs(alpha) + abs(lam @ G @ lam) + 2.0 * abs(w @ lam)
 
 
-class TestImplicitLine:
-    """``fg.line``: trials after a search's first work from the kept ``V'A``."""
-
-    @staticmethod
-    def _setup(d, alpha, seed):
-        # 60 x 3000 doubles is 1.4 MiB: two TTSV blocks
-        rng = np.random.default_rng(seed)
-        n, p, r = 60, 3000, 3
-        obs = ObservationSet(rng.standard_normal((n, p)), rng.uniform(0.5, 2.0, p) / p)
-        fg = packed_fg_implicit(obs, d, r, alpha)
-        x = pack(np.ones(r), rng.standard_normal((n, r)) / np.sqrt(n))
-        D = pack(np.zeros(r), rng.standard_normal((n, r)) / np.sqrt(n))
-        start = fg.line(x)
-        start.point(0.0)
-        return obs, fg, x, D, r, fg.line(x, D, start)
-
-    def test_offered_on_multi_block_V_only(self):
-        rng = np.random.default_rng(140)
-        small = ObservationSet(rng.standard_normal((40, 3000)))  # 960 KB, one block
-        big = ObservationSet(rng.standard_normal((60, 3000)))
-        assert not hasattr(packed_fg_implicit(small, 3, 2), "line")
-        assert hasattr(packed_fg_implicit(big, 3, 2), "line")
-        assert not hasattr(packed_fg(lambda A: ttsv_batch(big, A, 3), 60, 2, 3), "line")
-
-    @pytest.mark.parametrize("alpha", [0.0, 2.0])
-    @pytest.mark.parametrize("d", [2, 3, 4])
-    def test_trials_match_project(self, d, alpha):
-        obs, fg, x, D, r, line = self._setup(d, alpha, 141 + d)
-        t1 = 0.5
-        f, slope = line.trial(t1)  # the fused pass: project's bits
-        _, f_ref, g_ref = fg.project(x + t1 * D)
-        assert f == f_ref and slope == float(g_ref[r:] @ D[r:])
-        for t in (0.05, 0.2, 0.35, 1.0, 3.0):  # below and above t1
-            f, slope = line.trial(t)
-            _, f_ref, g_ref = fg.project(x + t * D)
-            tol = 1e-12 * _term_scale(obs, x + t * D, d, r, alpha)
-            assert abs(f - f_ref) <= tol
-            assert abs(slope - float(g_ref[r:] @ D[r:])) <= tol
-
-    @pytest.mark.parametrize("d", [2, 3, 4])
-    def test_point_at_a_later_trial_matches_project(self, d):
-        obs, fg, x, D, r, line = self._setup(d, 1.0, 151 + d)
-        line.trial(0.5)
-        line.trial(1.5)
-        x_star, f, g = line.point(1.5)
-        x_ref, f_ref, g_ref = fg.project(x + 1.5 * D)
-        tol = 1e-12 * _term_scale(obs, x + 1.5 * D, d, r, 1.0)
-        assert abs(f - f_ref) <= tol
-        assert np.array_equal(x_star[r:], x_ref[r:])
-        assert np.allclose(x_star[:r], x_ref[:r], rtol=1e-12, atol=0.0)
-        assert np.abs(g - g_ref).max() <= 1e-12 * np.abs(g_ref).max()
-
-    @pytest.mark.parametrize("d", [2, 3, 4])
-    def test_kept_VtA(self, d):
-        obs, fg, x, D, r, line = self._setup(d, 0.0, 161 + d)
-        n = obs.n
-
-        def rel(t, VtA):
-            want = obs.V.T @ (x + t * D)[r:].reshape((n, r), order="F")
-            return np.abs(VtA - want).max() / np.abs(want).max()
-
-        assert rel(0.0, line.VtA) <= 1e-14  # from the start's fused pass
-        line.trial(0.5)
-        assert rel(0.5, line.fused[0.5][0]) <= 1e-14
-        line.trial(2.0)
-        line.point(2.0)
-        assert rel(2.0, line.end[0]) <= 1e-14  # VtA + t delta, kept for the next line
-
-    def test_first_point_taken_costs_no_more_passes(self, monkeypatch):
-        # a search whose first trial is accepted makes one pass over V; a
-        # cheap point makes one back pass and no forward pass
-        import momentcp.objective as objective
-
-        obs, fg, x, D, r, line = self._setup(3, 0.0, 170)
-        passes = []
-        monkeypatch.setattr(objective, "_ttsv", lambda *a: passes.append("fused") or _ttsv(*a))
-        monkeypatch.setattr(objective, "_ttsv_back",
-                            lambda *a: passes.append("back") or _ttsv_back(*a))
-        line.trial(0.5)
-        line.point(0.5)
-        assert passes == ["fused"]
-        second = fg.line(x + 0.5 * D, D, line)
-        second.trial(0.5)
-        second.trial(0.25)
-        second.trial(0.1)
-        second.point(0.25)
-        assert passes == ["fused", "fused", "back"]
-
-
 class TestReducedRoute:
     """Variable projection: ``lam`` eliminated as ``lam* = G^{-1} w``."""
 
@@ -359,6 +269,19 @@ class TestReducedRoute:
         assert np.linalg.cond(G) < 10.0
         lam_ref = np.linalg.solve(G, w)
         assert np.linalg.norm(lam_star - lam_ref) <= 1e-12 * np.linalg.norm(lam_ref)
+
+    @pytest.mark.parametrize("alpha", [0.0, 2.0, -3.0])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_rounding_scale_from_f_and_alpha(self, d, alpha):
+        # G lam* = w, so |alpha| + 3|f - alpha| is the Gram terms' scale at lam*
+        rng = np.random.default_rng(155 + d)
+        obs, lam, A, _, r = packed_instance(rng)
+        fg = packed_fg_implicit(obs, d, r, alpha)
+        x = pack(lam, A)
+        f = fg.project(x)[1]
+        want = _term_scale(obs, x, d, r, alpha)
+        assert fg.alpha == alpha
+        assert abs(abs(fg.alpha) + 3.0 * abs(f - fg.alpha) - want) <= 1e-12 * want
 
     @pytest.mark.parametrize("delta", [0.0, 1e-10, None])
     def test_degenerate_columns(self, delta):

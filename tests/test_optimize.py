@@ -23,9 +23,10 @@ from momentcp import (
 )
 from momentcp.gmm import correlated_means, sample_gmm
 from momentcp import data_norm_sq, fg_implicit, packed_fg, sample_observations, ttsv_batch
-from momentcp.implicit import _ttsv
+from momentcp.implicit import _column_blocks, _ttsv
 from momentcp.optimize import (
-    ADAM_BETA1, ADAM_BETA2, ADAM_EPS, MAX_LINE_STEPS, packed_fg_implicit, two_loop_direction,
+    ADAM_BETA1, ADAM_BETA2, ADAM_EPS, MAX_LINE_STEPS, _line_search, packed_fg_implicit,
+    two_loop_direction,
 )
 
 
@@ -236,14 +237,16 @@ class TestLbfgs:
         assert np.array_equal(x_star, pack(rep.lam, rep.A))
         assert f == rep.f and float(np.abs(g).max()) == rep.grad_inf_norm
 
-    def test_one_block_keeps_the_evaluated_search(self):
-        # a V of one TTSV block offers no fg.line: every trial is a pass over
+    @pytest.mark.parametrize("blocks", [1, 3])
+    def test_every_trial_is_one_pass(self, monkeypatch, blocks):
+        # on a V of one TTSV block or several, every trial is one pass over
         # V, with the bits of the plain packed evaluator over the same kernel
         rng = np.random.default_rng(44)
         n, r, d = 20, 3, 3
         obs = sample_gmm(correlated_means(n, r, 0.5, rng), 0.01, 1000, rng)
+        monkeypatch.setattr("momentcp.implicit.TTSV_BLOCK_BYTES", obs.V.nbytes // blocks)
+        assert len(_column_blocks(obs.V)) == blocks
         fg = packed_fg_implicit(obs, d, r)
-        assert not hasattr(fg, "line")
         passes = []
 
         def counted_ttsv(A):
@@ -260,72 +263,52 @@ class TestLbfgs:
         assert [f for f, _ in one.trace] == [f for f, _ in two.trace]
 
     @staticmethod
-    def _count_line_calls(monkeypatch):
-        """Record ``("trial" | "point", t)`` for every call of the multi-block
-        evaluator's lines, and every fused pass over ``V``."""
+    def _count_passes(monkeypatch):
+        """Record the factor matrix of every pass over ``V`` of the
+        matrix-free evaluator."""
         import momentcp.objective as objective
 
-        calls, passes = [], []
-        cls = objective._ImplicitLine
-        real_trial, real_point, real_ttsv = cls.trial, cls.point, objective._ttsv
-
-        def trial(self, t):
-            calls.append(("trial", t))
-            return real_trial(self, t)
-
-        def point(self, t):
-            calls.append(("point", t))
-            return real_point(self, t)
-
-        monkeypatch.setattr(cls, "trial", trial)
-        monkeypatch.setattr(cls, "point", point)
-        monkeypatch.setattr(objective, "_ttsv", lambda *a: passes.append(1) or real_ttsv(*a))
-        return calls, passes
+        passes, real_ttsv = [], objective._ttsv
+        monkeypatch.setattr(objective, "_ttsv", lambda *a: passes.append(a[2]) or real_ttsv(*a))
+        return passes
 
     def test_rounding_stall_ends_run_multi_block(self, monkeypatch):
-        # test_rounding_stall_ends_run on a V of two TTSV blocks, whose later
-        # trials read no V: the cheap trials' stall test still ends the run
+        # test_rounding_stall_ends_run on a V of two TTSV blocks: every
+        # evaluation is one pass over V, and the stall test still ends the run
         rng = np.random.default_rng(50)
         n, r, d = 60, 3, 3
         obs = sample_gmm(correlated_means(n, r, 0.3, rng), 0.01, 3000, rng)
+        assert len(_column_blocks(obs.V)) == 2
         fg = packed_fg_implicit(obs, d, r, alpha=data_norm_sq(obs, d))
-        assert hasattr(fg, "line")
-        calls, passes = self._count_line_calls(monkeypatch)
+        passes = self._count_passes(monkeypatch)
         cfg = OptConfig(pgtol=1e-14)
         x0 = pack(np.full(r, 0.5), rrf_init(obs, r, rng))
         rep = lbfgs_minimize(fg, x0, cfg, shape=(n, r))
         assert rep.reason == "line-search failure"
         assert rep.n_steps < cfg.max_iters
-        trials = [i for i, (kind, _) in enumerate(calls) if kind == "trial"]
-        assert rep.n_fg == 1 + len(trials)  # the start and every trial
-        assert len(passes) < rep.n_fg  # some trials read no V
-        # the point of the last accepted step, after the start's point(0)
-        last_accepted = [i for i, (kind, _) in enumerate(calls) if kind == "point"][rep.n_steps]
-        after = sum(i > last_accepted for i in trials)
-        assert 1 < after <= 2 * MAX_LINE_STEPS  # the last search went past its fused trial
+        assert rep.n_fg == len(passes)  # the start and every trial
+        # the pass at the last accepted step: the report's A
+        last_accepted = max(i for i, A in enumerate(passes) if np.array_equal(A, rep.A))
+        assert len(passes) - 1 - last_accepted <= 2 * MAX_LINE_STEPS
 
     @pytest.mark.parametrize("caps", [{"pgtol": 1e-8}, {"pgtol": 1e-14, "max_iters": 3}])
     def test_report_from_search_evaluations_multi_block(self, monkeypatch, caps):
         # test_report_from_search_evaluations on a V of two TTSV blocks: n_fg
-        # counts the start and every trial, and the report is fg.project at
-        # the final A up to the cheap trials' rounding
+        # counts the passes over V, and the report is fg.project at the final A
         rng = np.random.default_rng(46)
         n, r, d = 60, 3, 3
         obs = ObservationSet(rng.standard_normal((n, 3000)))
+        assert len(_column_blocks(obs.V)) == 2
         fg = packed_fg_implicit(obs, d, r)
-        calls, _ = self._count_line_calls(monkeypatch)
+        passes = self._count_passes(monkeypatch)
         cfg = OptConfig(**caps)
         rep = lbfgs_minimize(fg, pack(np.ones(r), rng.standard_normal((n, r))), cfg, shape=(n, r))
         assert rep.reason == ("tolerance" if cfg.pgtol == 1e-8 else "iteration cap")
-        assert rep.n_fg == 1 + sum(kind == "trial" for kind, _ in calls)
+        assert rep.n_fg == len(passes)
+        assert len({A.tobytes() for A in passes}) == len(passes)  # no point evaluated twice
         x_star, f, g = fg.project(pack(np.zeros(r), rep.A))
-        assert np.allclose(x_star, pack(rep.lam, rep.A), rtol=1e-12, atol=0.0)
-        A = rep.A
-        scale = abs(rep.lam @ ((A.T @ A) ** d) @ rep.lam) + 2.0 * abs(
-            np.einsum("ij,ij->j", A, ttsv_batch(obs, A, d)) @ rep.lam)
-        assert abs(f - rep.f) <= 1e-12 * scale
-        assert float(np.abs(g).max()) == pytest.approx(
-            rep.grad_inf_norm, rel=1e-10, abs=1e-12 * scale)
+        assert np.array_equal(x_star, pack(rep.lam, rep.A))
+        assert f == rep.f and float(np.abs(g).max()) == rep.grad_inf_norm
 
     def test_failed_search_resets_then_ends(self, monkeypatch):
         # a search that fails with pairs stored clears them and is retried
@@ -336,11 +319,11 @@ class TestLbfgs:
         calls, fail = [], set()
         scale = np.array([1.0, 10.0, 100.0])
 
-        def scripted(line, f0, d0, step, max_trials):
+        def scripted(line, f0, d0, step, max_trials, f_scale):
             calls.append((scale * line.x, line.D, step))  # (g, direction, step) at the search
             if len(calls) in fail:
                 return None, max_trials
-            return real_search(line, f0, d0, step, max_trials)
+            return real_search(line, f0, d0, step, max_trials, f_scale)
 
         monkeypatch.setattr(optimize, "_line_search", scripted)
 
@@ -357,6 +340,52 @@ class TestLbfgs:
                 assert np.array_equal(direction, -g) and step == 1.0 / np.linalg.norm(g)
             assert calls[2][2] == 1.0  # a quasi-Newton step starts at length 1
         assert len(calls) == 4
+
+
+class _ScriptedLine:
+    """A search line whose trials return ``(f, slope)`` from a script, in
+    order, and record their steps."""
+
+    def __init__(self, *script):
+        self.script, self.steps = list(script), []
+
+    def trial(self, t):
+        self.steps.append(t)
+        return self.script[len(self.steps) - 1]
+
+
+class TestLineSearch:
+    """``_line_search``'s rounding stall: a trial that fails sufficient
+    decrease within ``4 eps * scale`` of ``f0``, ``scale`` being ``f0``'s
+    rounding scale."""
+
+    F0, D0, SCALE = 1.0, -1.0, 8.0
+    EPS = float(np.finfo(float).eps)
+
+    def search(self, line):
+        return _line_search(line, self.F0, self.D0, 1.0, MAX_LINE_STEPS, self.SCALE)
+
+    @pytest.mark.parametrize("k", [-4, -1, 0, 1, 4])
+    def test_trial_within_the_band_ends_at_the_best_step(self, k):
+        band = self.EPS * self.SCALE  # 8 eps, a multiple of f0's spacing
+        # at once, with no step taken
+        assert self.search(_ScriptedLine((self.F0 + k * band, -0.5))) == (0.0, 1)
+        # after a step that lowered f but was too steep to stop at
+        line = _ScriptedLine((self.F0 - 0.01, -0.95), (self.F0 + k * band, 0.5))
+        assert self.search(line) == (1.0, 2) and line.steps == [1.0, 2.0]
+
+    def test_trial_just_outside_the_band_goes_on(self):
+        outside = self.F0 + 4.0 * self.EPS * self.SCALE + self.EPS  # the next double up
+        line = _ScriptedLine((outside, 0.5), (self.F0 - 0.3, 0.0))
+        t, trials = self.search(line)
+        assert trials == 2 and 0.0 < t < 1.0 and t == line.steps[1]
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_nonfinite_trial_is_no_stall(self, bad):
+        # the band comes from f0, so a trial at inf or NaN fails and the
+        # search zooms into the bracket's midpoint
+        line = _ScriptedLine((bad, bad), (self.F0 - 0.3, 0.0))
+        assert self.search(line) == (0.5, 2) and line.steps == [1.0, 0.5]
 
 
 def dense_bfgs_direction(g, s_list, y_list, gamma):

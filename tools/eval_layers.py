@@ -20,8 +20,7 @@ layers are timed from outside the package, on the evaluator's own calls:
 * ``evaluation``: the whole call, and ``rest`` what it spends outside the
   TTSV and the tail (the factor's copy, packing);
 * ``lbfgs_bookkeeping_per_step``: an L-BFGS run of ``STEPS`` steps from an
-  rrf start less the time inside its evaluations (``fg.project``, or the
-  search lines' ``trial`` and ``point`` on a multi-block ``V``) and less
+  rrf start less the time inside its evaluations (``fg.project``) and less
   the timing wrappers' own cost, per accepted step; Adam has none.
 
 Each figure is the median over ``REPEATS`` of ``time.process_time`` over a
@@ -89,7 +88,7 @@ class Shape:
         if w.solver == "adam":
             V = V[:, rng.integers(0, w.p, size=ADAM_BATCH)]  # as adam_minimize draws a batch
         self.obs = obs = ObservationSet(V)
-        self.name, self.r, self.objective = name, w.r, objective
+        self.name, self.r = name, w.r
         self.fg = objective.packed_fg_implicit(obs, w.d, w.r)
         self.x = pack(np.full(w.r, 1.0 / w.r), rrf_init(obs, w.r, rng))
         self.evaluate = (lambda: self.fg(self.x)) if w.solver == "adam" else \
@@ -141,15 +140,14 @@ class Shape:
                     inside[1] += 1
             return call
 
-        line = self.objective._ImplicitLine
-        real = (self.fg.project, line.trial, line.point)
-        self.fg.project, line.trial, line.point = (timed(f) for f in real)
+        real = self.fg.project
+        self.fg.project = timed(real)
         try:
             c0 = time.process_time()
             rep = lbfgs_minimize(self.fg, self.x0, OptConfig(max_iters=STEPS), (self.obs.n, self.r))
             total = time.process_time() - c0
         finally:
-            self.fg.project, line.trial, line.point = real
+            self.fg.project = real
         steps = max(rep.n_steps, 1)
         return 1e6 * (total - inside[0]) / steps - wrapper_us * inside[1] / steps
 
