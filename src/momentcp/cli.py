@@ -164,15 +164,16 @@ def _write_csv(path: str, fieldnames: list[str], rows) -> None:
 
 
 class _Basins:
-    """The starts of one fit grouped by their subspace solutions, in start order.
+    """The polished starts of one fit, each with its subspace solution, in start order.
 
-    ``join(i, lam, B)`` returns the first polished start whose model is
-    within ``SAME_BASIN_TOL`` of ``(lam, B)``'s, or ``None``, in which case
-    start ``i`` is polished and later starts are compared with it.  The test
-    is ``||M_i - M_j||^2 <= SAME_BASIN_TOL * max(||M_i||^2, ||M_j||^2)``
+    ``runs`` holds ``(lam, B, run)``, appended once a start's polish has
+    returned, so a start whose polish raised is no basin.  ``twin(lam, B)``
+    returns the first of those runs whose subspace model is within
+    ``SAME_BASIN_TOL`` of ``(lam, B)``'s, or ``None``.  The test is
+    ``||M_i - M_j||^2 <= SAME_BASIN_TOL * max(||M_i||^2, ||M_j||^2)``
     through the Gram identity ``<M_i, M_j> = lam_i' (B_i'B_j)^d lam_j``,
-    O(k r^2) a pair.  The starts join in start order, so a decision reads
-    only starts below ``i``.
+    O(k r^2) a pair.  The starts run in start order, so a decision reads
+    only earlier starts.
 
     Grouping acts where the subspace stage runs to a tight ``pgtol``.  At
     1e-8 (``tools/switch_table.py``) and 1e-12 (``wide-cli``), starts that
@@ -182,19 +183,19 @@ class _Basins:
     """
 
     def __init__(self, d: int) -> None:
-        self.d, self.polished = d, []
+        self.d, self.runs = d, []
 
     def _inner(self, lam_a, B_a, lam_b, B_b) -> float:
         return float(lam_a @ (B_a.T @ B_b) ** self.d @ lam_b)
 
-    def join(self, i: int, lam: np.ndarray, B: np.ndarray) -> int | None:
+    def twin(self, lam: np.ndarray, B: np.ndarray) -> RunReport | None:
         norm_sq = self._inner(lam, B, lam, B)
-        j = next((j for j, lam_j, B_j, nsq in self.polished
-                  if norm_sq + nsq - 2.0 * self._inner(lam, B, lam_j, B_j)
-                  <= SAME_BASIN_TOL * max(norm_sq, nsq)), None)
-        if j is None:
-            self.polished.append((i, lam, B, norm_sq))
-        return j
+        for lam_j, B_j, run in self.runs:
+            nsq = self._inner(lam_j, B_j, lam_j, B_j)
+            dist_sq = norm_sq + nsq - 2.0 * self._inner(lam, B, lam_j, B_j)
+            if dist_sq <= SAME_BASIN_TOL * max(norm_sq, nsq):
+                return run
+        return None
 
 
 def fit(
@@ -226,10 +227,11 @@ def fit(
     polish's, with ``n_fg``, ``n_steps`` and ``wall_time`` summed over both
     stages and the subspace stage's ``trace`` rows first.  The polish is
     made once per basin: in start order, a start whose subspace model is
-    within ``SAME_BASIN_TOL`` (relative squared distance) of an earlier
-    polished start's gets only the one evaluation at its lift, with
-    ``reason`` ``"grouped with run j"`` naming that start (:class:`_Basins`;
-    clustering multistart, Rinnooy Kan & Timmer, 1987).  Every start still
+    within ``SAME_BASIN_TOL`` (relative squared distance) of that of an
+    earlier start whose polish returned gets only the one evaluation at its
+    lift, with ``reason`` ``"grouped with run j"`` naming that start's
+    ``run_index`` (:class:`_Basins`; clustering multistart, Rinnooy Kan &
+    Timmer, 1987).  Every start still
     has its run in ``runs``.  The starts run one after another in the
     calling thread (:func:`~momentcp.optimize.multistart`).  Where
     ``k^(d-1) <= p`` the set-up also forms the ``k x k^(d-1)`` unfolding of
@@ -258,11 +260,6 @@ def fit(
         setup = time.perf_counter() - t0
 
     basins = _Basins(d)
-    # multistart seeds run i with the i-th child it spawns from seed
-    first = seed.n_children_spawned if isinstance(seed, np.random.SeedSequence) else 0
-
-    def index(rng):
-        return rng.bit_generator.seed_seq.spawn_key[-1] - first
 
     def lift_step(x, g):
         return lift_direction(x, g, (obs.n, r_hat), d)
@@ -276,15 +273,17 @@ def fit(
         if adam:
             return adam_minimize(obs, d, r_hat, x0, cfg, rng)
         sub = lbfgs_minimize(comp, x0, sub_cfg, shape=(space.n, r_hat))
-        joined = basins.join(index(rng), sub.lam, sub.A)
+        twin = basins.twin(sub.lam, sub.A)
         steps, evals = cfg.max_iters - sub.n_steps, cfg.max_total_iters - sub.n_fg
-        if joined is not None or min(steps, evals) < 1:  # one evaluation at the lift, no step
+        if twin is not None or min(steps, evals) < 1:  # one evaluation at the lift, no step
             steps, evals = 1, 1
         rep = lbfgs_minimize(full, pack(sub.lam, U @ sub.A),
                              replace(cfg, max_iters=steps, max_total_iters=evals),
                              shape=(obs.n, r_hat), first_direction=lift_step)
-        if joined is not None:
-            rep.reason = f"grouped with run {joined}"
+        if twin is None:
+            basins.runs.append((sub.lam, sub.A, rep))
+        else:  # multistart set twin's run_index when it returned
+            rep.reason = f"grouped with run {twin.run_index}"
         rep.n_fg += sub.n_fg
         rep.n_steps += sub.n_steps
         rep.trace = sub.trace + [(f, t + sub.wall_time) for f, t in rep.trace]
@@ -293,9 +292,7 @@ def fit(
 
     best = multistart(starts, start, minimize, seed)
     # an unpolished lift can undercut the f its polished start reached by a hair
-    polished = {i for i, *_ in basins.polished}
-    pick = min((rp for rp in best.runs if rp.run_index in polished),
-               key=lambda rp: (rp.f, rp.run_index), default=best)
+    pick = min((run for *_, run in basins.runs), key=lambda rp: (rp.f, rp.run_index), default=best)
     if pick is not best:  # multistart's best-run fields move to pick
         pick.runs, pick.failures, pick.seed, best.seed = best.runs, best.failures, best.seed, pick.seed
         best.runs, best.failures, best = None, [], pick

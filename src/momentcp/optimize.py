@@ -121,10 +121,10 @@ class RunReport:
     (:func:`momentcp.cli.fit`'s subspace basis and compressed moment
     unfolding); no run's ``wall_time`` includes it.  A start of
     :func:`momentcp.cli.fit` whose subspace solution is in the basin of an
-    earlier, polished start is not polished: its ``reason`` is
-    ``"grouped with run j"``, naming that start, its ``n_fg`` is the
-    subspace stage's plus the one evaluation at its lift, and its ``trace``
-    is the subspace stage's rows and one row at the lift.
+    earlier start whose polish returned is not polished: its ``reason`` is
+    ``"grouped with run j"``, ``j`` being that start's ``run_index``, its
+    ``n_fg`` is the subspace stage's plus the one evaluation at its lift,
+    and its ``trace`` is the subspace stage's rows and one row at the lift.
     """
 
     lam: np.ndarray
@@ -160,11 +160,12 @@ def two_loop_direction(g: np.ndarray, pairs: Sequence[tuple], gamma: float) -> n
 
 
 def _zoom_step(lo: tuple, hi: tuple) -> float:
-    """Next trial step inside the bracket whose ends are ``(step, f, slope)``:
-    the minimizer of the cubic through both ends' ``f`` and slope (Nocedal &
-    Wright, eq. 3.59), held at least 0.1 of the bracket from either end, or
-    the midpoint when the cubic has no minimizer or an end is not finite."""
-    a_lo, f_lo, d_lo, a_hi, f_hi, d_hi = np.array([*lo, *hi])
+    """Next trial step inside the bracket whose ends are ``(step, f, slope,
+    point)``: the minimizer of the cubic through both ends' ``f`` and slope
+    (Nocedal & Wright, eq. 3.59), held at least 0.1 of the bracket from
+    either end, or the midpoint when the cubic has no minimizer or an end is
+    not finite."""
+    a_lo, f_lo, d_lo, a_hi, f_hi, d_hi = np.array([*lo[:3], *hi[:3]])
     width = a_hi - a_lo
     with np.errstate(all="ignore"):
         d1 = d_lo + d_hi - 3.0 * (f_hi - f_lo) / width
@@ -173,72 +174,46 @@ def _zoom_step(lo: tuple, hi: tuple) -> float:
     return float(a_lo + width * (min(max(t, 0.1), 0.9) if np.isfinite(t) else 0.5))
 
 
-class _EvalLine:
-    """The line ``x + tD`` of a callback, one evaluation per step.
-
-    ``evaluate(x)`` gives ``(x_star, f, g)``: ``fg.project`` on the reduced
-    route, whose search gradient is ``g`` with its ``r`` weight slots set to
-    0, or ``(x, *fg(x))`` with ``r = 0``.  ``trial(t)`` gives ``(f, slope)``
-    and ``point(t)`` that step's ``(x_star, f, g)``, kept from its trial,
-    setting ``moved`` to the trial's ``(x + tD, search gradient)``.
-    """
-
-    def __init__(self, evaluate, r, x, D=None):
-        self.evaluate, self.r, self.x, self.D = evaluate, r, x, D
-        self.tried: dict[float, tuple] = {}
-
-    def point(self, t: float) -> tuple[np.ndarray, float, np.ndarray]:
-        if t not in self.tried:
-            xt = self.x if t == 0.0 else self.x + t * self.D
-            x_star, f, g = self.evaluate(xt)
-            search = np.concatenate([np.zeros(self.r), g[self.r :]]) if self.r else g
-            self.tried[t] = (x_star, f, g), (xt, search)
-        out, self.moved = self.tried[t]
-        return out
-
-    def trial(self, t: float) -> tuple[float, float]:
-        f = self.point(t)[1]
-        return f, float(self.moved[1].dot(self.D))
-
-
-def _line_search(line, f0, d0, step, max_trials, scale):
+def _line_search(trial, f0, d0, step, max_trials, scale):
     """Strong-Wolfe line search (Nocedal & Wright, Algorithms 3.5 and 3.6)
-    on a line with ``trial(t) -> (f, slope)``, from ``f0`` and slope ``d0``
-    at step 0, where ``scale`` is ``f0``'s rounding scale.
+    along ``trial(t) -> (f, slope, point)``, one evaluation a trial, from
+    ``f0`` and slope ``d0`` at step 0, where ``scale`` is ``f0``'s rounding
+    scale.
 
     Doubles the step from ``step`` until the objective turns up, then zooms
-    into the bracket with :func:`_zoom_step`.  Returns ``(t, trials)`` with
-    ``t`` a step that meets both Wolfe conditions; or the best step so far
-    (0 if none met sufficient decrease) once the bracket is narrower than
-    ``_XTOL`` of its upper end or a trial that fails sufficient decrease
-    lies within ``_STALL_EPS * eps * scale`` of ``f0`` (a rounding stall;
-    a non-finite trial is none); or ``(None, max_trials)`` when
-    ``max_trials`` trials found neither.  The caller takes the step's point
-    from the line's ``point(t)``.
+    into the bracket with :func:`_zoom_step`.  Returns ``(t, point,
+    trials)`` with ``t`` a step that meets both Wolfe conditions and
+    ``point`` its trial's; or the best step so far with its point once the
+    bracket is narrower than ``_XTOL`` of its upper end or a trial that
+    fails sufficient decrease lies within ``_STALL_EPS * eps * scale`` of
+    ``f0`` (a rounding stall; a non-finite trial is none), which is
+    ``(0.0, None, trials)`` when no step met sufficient decrease; or
+    ``(None, None, max_trials)`` when ``max_trials`` trials found neither.
     """
-    lo, hi = (0.0, f0, d0), None  # (step, f, slope) at the bracket's ends; lo is the best step
+    # (step, f, slope, point) at the bracket's ends; lo is the best step
+    lo, hi = (0.0, f0, d0, None), None
     a = step
     for evals in range(1, max_trials + 1):
-        fa, da = line.trial(a)
+        fa, da, pa = trial(a)
         if not (fa <= f0 + _SUFFICIENT_DECREASE * a * d0 and fa < lo[1]):  # NaN fails too
             if abs(fa - f0) <= _STALL_EPS * _EPS * scale:  # rounding stall
-                return lo[0], evals
-            hi = (a, fa, da)
+                return lo[0], lo[3], evals
+            hi = (a, fa, da, pa)
         else:
             if abs(da) <= -_CURVATURE * d0:
-                return a, evals
+                return a, pa, evals
             # f rises from a towards the far end (+inf while bracketing): the
             # minimum lies between a and the previous best step
             if da * ((np.inf if hi is None else hi[0]) - a) >= 0.0:
                 hi = lo
-            lo = (a, fa, da)
+            lo = (a, fa, da, pa)
         if hi is None:
             a *= 2.0
         elif abs(hi[0] - lo[0]) < _XTOL * max(lo[0], hi[0]):
-            return lo[0], evals
+            return lo[0], lo[3], evals
         else:
             a = _zoom_step(lo, hi)
-    return None, max_trials
+    return None, None, max_trials
 
 
 def lbfgs_minimize(
@@ -257,19 +232,20 @@ def lbfgs_minimize(
         :func:`~momentcp.objective.packed_fg` is minimized over ``A`` alone
         on its reduced route, ignoring ``x0``'s weights; the report carries
         ``lam = G^{-1} w`` at the final ``A``, with ``f`` and the full
-        gradient's norm there, all kept from the evaluation of that ``A``.
+        gradient's norm there, all from the evaluation of that ``A``.
         Each line search evaluates ``fg.project`` (or ``fg``) once at every
-        trial step, and ends on a rounding stall measured against
-        ``|fg.alpha| + 3 |f - fg.alpha|``, ``f``'s rounding scale on the
-        reduced route (``|f|`` for a callback without ``project``).
+        trial step and hands back the accepted trial's evaluation, and ends
+        on a rounding stall measured against ``|fg.alpha| + 3 |f -
+        fg.alpha|``, ``f``'s rounding scale on the reduced route (``|f|``
+        for a callback without ``project``).
     x0:
         Starting point; ``fg`` must be finite there.
     cfg:
         Solver settings; the run stops when the gradient infinity norm drops
-        to ``cfg.pgtol``, when an iteration cap is hit, when an accepted step
-        does not lower ``f``, or when a steepest-descent line search fails.
-        A non-finite ``f`` fails sufficient decrease, so the run ends at its
-        last finite iterate.
+        to ``cfg.pgtol``, when an iteration cap is hit, when a line search
+        ends with no step that meets sufficient decrease, or when a
+        steepest-descent line search fails.  A non-finite ``f`` fails
+        sufficient decrease, so the run ends at its last finite iterate.
     shape:
         ``(n, r)`` used to unpack the final iterate into the report.
     first_direction:
@@ -283,11 +259,18 @@ def lbfgs_minimize(
     start = time.perf_counter()
     project = getattr(fg, "project", None)
     r = 0 if project is None else shape[1]  # the weight slots the search leaves out
-    evaluate = project or (lambda x: (x, *fg(x)))
-    x = np.asarray(x0, dtype=float).copy()
-    start_line = _EvalLine(evaluate, r, x)
-    x_star, f, g_full = start_line.point(0.0)
-    g = start_line.moved[1]
+
+    def evaluate(xt):
+        """``(xt, x_star, f, full gradient, search gradient)`` at ``xt``; on
+        the reduced route the search gradient has its ``r`` weight slots at 0."""
+        x_star, f, g = (xt, *fg(xt)) if project is None else project(xt)
+        return xt, x_star, f, g, (np.concatenate([np.zeros(r), g[r:]]) if r else g)
+
+    def trial(t):  # along the current direction from the current iterate
+        point = evaluate(x + t * direction)
+        return point[2], float(point[4].dot(direction)), point
+
+    x, x_star, f, g_full, g = evaluate(np.asarray(x0, dtype=float).copy())
     n_fg = 1
     if not (np.isfinite(f) and np.isfinite(g).all()):
         raise ValueError("objective is not finite at the starting point")
@@ -295,10 +278,10 @@ def lbfgs_minimize(
 
     pairs: deque[tuple] = deque(maxlen=MEMORY)  # (s, y, 1 / (s'y)), oldest first
     n_steps = 0
-    capped = False
+    reason = "line-search failure"
     while float(np.abs(g).max()) > cfg.pgtol:
         if n_steps >= cfg.max_iters or n_fg >= cfg.max_total_iters:
-            capped = True
+            reason = "iteration cap"
             break
         guided = False  # a search along first_direction's direction
         if pairs:
@@ -314,8 +297,7 @@ def lbfgs_minimize(
         t, slope = None, float(g.dot(direction))
         if slope < 0.0:
             scale = abs(f) if project is None else abs(fg.alpha) + 3.0 * abs(f - fg.alpha)
-            line = _EvalLine(evaluate, r, x, direction)
-            t, evals = _line_search(line, f, slope, step, MAX_LINE_STEPS, scale)
+            t, point, evals = _line_search(trial, f, slope, step, MAX_LINE_STEPS, scale)
             n_fg += evals
         if t is None:
             if not (pairs or guided):
@@ -324,29 +306,23 @@ def lbfgs_minimize(
             # the pairs and retry once along -g
             pairs.clear()
             continue
-        if t == 0.0:  # no step lowered f
+        if point is None:  # no step lowered f
             break
-        x_star_new, f_new, g_full_new = line.point(t)
-        if not f_new < f:
-            break
-        x_new, g_new = line.moved
+        x_new, x_star, f, g_full, g_new = point
         s, y = x_new - x, g_new - g
         # L-BFGS-B's curvature test: a pair with too small an s'y could make H indefinite
         sy = float(s.dot(y))
         if sy > _EPS * -float(g.dot(s)):
             pairs.append((s, y, 1.0 / sy))
             gamma = sy / float(y.dot(y))
-        x, x_star, f, g, g_full = x_new, x_star_new, f_new, g_new, g_full_new
+        x, g = x_new, g_new
         n_steps += 1
         trace.append((f, time.perf_counter() - start))
 
-    x, g = x_star, g_full
-    grad_inf_norm = float(np.abs(g).max())
+    grad_inf_norm = float(np.abs(g_full).max())
     if grad_inf_norm <= cfg.pgtol:
         reason = "tolerance"
-    else:
-        reason = "iteration cap" if capped else "line-search failure"
-    lam, A = unpack(x, *shape)
+    lam, A = unpack(x_star, *shape)
     return RunReport(
         lam=lam,
         A=A,

@@ -319,11 +319,14 @@ class TestLbfgs:
         calls, fail = [], set()
         scale = np.array([1.0, 10.0, 100.0])
 
-        def scripted(line, f0, d0, step, max_trials, f_scale):
-            calls.append((scale * line.x, line.D, step))  # (g, direction, step) at the search
+        def scripted(trial, f0, d0, step, max_trials, f_scale):
+            # (g, x - g, x + direction, step) at the search, from the trial
+            # points at steps 0 and 1: (x, x_star, f, g_full, g)
+            x, *_, g = trial(0.0)[2]
+            calls.append((g, x - g, trial(1.0)[2][0], step))
             if len(calls) in fail:
-                return None, max_trials
-            return real_search(line, f0, d0, step, max_trials, f_scale)
+                return None, None, max_trials
+            return real_search(trial, f0, d0, step, max_trials, f_scale)
 
         monkeypatch.setattr(optimize, "_line_search", scripted)
 
@@ -336,22 +339,23 @@ class TestLbfgs:
             rep = lbfgs_minimize(fg, np.ones(3), OptConfig(pgtol=1e-8), shape=(2, 1))
             assert rep.reason == reason
             for i in (0, 3):  # the first search and the retry: steepest descent
-                g, direction, step = calls[i]
-                assert np.array_equal(direction, -g) and step == 1.0 / np.linalg.norm(g)
-            assert calls[2][2] == 1.0  # a quasi-Newton step starts at length 1
+                g, descent, moved, step = calls[i]
+                assert np.array_equal(moved, descent) and step == 1.0 / np.linalg.norm(g)
+            assert calls[2][3] == 1.0  # a quasi-Newton step starts at length 1
         assert len(calls) == 4
 
 
 class _ScriptedLine:
     """A search line whose trials return ``(f, slope)`` from a script, in
-    order, and record their steps."""
+    order, each with a point of its own, and record their steps and points."""
 
     def __init__(self, *script):
-        self.script, self.steps = list(script), []
+        self.script, self.steps, self.points = list(script), [], []
 
-    def trial(self, t):
+    def __call__(self, t):
         self.steps.append(t)
-        return self.script[len(self.steps) - 1]
+        self.points.append(object())
+        return (*self.script[len(self.steps) - 1], self.points[-1])
 
 
 class TestLineSearch:
@@ -369,23 +373,28 @@ class TestLineSearch:
     def test_trial_within_the_band_ends_at_the_best_step(self, k):
         band = self.EPS * self.SCALE  # 8 eps, a multiple of f0's spacing
         # at once, with no step taken
-        assert self.search(_ScriptedLine((self.F0 + k * band, -0.5))) == (0.0, 1)
-        # after a step that lowered f but was too steep to stop at
+        assert self.search(_ScriptedLine((self.F0 + k * band, -0.5))) == (0.0, None, 1)
+        # after a step that lowered f but was too steep to stop at: its own point
         line = _ScriptedLine((self.F0 - 0.01, -0.95), (self.F0 + k * band, 0.5))
-        assert self.search(line) == (1.0, 2) and line.steps == [1.0, 2.0]
+        t, point, trials = self.search(line)
+        assert (t, trials) == (1.0, 2) and line.steps == [1.0, 2.0]
+        assert point is line.points[0]
 
     def test_trial_just_outside_the_band_goes_on(self):
         outside = self.F0 + 4.0 * self.EPS * self.SCALE + self.EPS  # the next double up
         line = _ScriptedLine((outside, 0.5), (self.F0 - 0.3, 0.0))
-        t, trials = self.search(line)
+        t, point, trials = self.search(line)
         assert trials == 2 and 0.0 < t < 1.0 and t == line.steps[1]
+        assert point is line.points[1]
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_nonfinite_trial_is_no_stall(self, bad):
         # the band comes from f0, so a trial at inf or NaN fails and the
         # search zooms into the bracket's midpoint
         line = _ScriptedLine((bad, bad), (self.F0 - 0.3, 0.0))
-        assert self.search(line) == (0.5, 2) and line.steps == [1.0, 0.5]
+        t, point, trials = self.search(line)
+        assert (t, trials) == (0.5, 2) and line.steps == [1.0, 0.5]
+        assert point is line.points[1]
 
 
 def dense_bfgs_direction(g, s_list, y_list, gamma):

@@ -397,26 +397,46 @@ class TestBasins:
         assert not any(rp.reason.startswith("grouped") for rp in got.runs)
 
     @pytest.mark.parametrize("failed", [1, 2])
-    @pytest.mark.parametrize("stage", ["init", "subspace"])
+    @pytest.mark.parametrize("stage", ["init", "subspace", "polish"])
     def test_failed_start_does_not_block_later_starts(self, monkeypatch, stage, failed):
-        # a start that fails is never polished, so later starts group without it
+        # a start that fails, in any stage, is no basin, so later starts group without it
         import momentcp.cli as cli
+
+        fails = []  # whether each start fails, in start order
 
         def rrf_init(space, r, rng):
             A0 = _sketch_init(space, r, rng)
-            if rng.bit_generator.seed_seq.spawn_key[-1] < failed:
-                if stage == "init":
-                    raise ValueError("no start")
+            fails.append(rng.bit_generator.seed_seq.spawn_key[-1] < failed)
+            if fails[-1] and stage == "init":
+                raise ValueError("no start")
+            if fails[-1] and stage == "subspace":
                 A0[0, 0] = np.nan  # the subspace stage raises at its first point
             return A0
 
+        def lbfgs(fg, x0, cfg, shape, **kwargs):
+            if fails[-1] and stage == "polish" and "first_direction" in kwargs:
+                raise MemoryError("no room")  # multistart catches it as it would a ValueError
+            return lbfgs_minimize(fg, x0, cfg, shape, **kwargs)
+
         monkeypatch.setattr(cli, "rrf_init", rrf_init)
+        monkeypatch.setattr(cli, "lbfgs_minimize", lbfgs)
         best = fit(_mixture(8, 300, 2, 40), 3, 2, OptConfig(pgtol=1e-8), 3, 0)
         assert [msg.split(": ")[0] for msg in best.failures] == \
             [f"run {i}" for i in range(failed)]
         assert [rp.run_index for rp in best.runs] == list(range(failed, 3))
         assert [rp.reason for rp in best.runs] == \
             ["tolerance", f"grouped with run {failed}"][:3 - failed]
+        assert best.reason == "tolerance"
+
+    def test_grouped_runs_named_by_this_fits_indices(self):
+        # a second fit from one SeedSequence draws other starts and still
+        # names its runs from 0
+        obs, seed = _mixture(8, 300, 2, 40), np.random.SeedSequence(5)
+        fits = [fit(obs, 3, 2, OptConfig(pgtol=1e-8), 3, seed) for _ in range(2)]
+        assert not np.array_equal(fits[0].runs[1].A, fits[1].runs[1].A)
+        for best in fits:
+            assert [(rp.run_index, rp.reason) for rp in best.runs] == \
+                [(0, "tolerance"), (1, "grouped with run 0"), (2, "grouped with run 0")]
 
     def test_decompose_imports_no_scipy(self, tmp_path):
         # scipy takes longer to import than a small fit takes; the grouping
