@@ -5,7 +5,8 @@ values), i.e. the transpose of the in-memory matrix ``V``.  numpy's C reader
 parses them: fields may be quoted and padded with whitespace, line ends may
 be LF or CRLF, and numbers follow C's syntax (``1_000`` does not parse).
 Rows of only commas, whitespace and quotes are skipped, and line 1 is a
-header when it does not parse as numbers.  The binary format is: magic
+header when it does not parse as numbers; a UTF-8 byte-order mark before it
+is dropped.  The binary format is: magic
 ``MOMV``, little-endian u32 version (1), u64 ``n``, u64 ``p``, then
 ``n * p`` little-endian float64 values in column-major order (each
 observation contiguous), and nothing after them.  A binary read maps the
@@ -94,7 +95,7 @@ def read_observations_csv(path: str) -> ObservationSet:
     """Parse the data rows with numpy's C reader straight into one ``p x n``
     array, so that the read needs little more memory than ``V`` itself."""
     linenos = array("q")  # 8 bytes a row, not a list's 40
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:  # drops a byte-order mark
         # rows are at most lines: with max_rows, loadtxt allocates M once, and
         # numpy advises so large a block into huge pages (each TTSV sweeps V)
         max_rows = sum(1 for _ in fh)

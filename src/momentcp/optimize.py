@@ -53,6 +53,12 @@ MAX_LINE_STEPS = 20
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# Adam's schedule (see adam_minimize)
+ADAM_STEP_SIZE = 0.01
+ADAM_REDUCED_STEP_SIZE = 0.001
+ADAM_EPOCH_LEN = 100
+ADAM_ESTIMATE_SAMPLES = 1000
+ADAM_MAX_EPOCHS = 1000
 
 
 @dataclass
@@ -81,31 +87,17 @@ class OptConfig:
 
 @dataclass
 class AdamConfig:
-    """Epoch-based Adam settings.
+    """Adam's one setting: ``batch``, the observations each step samples.
 
-    The step size drops from ``step_size`` to ``reduced_step_size`` the first
-    time the per-epoch function estimate fails to decrease; the second
-    failure terminates the run.  The estimate is computed on a fixed random
-    subset of ``estimate_samples`` observations so values are comparable
-    across epochs.
+    The rest of the schedule is the module's ``ADAM_*`` constants, read when
+    :func:`adam_minimize` is called.
     """
 
-    step_size: float = 0.01
-    reduced_step_size: float = 0.001
-    epoch_len: int = 100
     batch: int = 100
-    estimate_samples: int = 1000
-    max_epochs: int = 1000
 
     def __post_init__(self) -> None:
-        for name in ("step_size", "reduced_step_size"):
-            if not 0.0 < getattr(self, name) < np.inf:  # also rejects NaN
-                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
-        for name, least in (("epoch_len", 1), ("batch", 1), ("estimate_samples", 1), ("max_epochs", 0)):
-            if not isinstance(getattr(self, name), (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-            if getattr(self, name) < least:
-                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
+        if not (isinstance(self.batch, (int, np.integer)) and self.batch >= 1):
+            raise ValueError(f"batch must be an integer >= 1, got {self.batch!r}")
 
 
 @dataclass
@@ -349,12 +341,16 @@ def adam_minimize(
 
     Every inner iteration takes a fresh ``cfg.batch``-observation sample (the
     draw :func:`~momentcp.objective.sample_observations` makes, drawn for a
-    whole epoch at once) and one bias-corrected Adam step, in place with the
-    bits of Kingma & Ba's Algorithm 1.  Uniform weights are checked once.
-    After each epoch the objective is estimated on a fixed subset; a
-    non-decreasing estimate first reduces the step size (rewinding to the
-    prior epoch's iterate and restarting the moment accumulators), and on a
-    second occurrence the run terminates with the prior epoch's iterate.
+    whole epoch of ``ADAM_EPOCH_LEN`` steps at once) and one bias-corrected
+    Adam step of size ``ADAM_STEP_SIZE``, in place with the bits of Kingma &
+    Ba's Algorithm 1.  Uniform weights are checked once.  After each epoch
+    the objective is estimated on a fixed subset of ``ADAM_ESTIMATE_SAMPLES``
+    observations (all of them when there are fewer); a non-decreasing
+    estimate first reduces the step size to ``ADAM_REDUCED_STEP_SIZE``
+    (rewinding to the prior epoch's iterate and restarting the moment
+    accumulators), and on a second occurrence the run terminates with the
+    prior epoch's iterate.  ``ADAM_MAX_EPOCHS`` caps the epochs.  The
+    ``ADAM_*`` constants are read at call time.
     """
     start = time.perf_counter()
     n, p = obs.V.shape
@@ -364,7 +360,7 @@ def adam_minimize(
     if x.shape != (r_hat + n * r_hat,):
         raise ValueError(f"x0 has length {x.size}, expected {r_hat + n * r_hat}")
 
-    est_idx = rng.choice(p, size=min(cfg.estimate_samples, p), replace=False)
+    est_idx = rng.choice(p, size=min(ADAM_ESTIMATE_SAMPLES, p), replace=False)
     estimate = packed_fg_implicit(ObservationSet(obs.V[:, est_idx]), d, r_hat)
     # each step rebinds V_batch to its sample, of one shape, which batch_fg reads at call time
     V_batch = None
@@ -375,14 +371,14 @@ def adam_minimize(
     x_best = x.copy()
     trace = [(f_best, time.perf_counter() - start)]
 
-    lr, b1, b2 = cfg.step_size, ADAM_BETA1, ADAM_BETA2
+    lr, b1, b2 = ADAM_STEP_SIZE, ADAM_BETA1, ADAM_BETA2
     m1, m2, tmp, den = (np.zeros_like(x) for _ in range(4))
     t = 0
     n_iter = 0
     increases = 0
     reason = "iteration cap"
-    for _ in range(cfg.max_epochs):
-        for idx in rng.integers(0, p, size=(cfg.epoch_len, cfg.batch)):
+    for _ in range(ADAM_MAX_EPOCHS):
+        for idx in rng.integers(0, p, size=(ADAM_EPOCH_LEN, cfg.batch)):
             V_batch = obs.V[:, idx]
             _, grad = batch_fg(x)
             t += 1
@@ -415,7 +411,7 @@ def adam_minimize(
             m2[:] = 0.0
             t = 0
             if increases == 1:
-                lr = cfg.reduced_step_size
+                lr = ADAM_REDUCED_STEP_SIZE
             else:
                 reason = "learning-rate exhausted"
                 break

@@ -107,6 +107,19 @@ class TestCsv:
         with pytest.raises(ParseError, match="row 2: non-numeric"):
             read_observations_csv(str(path))
 
+    def test_byte_order_mark_dropped(self, tmp_path):
+        # a UTF-8 byte-order mark is not part of line 1: numbers after it are
+        # an observation, a header after it stays a header, and a later bad
+        # row keeps its line number
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf1,2\n3,4\n5,6\n")
+        assert np.array_equal(read_observations(str(path)).V, [[1.0, 3.0, 5.0], [2.0, 4.0, 6.0]])
+        path.write_bytes(b"\xef\xbb\xbfx,y\n3,4\n")
+        assert np.array_equal(read_observations_csv(str(path)).V, [[3.0], [4.0]])
+        path.write_bytes(b"\xef\xbb\xbf1,2\nz,4\n")
+        with pytest.raises(ParseError, match="row 2: non-numeric"):
+            read_observations_csv(str(path))
+
     @pytest.mark.parametrize("last, error, message", [
         ("5,6,7", ParseError, "row 6: expected 2 values, got 3"),
         ("5", ParseError, "row 6: expected 2 values, got 1"),
@@ -820,12 +833,16 @@ class TestFit:
     @pytest.mark.parametrize("solver, init", [
         ("lbfgs", "rrf"), ("lbfgs", "gaussian"), ("adam", "rrf"),
     ])
-    def test_matches_multistart_bitwise(self, seed, solver, init):
+    def test_matches_multistart_bitwise(self, monkeypatch, seed, solver, init):
+        import momentcp.optimize as optimize
         from momentcp import AdamConfig, OptConfig
 
         obs = self._problem()
         if solver == "adam":
-            cfg = AdamConfig(epoch_len=10, batch=20, estimate_samples=100, max_epochs=5)
+            monkeypatch.setattr(optimize, "ADAM_EPOCH_LEN", 10)
+            monkeypatch.setattr(optimize, "ADAM_ESTIMATE_SAMPLES", 100)
+            monkeypatch.setattr(optimize, "ADAM_MAX_EPOCHS", 5)
+            cfg = AdamConfig(batch=20)
         else:
             cfg = OptConfig(pgtol=1e-6)
         alpha = 0.25

@@ -318,7 +318,12 @@ class TestFitEdges:
         monkeypatch.setattr(objective, "moment_unfolding",
                             lambda space, d: shapes.append(space.V.shape) or moment_unfolding(space, d))
         if solver == "adam":
-            cfg = AdamConfig(epoch_len=10, batch=20, estimate_samples=100, max_epochs=2)
+            import momentcp.optimize as optimize
+
+            monkeypatch.setattr(optimize, "ADAM_EPOCH_LEN", 10)
+            monkeypatch.setattr(optimize, "ADAM_ESTIMATE_SAMPLES", 100)
+            monkeypatch.setattr(optimize, "ADAM_MAX_EPOCHS", 2)
+            cfg = AdamConfig(batch=20)
         else:
             cfg = OptConfig(pgtol=1e-6)
         best = fit(_mixture(8, p, 2, 36), 3, 2, cfg, 3, 0)
