@@ -169,7 +169,8 @@ class _Basins:
     ``runs`` holds ``(lam, B, run)``, appended once a start's polish has
     returned, so a start whose polish raised is no basin.  ``twin(lam, B)``
     returns the first of those runs whose subspace model is within
-    ``SAME_BASIN_TOL`` of ``(lam, B)``'s, or ``None``.  The test is
+    ``SAME_BASIN_TOL`` of ``(lam, B)``'s, or ``None``; a start with a twin
+    ends in a copy of the twin's run instead of a polish.  The test is
     ``||M_i - M_j||^2 <= SAME_BASIN_TOL * max(||M_i||^2, ||M_j||^2)``
     through the Gram identity ``<M_i, M_j> = lam_i' (B_i'B_j)^d lam_j``,
     O(k r^2) a pair.  The starts run in start order, so a decision reads
@@ -203,8 +204,7 @@ def fit(
     seed: int | np.random.SeedSequence, *, init: str = "rrf", alpha: float = 0.0,
 ) -> RunReport:
     """Fit a rank-``r_hat`` model to the order-``d`` moment of ``obs`` from
-    ``starts`` seeded starts; returns the best run, as :func:`multistart` does,
-    of the runs that were polished.
+    ``starts`` seeded starts; returns :func:`multistart`'s best run.
 
     Each start has weights ``1/r_hat`` and factors from ``rrf_init`` (or
     ``gaussian_init`` for ``init="gaussian"``).  An ``AdamConfig`` runs Adam
@@ -228,11 +228,13 @@ def fit(
     stages and the subspace stage's ``trace`` rows first.  The polish is
     made once per basin: in start order, a start whose subspace model is
     within ``SAME_BASIN_TOL`` (relative squared distance) of that of an
-    earlier start whose polish returned gets only the one evaluation at its
-    lift, with ``reason`` ``"grouped with run j"`` naming that start's
-    ``run_index`` (:class:`_Basins`; clustering multistart, Rinnooy Kan &
-    Timmer, 1987).  Every start still
-    has its run in ``runs``.  The starts run one after another in the
+    earlier start whose polish returned makes no full-data evaluation: its
+    run has that start's ``lam``, ``A``, ``f`` and ``grad_inf_norm``, its
+    subspace stage's counts, time and ``trace``, and ``reason``
+    ``"grouped with run j"`` naming that start's ``run_index``
+    (:class:`_Basins`; clustering multistart, Rinnooy Kan & Timmer, 1987).
+    Every start has its run in ``runs``; a grouped one is never the best.
+    The starts run one after another in the
     calling thread (:func:`~momentcp.optimize.multistart`).  Where
     ``k^(d-1) <= p`` the set-up also forms the ``k x k^(d-1)`` unfolding of
     the compressed moment, once, and the subspace stage evaluates from it
@@ -274,16 +276,17 @@ def fit(
             return adam_minimize(obs, d, r_hat, x0, cfg, rng)
         sub = lbfgs_minimize(comp, x0, sub_cfg, shape=(space.n, r_hat))
         twin = basins.twin(sub.lam, sub.A)
+        if twin is not None:  # multistart set twin's run_index when it returned
+            return replace(sub, lam=twin.lam.copy(), A=twin.A.copy(), f=twin.f,
+                           grad_inf_norm=twin.grad_inf_norm,
+                           reason=f"grouped with run {twin.run_index}")
         steps, evals = cfg.max_iters - sub.n_steps, cfg.max_total_iters - sub.n_fg
-        if twin is not None or min(steps, evals) < 1:  # one evaluation at the lift, no step
+        if min(steps, evals) < 1:  # one evaluation at the lift, no step
             steps, evals = 1, 1
         rep = lbfgs_minimize(full, pack(sub.lam, U @ sub.A),
                              replace(cfg, max_iters=steps, max_total_iters=evals),
                              shape=(obs.n, r_hat), first_direction=lift_step)
-        if twin is None:
-            basins.runs.append((sub.lam, sub.A, rep))
-        else:  # multistart set twin's run_index when it returned
-            rep.reason = f"grouped with run {twin.run_index}"
+        basins.runs.append((sub.lam, sub.A, rep))
         rep.n_fg += sub.n_fg
         rep.n_steps += sub.n_steps
         rep.trace = sub.trace + [(f, t + sub.wall_time) for f, t in rep.trace]
@@ -291,11 +294,6 @@ def fit(
         return rep
 
     best = multistart(starts, start, minimize, seed)
-    # an unpolished lift can undercut the f its polished start reached by a hair
-    pick = min((run for *_, run in basins.runs), key=lambda rp: (rp.f, rp.run_index), default=best)
-    if pick is not best:  # multistart's best-run fields move to pick
-        pick.runs, pick.failures, pick.seed, best.seed = best.runs, best.failures, best.seed, pick.seed
-        best.runs, best.failures, best = None, [], pick
     best.setup_time = setup
     if adam:
         best.f, g = full(pack(best.lam, best.A))

@@ -115,8 +115,8 @@ class RunReport:
     :func:`momentcp.cli.fit` whose subspace solution is in the basin of an
     earlier start whose polish returned is not polished: its ``reason`` is
     ``"grouped with run j"``, ``j`` being that start's ``run_index``, its
-    ``n_fg`` is the subspace stage's plus the one evaluation at its lift,
-    and its ``trace`` is the subspace stage's rows and one row at the lift.
+    ``lam``, ``A``, ``f`` and ``grad_inf_norm`` are run ``j``'s, and its
+    ``n_fg``, ``n_steps``, ``wall_time`` and ``trace`` its subspace stage's.
     """
 
     lam: np.ndarray

@@ -203,6 +203,17 @@ class TestBinary:
         ]) == 1
         assert capsys.readouterr().err.startswith(f"error: {path}: expected")
 
+    def test_unsupported_version(self, tmp_path, capsys):
+        path = tmp_path / "v2.momv"
+        path.write_bytes(b"MOMV" + struct.pack("<IQQ", 2, 2, 2) + np.zeros(4).tobytes())
+        with pytest.raises(ParseError, match=r"unsupported version 2 \(byte offset 4\)"):
+            read_observations_binary(str(path))
+        assert main([
+            "decompose", "--input", str(path), "--order", "3", "--rank", "1",
+            "--output", str(tmp_path / "sol.json"),
+        ]) == 1
+        assert capsys.readouterr().err == f"error: {path}: unsupported version 2 (byte offset 4)\n"
+
     def test_autodetect(self, tmp_path):
         rng = np.random.default_rng(73)
         obs = ObservationSet(rng.standard_normal((2, 3)))
@@ -693,6 +704,24 @@ class TestBenchCommand:
         assert report["explicit_time_per_iter_s"] > 0
         assert report["implicit_time_per_iter_s"] > 0
 
+    def test_cli_notice_when_explicit_skipped(self, monkeypatch, capsys):
+        monkeypatch.setenv("MOMENTCP_ELEMENT_CAP", "10")
+        assert main(["bench", "-d", "3", "-n", "5", "-p", "40", "-r", "2", "--runs", "1"]) == 0
+        assert capsys.readouterr().err == (
+            "notice: n**d = 125 exceeds the element cap (10); explicit route skipped\n"
+        )
+
+    def test_cli_fails_on_route_mismatch(self, monkeypatch, capsys):
+        # a dense route off by 1e-6 relative fails the paired check at 1e-10
+        import momentcp.cli as cli
+
+        dense = cli.ttsv_batch_dense
+        monkeypatch.setattr(cli, "ttsv_batch_dense", lambda X, A: dense(X, A) * (1 + 1e-6))
+        assert main(["bench", "-d", "3", "-n", "5", "-p", "40", "-r", "2", "--runs", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: explicit/implicit objective mismatch at shared iterate: ")
+        assert err.endswith("(rel 2.000e-06)\n")
+
     def test_cli_writes_csv(self, tmp_path):
         out = tmp_path / "bench.csv"
         code = main([
@@ -776,31 +805,28 @@ class TestFit:
             U = principal_basis(obs, 4)
             space = ObservationSet(U.T @ obs.V, obs.nu)
             comp = (compressed or packed_fg_compressed)(space, 3, 2, alpha)
-            polished = []  # (run index, dense subspace model), in start order
-            joins = []  # per start, the polished start it joined, or None
+            polished = []  # (polished run, dense subspace model), in start order
 
             def minimize(x0, rng):
                 sub = lbfgs_minimize(comp, x0, replace(cfg, max_total_iters=cfg.max_total_iters - 1),
                                      shape=(space.n, 2))
                 # a start within SAME_BASIN_TOL of an earlier polished start's
-                # model gets one evaluation at its lift
+                # model ends in a copy of that start's run
                 M = kruskal_to_dense(SymKruskal(3, sub.lam, sub.A)).entries
-                joined = next((j for j, Mj in polished if np.sum((M - Mj) ** 2)
-                               <= SAME_BASIN_TOL * max(np.sum(M * M), np.sum(Mj * Mj))), None)
-                steps, evals = cfg.max_iters - sub.n_steps, cfg.max_total_iters - sub.n_fg
-                if joined is None:
-                    polished.append((len(joins), M))
-                else:
-                    steps, evals = 1, 1
-                joins.append(joined)
+                twin = next((run for run, Mj in polished if np.sum((M - Mj) ** 2)
+                             <= SAME_BASIN_TOL * max(np.sum(M * M), np.sum(Mj * Mj))), None)
+                if twin is not None:
+                    return replace(sub, lam=twin.lam.copy(), A=twin.A.copy(), f=twin.f,
+                                   grad_inf_norm=twin.grad_inf_norm,
+                                   reason=f"grouped with run {twin.run_index}")
                 rep = lbfgs_minimize(
                     full, pack(sub.lam, U @ sub.A),
-                    replace(cfg, max_iters=steps, max_total_iters=evals),
+                    replace(cfg, max_iters=cfg.max_iters - sub.n_steps,
+                            max_total_iters=cfg.max_total_iters - sub.n_fg),
                     shape=(obs.n, 2),
                     first_direction=lambda x, g: lift_direction(x, g, (obs.n, 2), 3),
                 )
-                if joined is not None:
-                    rep.reason = f"grouped with run {joined}"
+                polished.append((rep, M))
                 rep.n_fg += sub.n_fg
                 rep.n_steps += sub.n_steps
                 rep.trace = sub.trace + [(f, t + sub.wall_time) for f, t in rep.trace]
@@ -812,11 +838,6 @@ class TestFit:
             # Adam's own f is a shifted estimate: fit reports the full objective
             best.f, g = full(pack(best.lam, best.A))
             best.grad_inf_norm = float(np.abs(g).max())
-        else:
-            # the best run is the best polished one
-            want = min((rp for rp in best.runs if joins[rp.run_index] is None),
-                       key=lambda rp: (rp.f, rp.run_index))
-            want.runs, want.seed, best = best.runs, best.seed, want
         return best
 
     @staticmethod

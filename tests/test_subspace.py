@@ -140,20 +140,27 @@ class TestTwoStage:
 
     @staticmethod
     def _spy(monkeypatch):
+        """Per start, ``[subspace call, polish call or None]``, each call
+        ``(x0, cfg, shape, report)``: every polish passes ``first_direction``
+        and no subspace stage does."""
         import dataclasses
 
         import momentcp.cli as cli
 
-        calls = []
+        starts = []
 
         def spy(fg, x0, cfg, shape, **kwargs):
             rep = lbfgs_minimize(fg, x0, cfg, shape, **kwargs)
             # fit adds the first stage's counts to the second's report in place
-            calls.append((x0.copy(), cfg, shape, dataclasses.replace(rep, trace=list(rep.trace))))
+            call = (x0.copy(), cfg, shape, dataclasses.replace(rep, trace=list(rep.trace)))
+            if "first_direction" in kwargs:
+                starts[-1][1] = call
+            else:
+                starts.append([call, None])
             return rep
 
         monkeypatch.setattr(cli, "lbfgs_minimize", spy)
-        return calls
+        return starts
 
     @pytest.mark.parametrize("init", ["rrf", "gaussian"])
     def test_stages_compose(self, monkeypatch, init):
@@ -174,42 +181,49 @@ class TestTwoStage:
         r, alpha = 2, 0.25
         obs = _mixture(n, 300, r, 40)
         cfg = OptConfig(pgtol=1e-7)
-        calls = self._spy(monkeypatch)
+        starts = self._spy(monkeypatch)
         best = fit(obs, 3, r, cfg, 3, seed(), init=init, alpha=alpha)
-        assert len(calls) == 6 and len(best.runs) == 3
+        assert len(starts) == 3 and len(best.runs) == 3
         U = principal_basis(obs, 2 * r)
         k = U.shape[1]
         assert k == min(2 * r, n)
         space = ObservationSet(U.T @ obs.V, obs.nu)
-        joined = _basins([(c[3].lam, c[3].A) for c in calls[::2]], 3)
+        joined = _basins([(sub[3].lam, sub[3].A) for sub, _ in starts], 3)
         for i, (run, child) in enumerate(zip(best.runs, np.random.SeedSequence(9).spawn(3))):
-            (x_sub, cfg_sub, shape_sub, sub), (x_pol, cfg_pol, shape_pol, pol) = calls[2 * i : 2 * i + 2]
-            # the start is drawn on U'V and fitted there, then lifted to U B
+            (x_sub, cfg_sub, shape_sub, sub), polish = starts[i]
+            # the start is drawn on U'V and fitted there
             rng = np.random.default_rng(child)
             A0 = rrf_init(space, r, rng) if init == "rrf" else gaussian_init(k, r, rng)
             assert np.array_equal(x_sub, pack(np.full(r, 1.0 / r), A0))
-            assert (shape_sub, shape_pol) == ((k, r), (n, r))
-            assert np.array_equal(x_pol, pack(sub.lam, U @ sub.A))
+            assert shape_sub == (k, r) and cfg_sub.pgtol == cfg.pgtol
+            assert run.run_index == i
             if joined[i] is None:
-                # the polish gets what the subspace stage left of the budget
+                # lifted to U B and polished with what the subspace stage left of the budget
+                x_pol, cfg_pol, shape_pol, pol = polish
+                assert shape_pol == (n, r) and cfg_pol.pgtol == cfg.pgtol
+                assert np.array_equal(x_pol, pack(sub.lam, U @ sub.A))
                 assert cfg_pol.max_iters == cfg.max_iters - sub.n_steps
                 assert cfg_pol.max_total_iters == cfg.max_total_iters - sub.n_fg
-                reason = pol.reason
+                # the run is the polish, with counts and time summed and traces joined
+                assert np.array_equal(run.lam, pol.lam) and np.array_equal(run.A, pol.A)
+                assert (run.f, run.grad_inf_norm, run.reason) == (pol.f, pol.grad_inf_norm, pol.reason)
+                assert run.n_fg == sub.n_fg + pol.n_fg and run.n_steps == sub.n_steps + pol.n_steps
+                assert run.wall_time == pol.wall_time + sub.wall_time
+                assert [f for f, _ in run.trace] == [f for f, _ in sub.trace + pol.trace]
+                times = [t for _, t in run.trace]
+                assert times == sorted(times) and times[len(sub.trace)] >= sub.wall_time
             else:
-                # a start in a polished start's basin gets one evaluation at its lift
-                assert (cfg_pol.max_iters, cfg_pol.max_total_iters) == (1, 1)
-                assert (pol.n_fg, pol.n_steps) == (1, 0)
-                reason = f"grouped with run {joined[i]}"
-            assert cfg_pol.pgtol == cfg_sub.pgtol == cfg.pgtol
-            # the run is the polish, with counts and time summed and traces joined
-            assert run.run_index == i
-            assert np.array_equal(run.lam, pol.lam) and np.array_equal(run.A, pol.A)
-            assert (run.f, run.grad_inf_norm, run.reason) == (pol.f, pol.grad_inf_norm, reason)
-            assert run.n_fg == sub.n_fg + pol.n_fg and run.n_steps == sub.n_steps + pol.n_steps
-            assert run.wall_time == pol.wall_time + sub.wall_time
-            assert [f for f, _ in run.trace] == [f for f, _ in sub.trace + pol.trace]
-            times = [t for _, t in run.trace]
-            assert times == sorted(times) and times[len(sub.trace)] >= sub.wall_time
+                # a start in a polished start's basin makes no full-data call: its
+                # run is a copy of that start's, with its own subspace stage's
+                # counts, time and trace
+                assert polish is None
+                twin = best.runs[joined[i]]
+                assert np.array_equal(run.lam, twin.lam) and np.array_equal(run.A, twin.A)
+                assert run.lam is not twin.lam and run.A is not twin.A
+                assert (run.f, run.grad_inf_norm, run.reason) == \
+                    (twin.f, twin.grad_inf_norm, f"grouped with run {joined[i]}")
+                assert (run.n_fg, run.n_steps, run.wall_time) == (sub.n_fg, sub.n_steps, sub.wall_time)
+                assert run.trace == sub.trace
         # the best polished run, lowest f first and then lowest index, is the
         # full objective with alpha at its lam and A
         i_best = min((i for i in range(3) if joined[i] is None), key=lambda i: (best.runs[i].f, i))
@@ -228,10 +242,10 @@ class TestTwoStage:
     def test_caps_bound_both_stages_together(self, monkeypatch, max_iters, max_total_iters):
         obs = _mixture(8, 300, 2, 41, sigma=0.1)
         cfg = OptConfig(pgtol=1e-12, max_iters=max_iters, max_total_iters=max_total_iters)
-        calls = self._spy(monkeypatch)
+        starts = self._spy(monkeypatch)
         best = fit(obs, 3, 2, cfg, 2, 3)
         full = packed_fg_implicit(obs, 3, 2)
-        joined = _basins([(c[3].lam, c[3].A) for c in calls[::2]], 3)
+        joined = _basins([(sub[3].lam, sub[3].A) for sub, _ in starts], 3)
         for i, run in enumerate(best.runs):
             assert run.n_steps <= cfg.max_iters
             assert run.n_fg <= cfg.max_total_iters + MAX_LINE_STEPS
@@ -241,10 +255,13 @@ class TestTwoStage:
                 assert run.reason == f"grouped with run {joined[i]}"
             f, g = full(pack(run.lam, run.A))
             assert run.f == f and run.grad_inf_norm == float(np.abs(g).max())
-            sub, pol = calls[2 * i][3], calls[2 * i + 1][3]
-            if sub.n_steps == cfg.max_iters or sub.n_fg >= cfg.max_total_iters or joined[i] is not None:
-                # a spent budget, or a polished basin, leaves one evaluation at the lift
-                assert (pol.n_fg, pol.n_steps) == (1, 0)
+            (*_, sub), polish = starts[i]
+            if joined[i] is not None:
+                # a start in a polished basin makes no full-data call
+                assert polish is None
+            elif sub.n_steps == cfg.max_iters or sub.n_fg >= cfg.max_total_iters:
+                # a spent budget leaves one evaluation at the lift
+                assert (polish[3].n_fg, polish[3].n_steps) == (1, 0)
 
     def test_setup_time_in_reported_totals(self, tmp_path, monkeypatch):
         import momentcp.cli as cli
@@ -363,24 +380,38 @@ class TestBasins:
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_grouped_run_reports_its_lift(self, monkeypatch, d):
-        # at d = 2 a grouped lift is 1.1e-15 below the polished start's f
+        # at d = 2 a grouped start's lift is 1.1e-15 below the polished
+        # start's f; a grouped run takes its polished start's f instead
         obs = ObservationSet(_mixture(9, 200, 2, 22, sigma=0.1).V, _weighted(1, 200, 2).nu)
-        calls = TestTwoStage._spy(monkeypatch)
+        starts = TestTwoStage._spy(monkeypatch)
         best = fit(obs, d, 2, OptConfig(pgtol=1e-7), 3, 5, alpha=0.3)
         assert len(best.runs) == 3
         full = packed_fg_implicit(obs, d, 2, 0.3)
-        joined = _basins([(c[3].lam, c[3].A) for c in calls[::2]], d)
+        joined = _basins([(sub[3].lam, sub[3].A) for sub, _ in starts], d)
         assert joined == [None, 0, 0]
         for i in (1, 2):
-            run, sub, pol = best.runs[i], calls[2 * i][3], calls[2 * i + 1][3]
+            run, ((*_, sub), polish) = best.runs[i], starts[i]
             f, g = full(pack(run.lam, run.A))
             assert run.f == f and run.grad_inf_norm == float(np.abs(g).max())
-            assert np.array_equal(run.A, principal_basis(obs, 4) @ sub.A)
-            assert run.n_fg == sub.n_fg + 1 and run.n_steps == sub.n_steps
-            assert len(run.trace) == len(sub.trace) + 1 and run.trace[-1][0] == run.f
+            assert polish is None and np.array_equal(run.A, best.runs[0].A)
+            assert run.n_fg == sub.n_fg and run.n_steps == sub.n_steps
+            assert run.trace == sub.trace
             assert run.reason == "grouped with run 0"
         assert best is best.runs[0] and best.reason == "tolerance"
         assert best.grad_inf_norm <= 1e-7 and best.seed == 5
+
+    def test_fit_returns_the_multistart_report(self, monkeypatch):
+        # as perfbench's fit_cli does, a caller may keep the report multistart
+        # returns; fit hands back that report, with every run
+        import momentcp.cli as cli
+
+        kept, multistart = [], cli.multistart
+        monkeypatch.setattr(cli, "multistart",
+                            lambda *args: kept.append(multistart(*args)) or kept[-1])
+        obs = ObservationSet(_mixture(9, 200, 2, 22, sigma=0.1).V, _weighted(1, 200, 2).nu)
+        best = fit(obs, 2, 2, OptConfig(pgtol=1e-7), 3, 5, alpha=0.3)
+        assert len(kept) == 1 and best is kept[0]
+        assert len(best.runs) == 3 and best.failures == []
 
     def test_distinct_basins_match_polishing_every_start(self, monkeypatch):
         # starts 0 and 1 stop near f = -0.218, at points of that flat basin
@@ -575,7 +606,7 @@ class TestLiftDirection:
         n, r, d = 12, 3, 3
         obs = _mixture(n, 400, r, 46, sigma=0.05)
         cfg = OptConfig(pgtol=1e-8)
-        calls = TestTwoStage._spy(monkeypatch)
+        starts = TestTwoStage._spy(monkeypatch)
         spy, kwargs = cli.lbfgs_minimize, []
 
         def keep(fg, x0, cfg, shape, **kw):
@@ -588,20 +619,26 @@ class TestLiftDirection:
         comp = packed_fg_compressed(ObservationSet(U.T @ obs.V, obs.nu), d, r)
         full = packed_fg_implicit(obs, d, r)
         # start 1's subspace solution is in start 0's basin: fit does not
-        # polish it, so its polish is run here from the same lift and budget
-        assert _basins([(c[3].lam, c[3].A) for c in calls[::2]], d) == [None, 0]
+        # polish it, so its polish is run here from its lift and budget
+        assert _basins([(sub[3].lam, sub[3].A) for sub, _ in starts], d) == [None, 0]
+        # the subspace stages pass no first direction, start 0's polish does
+        assert [set(kw) for kw in kwargs] == [set(), {"first_direction"}, set()]
         polish_evals = []
         for i in range(2):
-            (x_sub, cfg_sub, shape_sub, sub), (x_pol, cfg_pol, shape_pol, pol) = calls[2 * i : 2 * i + 2]
+            (x_sub, cfg_sub, shape_sub, sub), polish = starts[i]
             # the subspace stage is plain L-BFGS, bit for bit
-            assert kwargs[2 * i] == {} and set(kwargs[2 * i + 1]) == {"first_direction"}
             want = lbfgs_minimize(comp, x_sub, cfg_sub, shape_sub)
             assert np.array_equal(sub.A, want.A) and np.array_equal(sub.lam, want.lam)
             assert (sub.f, sub.n_fg, sub.n_steps) == (want.f, want.n_fg, want.n_steps)
             assert [f for f, _ in sub.trace] == [f for f, _ in want.trace]
             budget = replace(cfg, max_iters=cfg.max_iters - sub.n_steps,
                              max_total_iters=cfg.max_total_iters - sub.n_fg)
-            assert cfg_pol == (budget if i == 0 else replace(cfg, max_iters=1, max_total_iters=1))
+            if i == 0:
+                x_pol, cfg_pol, shape_pol, pol = polish
+                assert cfg_pol == budget
+            else:
+                assert polish is None
+                x_pol, shape_pol = pack(sub.lam, U @ sub.A), (n, r)
             # the polish is L-BFGS opened by the lift's Gauss-Newton direction
             gn = lbfgs_minimize(full, x_pol, budget, shape_pol,
                                 first_direction=lambda x, g: lift_direction(x, g, (n, r), d))

@@ -25,7 +25,8 @@ evaluations and the number of starts polished (runs whose ``reason`` is not
 ``"grouped with run j"``).  Each side also records, per start after the
 first, the relative squared distance ``||M_i - M_j||^2 / max(||M_i||^2,
 ||M_j||^2)`` from its subspace solution to the nearest earlier start's
-(read off the first of each start's two ``lbfgs_minimize`` calls), so the
+(read off its subspace stage's ``lbfgs_minimize`` call, the one without
+the ``first_direction`` that every polish passes), so the
 summary's decade counts show where ``cli.SAME_BASIN_TOL`` falls among the
 distances that occur.  The gate marks a fit whose changed best ``f``
 is above the parent's by more than ``F_RTOL`` (relative), or, where
@@ -113,12 +114,14 @@ def fit_side(sigma: float, seed: int, pgtol: float) -> list[dict]:
     import momentcp.cli as cli
     from momentcp.dense import ObservationSet
 
-    calls = []
+    subs = []  # the subspace stages' reports, in start order
     lbfgs_minimize = cli.lbfgs_minimize
 
     def kept(*args, **kwargs):
-        calls.append(lbfgs_minimize(*args, **kwargs))
-        return calls[-1]
+        rep = lbfgs_minimize(*args, **kwargs)
+        if "first_direction" not in kwargs:
+            subs.append(rep)
+        return rep
 
     cli.lbfgs_minimize = kept
     fits = []
@@ -127,7 +130,7 @@ def fit_side(sigma: float, seed: int, pgtol: float) -> list[dict]:
         obs = ObservationSet(V)
         wall, cpu = [], []
         for _ in range(REPEATS):
-            calls.clear()
+            subs.clear()
             t0, c0 = time.perf_counter(), time.process_time()
             best = cli.fit(obs, d, r, cli.OptConfig(pgtol=pgtol), starts, seed)
             wall.append(time.perf_counter() - t0)
@@ -142,7 +145,7 @@ def fit_side(sigma: float, seed: int, pgtol: float) -> list[dict]:
             "best_f": float(best.f), "score": score(means, best.A),
             "evals": int(sum(rep.n_fg for rep in best.runs)),
             "polished": sum(not rep.reason.startswith("grouped with run") for rep in best.runs),
-            "nearest": nearest_distances([(rep.lam, rep.A) for rep in calls[::2]], d),
+            "nearest": nearest_distances([(rep.lam, rep.A) for rep in subs], d),
             "sha256": bits.hexdigest()[:16],
         })
     return fits
