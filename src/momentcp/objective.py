@@ -204,11 +204,11 @@ def packed_fg(
     makes ``Y``, ``A'A``, its powers and ``w`` once (:func:`_finish`) and
     returns a fresh packed gradient.  The reduced route ignores ``x``'s ``lam``:
     ``fg.project(x)`` gives ``(pack(lam*, A), f, gradient)`` at the optimal
-    weights ``lam* = G^{-1} w``, and :func:`~momentcp.optimize.lbfgs_minimize`
-    evaluates it once at every line-search trial.  ``fg.alpha`` is ``alpha``:
-    on the reduced route ``G lam* = w``, so ``|alpha| + 3 |f - alpha|`` is
-    ``f``'s rounding scale ``|alpha| + lam*'G lam* + 2 |w'lam*|``, which the
-    search's stall test reads.
+    weights ``lam* = G^{-1} w``.  :func:`~momentcp.optimize.lbfgs_minimize`
+    reads only ``fg.project``, at every line-search trial, and ``fg.alpha``,
+    which is ``alpha``: at ``lam*``, ``G lam* = w``, so ``|alpha| + 3 |f -
+    alpha|`` is ``f``'s rounding scale ``|alpha| + lam*'G lam* + 2 |w'lam*|``
+    for its stall test.  A wrapper passed to it must keep both.
     """
     if min(n, r) < 1 or d < 2 or not np.isfinite(alpha):
         raise ValueError(f"need n, r >= 1, d >= 2 and a finite alpha, got {n}, {r}, {d}, {alpha}")

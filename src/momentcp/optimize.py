@@ -5,8 +5,8 @@ first, then the factor matrix column-major); gradients are packed the same
 way.  ``lbfgs_minimize`` is a two-loop L-BFGS (Liu & Nocedal, 1989) with a
 strong-Wolfe line search under L-BFGS-B's constants and stopping rules
 (Byrd, Lu, Nocedal & Zhu, 1995), stopping on the gradient's infinity norm;
-on a moment objective it eliminates ``lam`` (variable projection), searching
-over ``A`` alone and reporting ``lam = G^{-1} w``.  Adam does not.
+it takes packed evaluators only and eliminates ``lam`` (variable projection),
+searching over ``A`` alone and reporting ``lam = G^{-1} w``.  Adam does not.
 ``adam_minimize`` runs stochastic gradients in fixed-length epochs, drawing
 each epoch's samples at once and updating its moments in place, with a
 monitored function estimate that triggers one learning-rate reduction and
@@ -65,11 +65,11 @@ ADAM_MAX_EPOCHS = 1000
 class OptConfig:
     """L-BFGS settings.
 
-    ``pgtol`` bounds the gradient's infinity norm at a solution;
-    ``max_iters`` caps accepted steps and ``max_total_iters``
-    function/gradient evaluations.  The evaluation cap is checked between
-    iterations, so a run makes at most ``max_total_iters + MAX_LINE_STEPS``
-    evaluations.  ``seed`` is only recorded in the report.
+    ``pgtol`` bounds the gradient's infinity norm at a solution; the integers
+    ``max_iters`` and ``max_total_iters`` cap accepted steps and evaluations.
+    The evaluation cap is checked between iterations, so a run makes at most
+    ``max_total_iters + MAX_LINE_STEPS`` evaluations.  ``seed`` is only
+    recorded in the report.
     """
 
     pgtol: float = 1e-4
@@ -81,8 +81,9 @@ class OptConfig:
         if not self.pgtol > 0:  # also rejects NaN; inf stops at once
             raise ValueError(f"pgtol must be > 0, got {self.pgtol}")
         for name in ("max_iters", "max_total_iters"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+            cap = getattr(self, name)
+            if not (isinstance(cap, (int, np.integer)) and cap >= 1):
+                raise ValueError(f"{name} must be an integer >= 1, got {cap!r}")
 
 
 @dataclass
@@ -111,12 +112,9 @@ class RunReport:
     (for Adam: mini-batch gradient steps).  ``setup_time`` is the time a
     multistart fit spent before its starts on work they share
     (:func:`momentcp.cli.fit`'s subspace basis and compressed moment
-    unfolding); no run's ``wall_time`` includes it.  A start of
-    :func:`momentcp.cli.fit` whose subspace solution is in the basin of an
-    earlier start whose polish returned is not polished: its ``reason`` is
-    ``"grouped with run j"``, ``j`` being that start's ``run_index``, its
-    ``lam``, ``A``, ``f`` and ``grad_inf_norm`` are run ``j``'s, and its
-    ``n_fg``, ``n_steps``, ``wall_time`` and ``trace`` its subspace stage's.
+    unfolding); no run's ``wall_time`` includes it.  ``fit`` ends a start in
+    the basin of run ``j`` in a copy of run ``j``'s model, with its own
+    subspace stage's counts and ``reason`` ``"grouped with run j"``.
     """
 
     lam: np.ndarray
@@ -215,21 +213,19 @@ def lbfgs_minimize(
     shape: tuple[int, int],
     first_direction: Callable[[np.ndarray, np.ndarray], np.ndarray | None] | None = None,
 ) -> RunReport:
-    """Minimize a smooth function with limited-memory BFGS.
+    """Minimize a packed evaluator's objective over ``A`` with limited-memory BFGS.
 
     Parameters
     ----------
     fg:
-        Callback returning ``(f, gradient)`` at a packed point.  One from
-        :func:`~momentcp.objective.packed_fg` is minimized over ``A`` alone
-        on its reduced route, ignoring ``x0``'s weights; the report carries
-        ``lam = G^{-1} w`` at the final ``A``, with ``f`` and the full
-        gradient's norm there, all from the evaluation of that ``A``.
-        Each line search evaluates ``fg.project`` (or ``fg``) once at every
-        trial step and hands back the accepted trial's evaluation, and ends
-        on a rounding stall measured against ``|fg.alpha| + 3 |f -
-        fg.alpha|``, ``f``'s rounding scale on the reduced route (``|f|``
-        for a callback without ``project``).
+        A packed evaluator (:func:`~momentcp.objective.packed_fg`, or a
+        wrapper keeping its ``project`` and ``alpha``), minimized over ``A``
+        alone, ignoring ``x0``'s weights; the report carries ``lam = G^{-1}
+        w`` at the final ``A``, with ``f`` and the full gradient's norm
+        there, all from the evaluation of that ``A``.  Each line search
+        evaluates ``fg.project`` once at every trial step and hands back the
+        accepted trial's evaluation, and ends on a rounding stall measured
+        against ``f``'s rounding scale ``|fg.alpha| + 3 |f - fg.alpha|``.
     x0:
         Starting point; ``fg`` must be finite there.
     cfg:
@@ -242,21 +238,18 @@ def lbfgs_minimize(
         ``(n, r)`` used to unpack the final iterate into the report.
     first_direction:
         Optional ``(x, g) -> direction`` for the first iteration, called once
-        with the starting point (with ``lam*`` in its weight slots on the
-        reduced route) and the gradient there.  Its direction is searched
-        from step 1 in place of ``-g`` from ``1/||g||``; ``None`` from it, or
-        a failed search along it, leaves that steepest-descent step.
-        Every later iteration is plain L-BFGS.
+        with the starting point (with ``lam*`` in its weight slots) and the
+        gradient there.  Its direction is searched from step 1 in place of
+        ``-g`` from ``1/||g||``; ``None`` from it, or a failed search along
+        it, leaves that steepest-descent step.  Every later iteration is
+        plain L-BFGS.
     """
     start = time.perf_counter()
-    project = getattr(fg, "project", None)
-    r = 0 if project is None else shape[1]  # the weight slots the search leaves out
+    r = shape[1]  # the weight slots the search leaves out
 
-    def evaluate(xt):
-        """``(xt, x_star, f, full gradient, search gradient)`` at ``xt``; on
-        the reduced route the search gradient has its ``r`` weight slots at 0."""
-        x_star, f, g = (xt, *fg(xt)) if project is None else project(xt)
-        return xt, x_star, f, g, (np.concatenate([np.zeros(r), g[r:]]) if r else g)
+    def evaluate(xt):  # (xt, x_star, f, full gradient, search gradient with 0 weight slots)
+        x_star, f, g = fg.project(xt)
+        return xt, x_star, f, g, np.concatenate([np.zeros(r), g[r:]])
 
     def trial(t):  # along the current direction from the current iterate
         point = evaluate(x + t * direction)
@@ -288,7 +281,7 @@ def lbfgs_minimize(
                 direction, step = -g, 1.0 / float(np.linalg.norm(g))
         t, slope = None, float(g.dot(direction))
         if slope < 0.0:
-            scale = abs(f) if project is None else abs(fg.alpha) + 3.0 * abs(f - fg.alpha)
+            scale = abs(fg.alpha) + 3.0 * abs(f - fg.alpha)
             t, point, evals = _line_search(trial, f, slope, step, MAX_LINE_STEPS, scale)
             n_fg += evals
         if t is None:
@@ -350,7 +343,8 @@ def adam_minimize(
     (rewinding to the prior epoch's iterate and restarting the moment
     accumulators), and on a second occurrence the run terminates with the
     prior epoch's iterate.  ``ADAM_MAX_EPOCHS`` caps the epochs.  The
-    ``ADAM_*`` constants are read at call time.
+    ``ADAM_*`` constants are read at call time.  A start or an epoch whose
+    estimates are not finite (a data scale that overflows) raises ``ValueError``.
     """
     start = time.perf_counter()
     n, p = obs.V.shape
@@ -368,6 +362,8 @@ def adam_minimize(
     blocks = _column_blocks(np.empty((n, cfg.batch)))
     batch_fg = packed_fg(lambda A: _ttsv(V_batch, W, A, d, blocks), n, r_hat, d)
     f_best, g_best = estimate(x)
+    if not np.isfinite(f_best):
+        raise ValueError("objective is not finite at the starting point")
     x_best = x.copy()
     trace = [(f_best, time.perf_counter() - start)]
 
@@ -378,28 +374,31 @@ def adam_minimize(
     increases = 0
     reason = "iteration cap"
     for _ in range(ADAM_MAX_EPOCHS):
-        for idx in rng.integers(0, p, size=(ADAM_EPOCH_LEN, cfg.batch)):
-            V_batch = obs.V[:, idx]
-            _, grad = batch_fg(x)
-            t += 1
-            # m1 = b1*m1 + (1-b1)*grad and m2 = b2*m2 + (1-b2)*grad*grad
-            m1 *= b1
-            np.multiply(grad, 1.0 - b1, out=tmp)
-            m1 += tmp
-            m2 *= b2
-            np.multiply(grad, 1.0 - b2, out=tmp)
-            tmp *= grad
-            m2 += tmp
-            # x = x - lr * (m1/c1) / (sqrt(m2/c2) + eps), c_i = 1 - b_i**t
-            np.divide(m1, 1.0 - b1**t, out=tmp)
-            tmp *= lr
-            np.divide(m2, 1.0 - b2**t, out=den)
-            np.sqrt(den, out=den)
-            den += ADAM_EPS
-            tmp /= den
-            x -= tmp
-            n_iter += 1
-        f_est, g_est = estimate(x)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is checked below
+            for idx in rng.integers(0, p, size=(ADAM_EPOCH_LEN, cfg.batch)):
+                V_batch = obs.V[:, idx]
+                _, grad = batch_fg(x)
+                t += 1
+                # m1 = b1*m1 + (1-b1)*grad and m2 = b2*m2 + (1-b2)*grad*grad
+                m1 *= b1
+                np.multiply(grad, 1.0 - b1, out=tmp)
+                m1 += tmp
+                m2 *= b2
+                np.multiply(grad, 1.0 - b2, out=tmp)
+                tmp *= grad
+                m2 += tmp
+                # x = x - lr * (m1/c1) / (sqrt(m2/c2) + eps), c_i = 1 - b_i**t
+                np.divide(m1, 1.0 - b1**t, out=tmp)
+                tmp *= lr
+                np.divide(m2, 1.0 - b2**t, out=den)
+                np.sqrt(den, out=den)
+                den += ADAM_EPS
+                tmp /= den
+                x -= tmp
+                n_iter += 1
+            f_est, g_est = estimate(x)
+        if not (np.isfinite(f_est) and np.isfinite(m2).all()):
+            raise ValueError("Adam's estimates are not finite at this data scale; rescale the data")
         trace.append((f_est, time.perf_counter() - start))
         if f_est < f_best:
             f_best, g_best = f_est, g_est

@@ -2,6 +2,7 @@
 
 import json
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -601,6 +602,24 @@ class TestDecomposeCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: the data norm ||X||^2 of the order-3 moment is not finite")
         assert "at this data scale" in err
+        assert not (tmp_path / "o.json").exists()
+
+    def test_adam_overflow_is_an_error(self, tmp_path, capsys):
+        # the squared gradients overflow Adam's second moments: the run must
+        # fail naming the data scale, not warn and return its start
+        V = np.random.default_rng(0).standard_normal((5, 30)) * 1e100
+        data = tmp_path / "obs.csv"
+        write_observations_csv(str(data), ObservationSet(V))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([
+                "decompose", "--input", str(data), "--order", "3", "--rank", "2",
+                "--starts", "2", "--method", "adam", "--batch", "8",
+                "--output", str(tmp_path / "o.json"),
+            ])
+        assert code == 1
+        assert "at this data scale" in capsys.readouterr().err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert not (tmp_path / "o.json").exists()
 
     @pytest.mark.parametrize("case", ["identical-variables", "rank-above-n"])

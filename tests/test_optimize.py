@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -68,14 +69,27 @@ class TestPacking:
             assert fd == pytest.approx(g[i], rel=1e-5, abs=1e-7 * max(1.0, np.abs(g).max()))
 
 
+class _Projected:
+    """A packed evaluator in miniature, for an objective ``fg(x) -> (f, g)``
+    whose weight slots have the minimizer ``lam`` whatever the rest of ``x``
+    is: ``project`` puts ``lam`` into them and evaluates there (variable
+    projection), and ``alpha``, the objective's offset, is 0."""
+
+    alpha = 0.0
+
+    def __init__(self, fg, lam):
+        self.fg, self.lam = fg, np.asarray(lam, dtype=float)
+
+    def project(self, x):
+        x_star = np.concatenate([self.lam, x[self.lam.size:]])
+        return (x_star, *self.fg(x_star))
+
+
 class TestLbfgs:
     def test_convex_quadratic(self):
         rng = np.random.default_rng(32)
         c = rng.standard_normal(6)
-
-        def fg(x):
-            return float(np.sum((x - c) ** 2)), 2.0 * (x - c)
-
+        fg = _Projected(lambda x: (float(np.sum((x - c) ** 2)), 2.0 * (x - c)), c[:1])
         rep = lbfgs_minimize(fg, rng.standard_normal(6), OptConfig(pgtol=1e-9), shape=(5, 1))
         assert np.linalg.norm(pack(rep.lam, rep.A) - c) <= 1e-6
         assert rep.n_steps <= 50
@@ -92,11 +106,10 @@ class TestLbfgs:
         assert rep.f <= 1e-8
 
     def test_infinite_pgtol_returns_immediately(self):
-        def fg(x):
-            return float(x @ x), 2.0 * x
-
+        fg = _Projected(lambda x: (float(x @ x), 2.0 * x), [0.0])
         rep = lbfgs_minimize(fg, np.ones(3), OptConfig(pgtol=np.inf), shape=(2, 1))
-        assert np.array_equal(pack(rep.lam, rep.A), np.ones(3))
+        # the start, with its weight projected
+        assert np.array_equal(pack(rep.lam, rep.A), [0.0, 1.0, 1.0])
         assert rep.reason == "tolerance"
         assert rep.n_steps == 0
         assert rep.n_fg == 1
@@ -154,25 +167,31 @@ class TestLbfgs:
         assert np.array_equal(again.lam, rep.lam) and np.array_equal(again.A, rep.A)
 
     def test_nonfinite_start_rejected(self):
-        def fg(x):
-            return np.inf, np.zeros_like(x)
-
-        with pytest.raises(ValueError):
+        fg = _Projected(lambda x: (np.inf, np.zeros_like(x)), [0.0])
+        with pytest.raises(ValueError, match="starting point"):
             lbfgs_minimize(fg, np.ones(2), OptConfig(pgtol=1e-6), shape=(1, 1))
 
+    def test_plain_function_is_rejected(self):
+        # L-BFGS runs only a packed evaluator's reduced route
+        with pytest.raises(AttributeError, match="project"):
+            lbfgs_minimize(lambda x: (float(x @ x), 2.0 * x), np.ones(3), OptConfig(), shape=(2, 1))
+
     def test_nonfinite_beyond_wall_ends_at_last_finite_iterate(self):
-        # the quadratic's minimum at 5 lies beyond a wall at |x| = 2 where
-        # the objective returns NaN: the run stops short of the wall with a
-        # finite report that agrees with fg at the reported point
-        def fg(x):
+        # the quadratic's minimum, weight 0 and factors 5, lies beyond a wall
+        # at |x| = 2 where the objective returns NaN: the run stops short of
+        # the wall with a finite report that agrees with fg at the reported point
+        m = np.array([0.0, 5.0, 5.0])
+
+        def wall(x):
             if np.abs(x).max() >= 2.0:
                 return np.nan, np.full_like(x, np.nan)
-            return 0.5 * float((x - 5.0) @ (x - 5.0)), x - 5.0
+            return 0.5 * float((x - m) @ (x - m)), x - m
 
+        fg = _Projected(wall, m[:1])
         cfg = OptConfig(pgtol=1e-8)
         rep = lbfgs_minimize(fg, np.zeros(3), cfg, shape=(2, 1))
         x = pack(rep.lam, rep.A)
-        f, g = fg(x)
+        f, g = wall(x)
         assert np.isfinite(rep.f) and rep.f == f
         assert rep.grad_inf_norm == np.abs(g).max()
         assert rep.reason == "line-search failure"
@@ -317,7 +336,8 @@ class TestLbfgs:
 
         real_search = optimize._line_search
         calls, fail = [], set()
-        scale = np.array([1.0, 10.0, 100.0])
+        # the weight slot first, with its minimizer 0
+        scale = np.array([1.0, 1.0, 10.0, 100.0])
 
         def scripted(trial, f0, d0, step, max_trials, f_scale):
             # (g, x - g, x + direction, step) at the search, from the trial
@@ -330,13 +350,11 @@ class TestLbfgs:
 
         monkeypatch.setattr(optimize, "_line_search", scripted)
 
-        def fg(x):
-            return 0.5 * float(x @ (scale * x)), scale * x
-
+        fg = _Projected(lambda x: (0.5 * float(x @ (scale * x)), scale * x), [0.0])
         for failing, reason in (({3}, "tolerance"), ({3, 4}, "line-search failure")):
             calls.clear()
             fail = failing
-            rep = lbfgs_minimize(fg, np.ones(3), OptConfig(pgtol=1e-8), shape=(2, 1))
+            rep = lbfgs_minimize(fg, np.ones(4), OptConfig(pgtol=1e-8), shape=(3, 1))
             assert rep.reason == reason
             for i in (0, 3):  # the first search and the retry: steepest descent
                 g, descent, moved, step = calls[i]
@@ -612,6 +630,27 @@ class TestAdam:
         [(_, f, g)] = [c for c in calls if np.array_equal(c[0], pack(rep.lam, rep.A))]
         assert rep.f == f and rep.grad_inf_norm == np.abs(g).max()
 
+    @staticmethod
+    def _scaled(scale):
+        rng = np.random.default_rng(0)
+        obs = ObservationSet(rng.standard_normal((5, 30)) * scale)
+        return obs, pack(np.full(2, 0.5), rrf_init(obs, 2, rng)), rng
+
+    def test_overflowing_moments_raise(self):
+        # at this scale the start is finite and the squared gradients overflow
+        # the second moments in the first epoch: an error naming the data
+        # scale, with no warning, in place of a run that returns its start
+        obs, x0, rng = self._scaled(1e100)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="at this data scale"):
+                adam_minimize(obs, 3, 2, x0, AdamConfig(batch=8), rng)
+
+    def test_nonfinite_start_rejected(self):
+        obs, x0, rng = self._scaled(1e200)
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="starting point"):
+            adam_minimize(obs, 3, 2, x0, AdamConfig(batch=8), rng)
+
     def test_requires_uniform_weights(self):
         rng = np.random.default_rng(41)
         V = rng.standard_normal((3, 4))
@@ -732,8 +771,11 @@ class TestConfigs:
         with pytest.raises(ValueError):
             OptConfig(pgtol=float("nan"))
         for name in ("max_iters", "max_total_iters"):
-            with pytest.raises(ValueError, match=name):
-                OptConfig(**{name: 0})
+            # the caps are integers >= 1: a NaN cap would never fire
+            for value in (0, float("nan"), float("inf"), 2.5, "3"):
+                with pytest.raises(ValueError, match=name):
+                    OptConfig(**{name: value})
+            assert getattr(OptConfig(**{name: np.int64(5)}), name) == 5
 
     def test_adamconfig_validation(self):
         for value in (0, -1):

@@ -3,6 +3,8 @@ names, module globals it patches and call signatures.  These tests run the
 benchmark's own self-tests and one tiny round of each fit path, each in a
 fresh interpreter, so that a change which breaks that surface fails here."""
 
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -69,3 +71,29 @@ def test_library_and_cli_rounds(tmp_path):
     assert proc.returncode == 0, proc.stdout + proc.stderr
     for name in ("tiny-lbfgs", "tiny-adam", "tiny-cli"):
         assert f"{name} ok" in proc.stdout
+
+
+# the three targets that no longer exist in src/ (ROADMAP item 9), whose
+# traced metrics read 0 until the tracer is changed with a benchmark change
+STALE_TARGETS = {
+    "momentcp.objective.build_gram_cache",
+    "momentcp.optimize.fg_implicit",
+    "momentcp.optimize.sample_observations",
+}
+
+
+def test_tracer_targets_resolve():
+    # the tracer skips a target it cannot find, so a rename in src/ would
+    # zero that layer's metric without an error
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = set()
+    for _, module, attr, _ in tracer.TARGETS:
+        owner = importlib.import_module(module)
+        try:
+            for part in attr.split("."):
+                owner = getattr(owner, part)
+        except AttributeError:
+            missing.add(f"{module}.{attr}")
+    assert missing == STALE_TARGETS

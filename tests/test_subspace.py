@@ -552,20 +552,28 @@ class TestLiftDirection:
         assert np.allclose(step[r:].reshape((n, r), order="F") @ K,
                            -0.5 * g[r:].reshape((n, r), order="F"), rtol=1e-12, atol=0.0)
 
-    @pytest.mark.parametrize("kind", ["zero weight", "duplicate columns"])
-    def test_singular_block_falls_back_to_steepest_descent(self, kind):
-        n, r = 8, 2
+    @staticmethod
+    def _lift(n, r):
         obs = _mixture(n, 300, r, 44, sigma=0.1)
         U = principal_basis(obs, 2 * r)
-        A = U @ np.random.default_rng(5).standard_normal((2 * r, r))
-        full = packed_fg_implicit(obs, 3, r)
-        if kind == "zero weight":
-            lam = np.array([0.8, 0.0])
-            fg = lambda x: full(x)  # noqa: E731 - the (lam, A) route keeps the zero weight
-        else:
-            lam, fg = np.array([0.5, 0.5]), full
-            A[:, 1] = A[:, 0]
-        x0 = pack(lam, A)
+        return obs, U @ np.random.default_rng(5).standard_normal((2 * r, r))
+
+    def test_zero_weight_has_no_direction(self):
+        n, r = 8, 2
+        obs, A = self._lift(n, r)
+        x = pack(np.array([0.8, 0.0]), A)
+        _, g = packed_fg_implicit(obs, 3, r)(x)
+        assert np.isfinite(g).all()
+        assert lift_direction(x, g, (n, r), 3) is None
+
+    @pytest.mark.parametrize("kind", ["zero column", "duplicate columns"])
+    def test_singular_block_falls_back_to_steepest_descent(self, kind):
+        # a zero column has lam* = 0, a zero weight, on the reduced route
+        n, r = 8, 2
+        obs, A = self._lift(n, r)
+        fg = packed_fg_implicit(obs, 3, r)
+        A[:, 1] = 0.0 if kind == "zero column" else A[:, 0]
+        x0 = pack(np.array([0.5, 0.5]), A)
         seen = []
 
         def first(x, g):
