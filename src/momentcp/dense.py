@@ -68,12 +68,13 @@ def _all_finite(V: np.ndarray) -> bool:
 
 
 def _cholesky(G: np.ndarray) -> np.ndarray | None:
-    """The lower Cholesky factor of the finite ``G``, or ``None`` when ``G``
-    is not positive definite to working precision: a pivot keeps at most
-    ``sqrt(eps)`` of its diagonal entry.  It is ``np.linalg.cholesky``'s
+    """The lower Cholesky factor of ``G``, or ``None`` when ``G`` is not
+    finite or not positive definite to working precision: a pivot keeps at
+    most ``sqrt(eps)`` of its diagonal entry.  It is ``np.linalg.cholesky``'s
     gufunc without the wrapper, whose checks and error-state switch cost as
     much as the factorization at ``r <= 10``; a factorization that fails is
-    all NaN, which fails the pivot test."""
+    all NaN, and a non-finite entry of ``G`` gives a NaN or infinite pivot,
+    either of which fails the pivot test."""
     with np.errstate(all="ignore"):
         L = _gufunc.cholesky_lo(G, signature="d->d")
         return L if (L.diagonal() ** 2 > _PIVOT_FLOOR * G.diagonal()).all() else None
@@ -136,8 +137,8 @@ class ObservationSet:
         """An ``F`` with ``F F' = V V'``, from which the range finder draws
         ``F @ z``, ``N(0, V V')`` in each column, at ``O(n r)`` normals a draw.
 
-        Where ``n <= p`` and ``V V'`` (one syrk, ``O(n^2 p)``) is finite,
-        has normal (not underflowed) diagonal entries and is positive
+        Where ``n <= p`` and ``V V'`` (one syrk, ``O(n^2 p)``) has normal
+        (not underflowed) diagonal entries and is finite and positive
         definite to working precision (:func:`_cholesky`'s pivot test), it is
         the ``n x n`` lower Cholesky factor of ``V V'``.  Otherwise it is
         ``V``: ``n > p``, a rank-deficient ``V``, whose rounded ``V V'``
@@ -147,7 +148,7 @@ class ObservationSet:
         if self.n <= self.p:
             with np.errstate(all="ignore"):
                 G = self.V @ self.V.T
-            if np.isfinite(G).all() and G.diagonal().min() >= np.finfo(float).tiny:
+            if G.diagonal().min() >= np.finfo(float).tiny:
                 L = _cholesky(G)
                 if L is not None:
                     return L

@@ -20,8 +20,9 @@ where ``**`` is the elementwise integer power.  Each kernel is verified
 against its dense counterpart in the test suite.
 
 When the rank ``r`` is small, both GEMMs of the TTSV are narrow and bound by
-memory bandwidth, not arithmetic.  The TTSV therefore walks ``V`` in column
-blocks of about ``TTSV_BLOCK_BYTES``: each block goes through the forward
+memory bandwidth, not arithmetic.  The TTSV therefore walks every ``V``, a
+small one as a single block, in column blocks of about ``TTSV_BLOCK_BYTES``,
+cut on each call from ``V``'s shape: each block goes through the forward
 GEMM, the power and the back GEMM while it is still in cache, so ``V`` is
 read from memory once per call, and the temporaries take ``O(B r)`` memory
 for a block of ``B`` columns, not ``O(p r)``.  Each block's power is a new
@@ -118,34 +119,25 @@ def _column_blocks(V: np.ndarray) -> list[slice]:
     return [slice(j * p // k, (j + 1) * p // k) for j in range(k)]
 
 
-def _weighted_power(M: np.ndarray, W: np.ndarray, k: int) -> np.ndarray:
-    """``W * M ** k``, the power scaled in place by the weights ``W``."""
-    P = _elementwise_power(M, k)
-    return np.multiply(P, W, out=P)
-
-
-def _ttsv(
-    V: np.ndarray, W: np.ndarray, A: np.ndarray, d: int, blocks: list[slice] | None = None
-) -> np.ndarray:
+def _ttsv(V: np.ndarray, W: np.ndarray, A: np.ndarray, d: int) -> np.ndarray:
     """The kernel of :func:`ttsv_batch` on arguments the caller has checked.
 
     ``W`` is the weights ``nu`` as a ``p x 1`` column or repeated as a
-    ``p x r`` array.  ``V`` is split into column blocks ``V_b`` (``blocks``,
-    or :func:`_column_blocks` made here), and ``Y = sum_b V_b @ (W_b *
-    (V_b.T @ A) ** (d-1))``: each block is read from memory once and reused
-    from cache by the back GEMM, and the temporaries are ``B x r`` for a
-    block of ``B`` columns.  ``Y``'s bits depend on the split, and the split
-    only on ``V``'s shape, so a call is deterministic.  A ``V`` under
-    ``2 * TTSV_BLOCK_BYTES`` is one block, whose products are made without
-    the block loop.
+    ``p x r`` array.  ``V`` is split into the column blocks ``V_b`` of
+    :func:`_column_blocks`, and ``Y = sum_b V_b @ (W_b * (V_b.T @ A) **
+    (d-1))``: each block is read from memory once and reused from cache by
+    the back GEMM, and the temporaries are ``B x r`` for a block of ``B``
+    columns.  ``Y``'s bits depend on the split, and the split only on
+    ``V``'s shape, so a call is deterministic.  A ``V`` under ``2 *
+    TTSV_BLOCK_BYTES`` is one block, the view ``V[:, 0:p]`` with ``V``'s own
+    strides, so its ``Y`` is the unblocked product's bit for bit.
     """
-    blocks = blocks or _column_blocks(V)
-    if len(blocks) == 1:
-        return V @ _weighted_power(V.T @ A, W, d - 1)
     Y = None
-    for b in blocks:
+    for b in _column_blocks(V):
         Vb = V[:, b]
-        Yb = Vb @ _weighted_power(Vb.T @ A, W[b], d - 1)
+        P = _elementwise_power(Vb.T @ A, d - 1)
+        P *= W[b]
+        Yb = Vb @ P
         if Y is None:
             Y = Yb
         else:

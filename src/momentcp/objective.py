@@ -17,8 +17,9 @@ The solvers call one packed evaluator, :func:`packed_fg`, which checks the
 problem once when it is built and then only that each point is finite;
 :func:`fg_explicit` and :func:`fg_implicit` build it for one point and
 return its value and gradient blocks as an :class:`FgResult`.  The
-matrix-free one, :func:`packed_fg_implicit`, makes ``V``'s TTSV blocks and
-the weights in the blocks' ``p x r`` shape once, when it is built.
+matrix-free one, :func:`packed_fg_implicit`, holds the weights in ``V'A``'s
+``p x r`` shape, made once when it is built; its TTSV cuts ``V``'s column
+blocks on every call.
 
 For fixed ``A`` the objective is quadratic in ``lam``, minimized by
 ``lam* = G^{-1} w`` with ``G = (A'A)^d`` (elementwise) and ``w_j = a_j'y_j``,
@@ -39,9 +40,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg as _gufunc  # np.linalg's LAPACK gufuncs
 
 from momentcp.dense import DenseSymTensor, ObservationSet, _cholesky, ttsv_batch_dense
-from momentcp.implicit import (
-    _column_blocks, _elementwise_power, _ttsv, kr_power, moment_unfolding, ttsv_batch,
-)
+from momentcp.implicit import _elementwise_power, _ttsv, kr_power, moment_unfolding, ttsv_batch
 
 FgCallback = Callable[[np.ndarray], tuple[float, np.ndarray]]
 
@@ -88,15 +87,15 @@ def _lam_star(G: np.ndarray, w: np.ndarray) -> np.ndarray:
     zero columns, ``r`` above the dimension of the symmetric tensors) and the
     minimum-norm least-squares solution, which gives the same ``f``, is taken.
     An overflowed ``G`` or ``w`` gives NaN weights, hence a non-finite ``f``,
-    which ends an L-BFGS run at its last finite iterate.  The factor's two
-    solves call ``np.linalg.solve``'s gufunc directly (see :func:`_cholesky`).
+    which ends an L-BFGS run at its last finite iterate; its caller,
+    ``fg.project``, silences the overflow warnings.  The factor's two solves
+    call ``np.linalg.solve``'s gufunc directly (see :func:`_cholesky`).
     """
     if not (np.isfinite(G).all() and np.isfinite(w).all()):
         return np.full_like(w, np.nan)
     L = _cholesky(G)
-    if L is not None:
-        with np.errstate(all="ignore"):  # L is nonsingular; an overflow gives NaN weights
-            return _gufunc.solve1(L.T, _gufunc.solve1(L, w, signature="dd->d"), signature="dd->d")
+    if L is not None:  # nonsingular, so an overflow in the solves gives NaN weights
+        return _gufunc.solve1(L.T, _gufunc.solve1(L, w, signature="dd->d"), signature="dd->d")
     return np.linalg.lstsq(G, w, rcond=None)[0]
 
 
@@ -120,7 +119,7 @@ def lift_direction(
     n, r = shape
     lam, A = x[:r], x[r:].reshape((n, r), order="F")
     K = d * np.outer(lam, lam) * _elementwise_power(A.T @ A, d - 1)
-    L = _cholesky(K) if np.isfinite(K).all() else None
+    L = _cholesky(K)
     if L is None:
         return None
     G_A = g[r:].reshape((n, r), order="F")
@@ -220,7 +219,8 @@ def packed_fg(
 
     def project(x: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
         A = _factor(x, n, r)
-        lam, f, g = _finish(ttsv(A), None, A, d, alpha)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow gives a non-finite f
+            lam, f, g = _finish(ttsv(A), None, A, d, alpha)
         return np.concatenate([lam, x[r:]]), f, g
 
     fg.project, fg.alpha = project, alpha
@@ -232,11 +232,9 @@ def packed_fg_implicit(
 ) -> FgCallback:
     """:func:`packed_fg` on the matrix-free TTSVs of ``obs``: every
     evaluation is one pass over ``V`` (:func:`~momentcp.implicit._ttsv`),
-    with ``V``'s column blocks and the weights in the blocks' ``p x r``
-    shape made here, once."""
-    V, blocks = obs.V, _column_blocks(obs.V)
-    W = np.repeat(obs.nu, r).reshape(obs.p, r)  # the weights in the TTSV blocks' shape
-    return packed_fg(lambda A: _ttsv(V, W, A, d, blocks), obs.n, r, d, alpha)
+    with the weights in ``V'A``'s ``p x r`` shape made here, once."""
+    V, W = obs.V, np.repeat(obs.nu, r).reshape(obs.p, r)  # the weights in V'A's shape
+    return packed_fg(lambda A: _ttsv(V, W, A, d), obs.n, r, d, alpha)
 
 
 def packed_fg_compressed(

@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from momentcp.dense import ObservationSet
-from momentcp.implicit import _column_blocks, _ttsv
+from momentcp.implicit import _ttsv
 from momentcp.objective import FgCallback, pack, packed_fg, packed_fg_implicit, unpack  # noqa: F401
 
 
@@ -59,6 +59,9 @@ ADAM_REDUCED_STEP_SIZE = 0.001
 ADAM_EPOCH_LEN = 100
 ADAM_ESTIMATE_SAMPLES = 1000
 ADAM_MAX_EPOCHS = 1000
+# both solvers' error for a start whose objective overflows
+_NONFINITE_START = ("objective is not finite at the starting point at this data scale; "
+                    "rescale the data")
 
 
 @dataclass
@@ -258,7 +261,7 @@ def lbfgs_minimize(
     x, x_star, f, g_full, g = evaluate(np.asarray(x0, dtype=float).copy())
     n_fg = 1
     if not (np.isfinite(f) and np.isfinite(g).all()):
-        raise ValueError("objective is not finite at the starting point")
+        raise ValueError(_NONFINITE_START)
     trace = [(f, time.perf_counter() - start)]
 
     pairs: deque[tuple] = deque(maxlen=MEMORY)  # (s, y, 1 / (s'y)), oldest first
@@ -359,11 +362,11 @@ def adam_minimize(
     # each step rebinds V_batch to its sample, of one shape, which batch_fg reads at call time
     V_batch = None
     W = np.full((cfg.batch, r_hat), 1.0 / cfg.batch)
-    blocks = _column_blocks(np.empty((n, cfg.batch)))
-    batch_fg = packed_fg(lambda A: _ttsv(V_batch, W, A, d, blocks), n, r_hat, d)
-    f_best, g_best = estimate(x)
+    batch_fg = packed_fg(lambda A: _ttsv(V_batch, W, A, d), n, r_hat, d)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is checked below
+        f_best, g_best = estimate(x)
     if not np.isfinite(f_best):
-        raise ValueError("objective is not finite at the starting point")
+        raise ValueError(_NONFINITE_START)
     x_best = x.copy()
     trace = [(f_best, time.perf_counter() - start)]
 

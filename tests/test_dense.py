@@ -18,7 +18,7 @@ from momentcp import (
     ttsv_all,
     ttsv_all_but_one,
 )
-from momentcp.dense import FINITE_BLOCK
+from momentcp.dense import FINITE_BLOCK, _cholesky
 
 # check_symmetric is exhaustive below this entry count, sampled above it
 _EXHAUSTIVE_SYMMETRY_LIMIT = 1_000_000
@@ -346,6 +346,20 @@ class TestObservationSet:
     def test_rejects_weight_shape_mismatch(self):
         with pytest.raises(ValueError):
             ObservationSet(np.ones((2, 3)), np.ones(2))
+
+
+class TestCholesky:
+    """``_cholesky``'s pivot test is ``lift_direction``'s and
+    ``range_factor``'s one guard on a non-finite ``r x r`` matrix."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("i, j", [(i, j) for i in range(3) for j in range(i, 3)])
+    def test_nonfinite_entry_gives_none(self, i, j, bad):
+        B = np.random.default_rng(30).standard_normal((3, 5))
+        G = B @ B.T
+        assert _cholesky(G) is not None
+        G[i, j] = G[j, i] = bad
+        assert _cholesky(G) is None  # and no warning, which the suite makes an error
 
 
 class TestDenseSymTensor:

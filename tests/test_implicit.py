@@ -90,6 +90,18 @@ def assert_matches_oracle(Y, obs, A, d):
         assert np.allclose(Y[:, j], want, rtol=1e-12, atol=1e-12 * scale)
 
 
+def count_block_powers(monkeypatch):
+    """The list to which each power ``_ttsv`` takes appends its block's column count."""
+    blocks = []
+
+    def power(M, k):
+        blocks.append(M.shape[0])
+        return _elementwise_power(M, k)
+
+    monkeypatch.setattr("momentcp.implicit._elementwise_power", power)
+    return blocks
+
+
 class TestBlockedTtsv:
     """``_ttsv`` sums over column blocks of ``V`` once ``V`` outgrows the budget."""
 
@@ -117,15 +129,20 @@ class TestBlockedTtsv:
         obs = ObservationSet(rng.standard_normal((4, 3)), rng.random(3) + 0.5)
         A = rng.standard_normal((4, 2))
         monkeypatch.setattr("momentcp.implicit.TTSV_BLOCK_BYTES", 8)
-        blocks = []
-
-        def power(M, k):
-            blocks.append(M.shape[0])
-            return _elementwise_power(M, k)
-
-        monkeypatch.setattr("momentcp.implicit._elementwise_power", power)
+        blocks = count_block_powers(monkeypatch)
         Y = ttsv_batch(obs, A, 3)
         assert blocks == [1, 1, 1]
+        assert_matches_oracle(Y, obs, A, 3)
+
+    def test_one_block_runs_through_the_loop(self, monkeypatch):
+        # a V under the budget is one block, which takes the block loop's one power
+        rng = np.random.default_rng(24)
+        obs = ObservationSet(rng.standard_normal((4, 3)), rng.random(3) + 0.5)
+        A = rng.standard_normal((4, 2))
+        assert len(_column_blocks(obs.V)) == 1
+        blocks = count_block_powers(monkeypatch)
+        Y = ttsv_batch(obs, A, 3)
+        assert blocks == [3]
         assert_matches_oracle(Y, obs, A, 3)
 
     def test_one_block_is_bitwise_the_unblocked_product(self):

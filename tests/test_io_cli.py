@@ -622,6 +622,24 @@ class TestDecomposeCommand:
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert not (tmp_path / "o.json").exists()
 
+    def test_lbfgs_overflow_is_an_error(self, tmp_path, capsys):
+        # the objective overflows at every L-BFGS start: the run must fail
+        # naming the data scale, with no overflow warning on the way
+        V = np.random.default_rng(0).standard_normal((5, 30)) * 1e100
+        data = tmp_path / "obs.csv"
+        write_observations_csv(str(data), ObservationSet(V))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([
+                "decompose", "--input", str(data), "--order", "3", "--rank", "2",
+                "--starts", "2", "--output", str(tmp_path / "o.json"),
+            ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "starting point" in err and "at this data scale" in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not (tmp_path / "o.json").exists()
+
     @pytest.mark.parametrize("case", ["identical-variables", "rank-above-n"])
     def test_degenerate_input_finite_or_error(self, tmp_path, capsys, case):
         # a singular Gram matrix in the weight solve must not escape as a
