@@ -201,18 +201,18 @@ class _Basins:
 
 def fit(
     obs: ObservationSet, d: int, r_hat: int, cfg: OptConfig | AdamConfig, starts: int,
-    seed: int | np.random.SeedSequence, *, init: str = "rrf", alpha: float = 0.0,
+    seed: int | np.random.SeedSequence, *, init: str = "rrf",
 ) -> RunReport:
     """Fit a rank-``r_hat`` model to the order-``d`` moment of ``obs`` from
     ``starts`` seeded starts; returns :func:`multistart`'s best run.
 
     Each start has weights ``1/r_hat`` and factors from ``rrf_init`` (or
-    ``gaussian_init`` for ``init="gaussian"``).  An ``AdamConfig`` runs Adam
-    on the full data, any other config L-BFGS in two stages.  The set-up
-    takes ``U``, the top ``k = min(2 r_hat, n, p)`` eigenvectors of
-    ``V diag(nu) V'`` (:func:`~momentcp.implicit.principal_basis`), once for
-    all starts.  Each start is then drawn and fitted on the compressed data
-    ``U'V`` (so ``rrf_init`` draws from the ``k x k`` factor of
+    ``gaussian_init`` for ``init="gaussian"``, any other a ``ValueError``).
+    An ``AdamConfig`` runs Adam on the full data, any other config L-BFGS
+    in two stages.  The set-up takes ``U``, the top ``k = min(2 r_hat, n, p)``
+    eigenvectors of ``V diag(nu) V'`` (:func:`~momentcp.implicit.principal_basis`),
+    once for all starts.  Each start is then drawn and fitted on the compressed
+    data ``U'V`` (so ``rrf_init`` draws from the ``k x k`` factor of
     ``U'V V'U``, made at the first draw), whose objective at ``B`` is the
     full one at ``A = UB``, lifted to ``UB`` and polished by L-BFGS on the
     full data with what is left of ``cfg``'s step and evaluation caps (a
@@ -234,29 +234,31 @@ def fit(
     ``"grouped with run j"`` naming that start's ``run_index``
     (:class:`_Basins`; clustering multistart, Rinnooy Kan & Timmer, 1987).
     Every start has its run in ``runs``; a grouped one is never the best.
-    The starts run one after another in the
-    calling thread (:func:`~momentcp.optimize.multistart`).  Where
-    ``k^(d-1) <= p`` the set-up also forms the ``k x k^(d-1)`` unfolding of
-    the compressed moment, once, and the subspace stage evaluates from it
-    in O(k^d r) instead of O(p k r)
-    (:func:`~momentcp.objective.packed_fg_compressed`).  The best report's
-    ``setup_time`` is the time of the basis and the unfolding, which no
-    start's ``wall_time`` counts, and 0 for Adam.  The report's ``f`` and
-    ``grad_inf_norm`` are the full objective with ``alpha`` at its ``lam``
-    and ``A``: Adam's own are a shifted estimate on a subset, so they are
-    evaluated afresh.
+    The starts run one after another in the calling thread
+    (:func:`~momentcp.optimize.multistart`).  Where ``k^(d-1) <= p`` the
+    set-up also forms the ``k x k^(d-1)`` unfolding of the compressed
+    moment, once, and the subspace stage evaluates from it in O(k^d r)
+    instead of O(p k r) (:func:`~momentcp.objective.packed_fg_compressed`).
+    The best report's ``setup_time`` is the time of the basis and the
+    unfolding, which no start's ``wall_time`` counts, and 0 for Adam.  The
+    report's ``f`` and ``grad_inf_norm`` are the full objective less
+    ``||X||^2`` (which ``cmd_decompose`` adds to ``f`` and the ``trace``
+    rows it reports) at its ``lam`` and ``A``: Adam's own are an estimate on
+    a subset, so they are evaluated afresh.
     """
+    if init not in ("rrf", "gaussian"):
+        raise ValueError(f"init must be 'rrf' or 'gaussian', got {init!r}")
     # initial weights at the uniform-mixture scale; weights of 1 would
     # start the model far too large and distort the early trajectory
     lam0 = np.full(r_hat, 1.0 / r_hat)
-    full = packed_fg_implicit(obs, d, r_hat, alpha)
+    full = packed_fg_implicit(obs, d, r_hat)
     adam = isinstance(cfg, AdamConfig)
     space, setup = obs, 0.0  # the starts are drawn in space, U' obs for L-BFGS
     if not adam:
         t0 = time.perf_counter()
         U = principal_basis(obs, 2 * r_hat)
         space = ObservationSet(U.T @ obs.V, obs.nu)
-        comp = packed_fg_compressed(space, d, r_hat, alpha)
+        comp = packed_fg_compressed(space, d, r_hat)
         # the subspace stage leaves the polish at least one evaluation of the budget
         sub_cfg = replace(cfg, max_total_iters=max(cfg.max_total_iters - 1, 1))
         setup = time.perf_counter() - t0
@@ -347,6 +349,8 @@ def run_gmm_sweep(
 def cmd_decompose(args, parser) -> int:
     if args.method == "lbfgs" and args.batch is not None:
         parser.error("--batch only applies to --method adam")
+    if args.method == "adam" and args.pgtol is not None:
+        parser.error("--pgtol only applies to --method lbfgs")
     obs = read_observations(args.input)
     d, r_hat = args.order, args.rank
     alpha = 0.0
@@ -360,11 +364,11 @@ def cmd_decompose(args, parser) -> int:
                 "at this data scale; rescale the data"
             )
     if args.method == "lbfgs":
-        cfg = OptConfig(pgtol=args.pgtol, seed=args.seed)
+        cfg = OptConfig(pgtol=args.pgtol if args.pgtol is not None else 1e-4, seed=args.seed)
     else:
         cfg = AdamConfig(batch=args.batch if args.batch is not None else 100)
-    best = fit(obs, d, r_hat, cfg, args.starts, args.seed,
-               init=args.init, alpha=alpha)
+    best = fit(obs, d, r_hat, cfg, args.starts, args.seed, init=args.init)
+    f = alpha + best.f  # ||X - M||^2 for --alpha exact
     record = SolutionRecord(
         d=d,
         n=obs.n,
@@ -372,7 +376,7 @@ def cmd_decompose(args, parser) -> int:
         r_hat=r_hat,
         lam=[float(v) for v in best.lam],
         A_row_major=[float(v) for v in best.A.ravel(order="C")],
-        final_f=float(best.f),
+        final_f=f,
         alpha=float(alpha),
         grad_inf_norm=float(best.grad_inf_norm),
         iterations=int(sum(rp.n_fg for rp in best.runs)),
@@ -383,11 +387,11 @@ def cmd_decompose(args, parser) -> int:
     record.save(args.output)
     if args.trace:
         _write_csv(args.trace, ["run", "iteration", "f", "time_s"], [
-            {"run": rep.run_index, "iteration": it, "f": float(f), "time_s": float(t)}
-            for rep in best.runs for it, (f, t) in enumerate(rep.trace)
+            {"run": rep.run_index, "iteration": it, "f": alpha + f_it, "time_s": float(t)}
+            for rep in best.runs for it, (f_it, t) in enumerate(rep.trace)
         ])
     print(
-        f"best of {args.starts} run(s): f={best.f:.6e} "
+        f"best of {args.starts} run(s): f={f:.6e} "
         f"grad_inf={best.grad_inf_norm:.3e} ({best.reason}) -> {args.output}"
     )
     return 0
@@ -474,9 +478,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_dec.add_argument("--rank", type=_positive_int, required=True, help="target rank r")
     p_dec.add_argument("--starts", type=_positive_int, default=10)
     p_dec.add_argument("--init", choices=["rrf", "gaussian"], default="rrf")
-    p_dec.add_argument("--pgtol", type=_tolerance, default=1e-4)
+    p_dec.add_argument("--pgtol", type=_tolerance, default=None)  # L-BFGS only, 1e-4
     p_dec.add_argument("--alpha", choices=["zero", "exact"], default="zero",
-                       help="objective constant: 0 (shifted) or the data norm")
+                       help="constant added to the reported f: 0 or the data norm")
     p_dec.add_argument("--seed", type=_seed, default=0)
     p_dec.add_argument("--method", choices=["lbfgs", "adam"], default="lbfgs")
     p_dec.add_argument("--batch", type=_positive_int, default=None, help="sample size per step (adam)")

@@ -1,11 +1,10 @@
 """Function and gradient evaluation for the symmetric CP least-squares fit.
 
-The objective is ``f(lam, A) = alpha + ||M||^2 - 2 <X, M>`` where
-``M = sum_j lam_j a_j^{outer d}``.  With ``alpha = ||X||^2`` this is exactly
-the squared error ``||X - M||^2``; with the default ``alpha = 0`` it is the
-same function shifted by a constant, which leaves the gradients (and hence
-any optimizer trajectory) untouched while avoiding the cost of the data
-norm.
+The objective is ``f(lam, A) = ||M||^2 - 2 <X, M>`` where
+``M = sum_j lam_j a_j^{outer d}``: the squared error ``||X - M||^2`` less
+the constant ``||X||^2``, which does not move the minimizer and costs a pass
+over the data.  Only a reported ``f`` adds it back: ``cli.cmd_decompose``'s
+``--alpha exact``, and the ``alpha`` of :func:`fg_explicit` and :func:`fg_implicit`.
 
 Every route shares one algebraic tail and differs only in how the TTSV
 matrix ``Y`` is produced: from a dense tensor (explicit, the oracle), from
@@ -54,9 +53,9 @@ class FgResult:
     g_A: np.ndarray
 
 
-def _finish(Y: np.ndarray, lam: np.ndarray | None, A: np.ndarray, d: int, alpha: float) -> tuple:
+def _finish(Y: np.ndarray, lam: np.ndarray | None, A: np.ndarray, d: int) -> tuple:
     """``(lam, f, pack(g_lam, g_A))`` from the TTSVs ``Y`` through the
-    ``r x r`` Gram tail ``f = alpha + lam.T @ G @ lam - 2 w.T @ lam``, whose
+    ``r x r`` Gram tail ``f = lam.T @ G @ lam - 2 w.T @ lam``, whose
     ``||M||^2 = lam.T @ G @ lam`` and ``<X, M> = w.T @ lam``, with
     ``w_j = a_j'y_j``, ``C = (A'A)^(d-1)`` and ``G = (A'A) * C``, which is
     ``(A'A)^d`` bit for bit.  With ``lam=None`` the weights are
@@ -69,7 +68,7 @@ def _finish(Y: np.ndarray, lam: np.ndarray | None, A: np.ndarray, d: int, alpha:
     if lam is None:
         lam = _lam_star(G, w)
     u = G @ lam
-    f = alpha + float(lam @ u) - 2.0 * float(w @ lam)
+    f = float(lam @ u) - 2.0 * float(w @ lam)
     g = np.empty(r + n * r)  # both gradient blocks are written into their packed slots
     np.multiply(-2.0, np.subtract(w, u, out=u), out=g[:r])
     E = (A * lam) @ C
@@ -130,7 +129,7 @@ def lift_direction(
 def fg_explicit(
     X: DenseSymTensor, lam: np.ndarray, A: np.ndarray, alpha: float = 0.0
 ) -> FgResult:
-    """Objective and gradients computed against a dense data tensor.
+    """Objective plus a finite ``alpha``, and gradients, against a dense data tensor.
 
     The TTSVs cost O(r n^d); everything else is O(n r^2).  Serves as the
     reference route for :func:`fg_implicit`.
@@ -157,14 +156,16 @@ def _at_point(
     ttsv: Callable[[np.ndarray], np.ndarray], n: int, d: int,
     lam: np.ndarray, A: np.ndarray, alpha: float,
 ) -> FgResult:
-    """:func:`packed_fg`, with its checks, at ``pack(lam, A)``, as an
-    :class:`FgResult` whose gradients view the packed one."""
+    """:func:`packed_fg`, with its checks, at ``pack(lam, A)``, plus ``alpha``,
+    as an :class:`FgResult` whose gradients view the packed one."""
+    if not np.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
     x = pack(lam, A)  # checks that A is a matrix with one column per weight
     if np.shape(A)[0] != n:
         raise ValueError(f"A must have {n} rows, got shape {np.shape(A)}")
     r = np.size(lam)
-    f, g = packed_fg(ttsv, n, r, d, alpha)(x)
-    return FgResult(f, g[:r], g[r:].reshape((n, r), order="F"))
+    f, g = packed_fg(ttsv, n, r, d)(x)
+    return FgResult(alpha + f, g[:r], g[r:].reshape((n, r), order="F"))
 
 
 def pack(lam: np.ndarray, A: np.ndarray) -> np.ndarray:
@@ -194,7 +195,7 @@ def _factor(x: np.ndarray, n: int, r: int) -> np.ndarray:
 
 
 def packed_fg(
-    ttsv: Callable[[np.ndarray], np.ndarray], n: int, r: int, d: int, alpha: float = 0.0
+    ttsv: Callable[[np.ndarray], np.ndarray], n: int, r: int, d: int
 ) -> FgCallback:
     """The objective as a callback ``x -> (f, pack(g_lam, g_A))`` on the float
     vector ``x = pack(lam, A)``, where ``ttsv(A)`` makes ``Y`` for an ``n x r``
@@ -204,42 +205,37 @@ def packed_fg(
     returns a fresh packed gradient.  The reduced route ignores ``x``'s ``lam``:
     ``fg.project(x)`` gives ``(pack(lam*, A), f, gradient)`` at the optimal
     weights ``lam* = G^{-1} w``.  :func:`~momentcp.optimize.lbfgs_minimize`
-    reads only ``fg.project``, at every line-search trial, and ``fg.alpha``,
-    which is ``alpha``: at ``lam*``, ``G lam* = w``, so ``|alpha| + 3 |f -
-    alpha|`` is ``f``'s rounding scale ``|alpha| + lam*'G lam* + 2 |w'lam*|``
-    for its stall test.  A wrapper passed to it must keep both.
+    reads only ``fg.project``, at every line-search trial: at ``lam*``,
+    ``G lam* = w``, so ``3 |f|`` is ``f``'s rounding scale
+    ``lam*'G lam* + 2 |w'lam*|`` for its stall test.
     """
-    if min(n, r) < 1 or d < 2 or not np.isfinite(alpha):
-        raise ValueError(f"need n, r >= 1, d >= 2 and a finite alpha, got {n}, {r}, {d}, {alpha}")
+    if min(n, r) < 1 or d < 2:
+        raise ValueError(f"need n, r >= 1 and d >= 2, got {n}, {r}, {d}")
 
     def fg(x: np.ndarray) -> tuple[float, np.ndarray]:
         A = _factor(x, n, r)
-        _, f, g = _finish(ttsv(A), x[:r], A, d, alpha)
+        _, f, g = _finish(ttsv(A), x[:r], A, d)
         return f, g
 
     def project(x: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
         A = _factor(x, n, r)
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow gives a non-finite f
-            lam, f, g = _finish(ttsv(A), None, A, d, alpha)
+            lam, f, g = _finish(ttsv(A), None, A, d)
         return np.concatenate([lam, x[r:]]), f, g
 
-    fg.project, fg.alpha = project, alpha
+    fg.project = project
     return fg
 
 
-def packed_fg_implicit(
-    obs: ObservationSet, d: int, r: int, alpha: float = 0.0
-) -> FgCallback:
+def packed_fg_implicit(obs: ObservationSet, d: int, r: int) -> FgCallback:
     """:func:`packed_fg` on the matrix-free TTSVs of ``obs``: every
     evaluation is one pass over ``V`` (:func:`~momentcp.implicit._ttsv`),
     with the weights in ``V'A``'s ``p x r`` shape made here, once."""
     V, W = obs.V, np.repeat(obs.nu, r).reshape(obs.p, r)  # the weights in V'A's shape
-    return packed_fg(lambda A: _ttsv(V, W, A, d), obs.n, r, d, alpha)
+    return packed_fg(lambda A: _ttsv(V, W, A, d), obs.n, r, d)
 
 
-def packed_fg_compressed(
-    obs: ObservationSet, d: int, r: int, alpha: float = 0.0
-) -> FgCallback:
+def packed_fg_compressed(obs: ObservationSet, d: int, r: int) -> FgCallback:
     """The evaluator of ``cli.fit``'s subspace stage on the compressed data
     ``obs``, its route chosen by flop count.
 
@@ -249,9 +245,9 @@ def packed_fg_compressed(
     ``V``.  Otherwise it is :func:`packed_fg_implicit`, at O(p n r) a TTSV.
     """
     if obs.n ** (d - 1) > obs.p:
-        return packed_fg_implicit(obs, d, r, alpha)
+        return packed_fg_implicit(obs, d, r)
     T = moment_unfolding(obs, d)
-    return packed_fg(lambda A: T @ kr_power(A, d - 1), obs.n, r, d, alpha)
+    return packed_fg(lambda A: T @ kr_power(A, d - 1), obs.n, r, d)
 
 
 def sample_observations(

@@ -222,13 +222,13 @@ def lbfgs_minimize(
     ----------
     fg:
         A packed evaluator (:func:`~momentcp.objective.packed_fg`, or a
-        wrapper keeping its ``project`` and ``alpha``), minimized over ``A``
+        wrapper keeping its ``project``), minimized over ``A``
         alone, ignoring ``x0``'s weights; the report carries ``lam = G^{-1}
         w`` at the final ``A``, with ``f`` and the full gradient's norm
         there, all from the evaluation of that ``A``.  Each line search
         evaluates ``fg.project`` once at every trial step and hands back the
         accepted trial's evaluation, and ends on a rounding stall measured
-        against ``f``'s rounding scale ``|fg.alpha| + 3 |f - fg.alpha|``.
+        against ``f``'s rounding scale ``3 |f|``.
     x0:
         Starting point; ``fg`` must be finite there.
     cfg:
@@ -284,8 +284,7 @@ def lbfgs_minimize(
                 direction, step = -g, 1.0 / float(np.linalg.norm(g))
         t, slope = None, float(g.dot(direction))
         if slope < 0.0:
-            scale = abs(fg.alpha) + 3.0 * abs(f - fg.alpha)
-            t, point, evals = _line_search(trial, f, slope, step, MAX_LINE_STEPS, scale)
+            t, point, evals = _line_search(trial, f, slope, step, MAX_LINE_STEPS, 3.0 * abs(f))
             n_fg += evals
         if t is None:
             if not (pairs or guided):

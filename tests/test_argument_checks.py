@@ -6,6 +6,7 @@ import pytest
 
 from momentcp import (
     AdamConfig,
+    OptConfig,
     DenseSymTensor,
     ObservationSet,
     SymKruskal,
@@ -20,7 +21,7 @@ from momentcp import (
     similarity_score,
     ttsv_batch,
 )
-from momentcp.cli import BenchScenario, run_gmm_sweep
+from momentcp.cli import BenchScenario, fit, run_gmm_sweep
 from momentcp.implicit import moment_unfolding
 
 OBS = ObservationSet(np.arange(12.0).reshape(3, 4))
@@ -35,6 +36,8 @@ CASES = {
                       "need positive dimensions and order >= 2"),
     "run_gmm_sweep-ranks": (lambda: run_gmm_sweep(3, 2, 0.1, 3, 2, 1, 1, 0),
                             r"bad rank range \[2, 1\]"),
+    "fit-init": (lambda: fit(OBS, 3, 1, OptConfig(), 1, 0, init="rff"),
+                 "init must be 'rrf' or 'gaussian', got 'rff'"),
     "adam_minimize-x0": (lambda: adam_minimize(OBS, 3, 2, np.zeros(3), AdamConfig(), _rng()),
                          "x0 has length 3, expected 8"),
     "multistart-k": (lambda: multistart(0, None, None, 0),

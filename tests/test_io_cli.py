@@ -11,6 +11,7 @@ from momentcp import (
     ObservationSet,
     ParseError,
     SolutionRecord,
+    data_norm_sq,
     read_observations,
     read_observations_binary,
     read_observations_csv,
@@ -385,6 +386,54 @@ class TestDecomposeCommand:
                 "--batch", "10", "--output", str(tmp_path / "o.json"),
             ])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("pgtol", ["1e-2", "1e-12"])
+    def test_pgtol_with_adam_is_usage_error(self, tmp_path, capsys, pgtol):
+        # Adam has no gradient tolerance; as for --batch, the flag is
+        # checked before any I/O, so the missing input file is never read
+        out = tmp_path / "o.json"
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "decompose", "--input", str(tmp_path / "nope.csv"), "--order", "3",
+                "--rank", "1", "--method", "adam", "--pgtol", pgtol, "--output", str(out),
+            ])
+        assert exc.value.code == 2
+        assert "--pgtol only applies to --method lbfgs" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method, flags", [
+        ("lbfgs", ["--pgtol", "1e-12"]), ("adam", ["--batch", "20"]),
+    ])
+    def test_alpha_only_shifts_reported_f(self, tmp_path, method, flags):
+        # the fit runs on the shifted objective whatever --alpha is: exact
+        # and zero write the same lam and A bits, and exact adds the data
+        # norm to final_f and to every trace row (on this input the
+        # L-BFGS runs end in a rounding stall, where the constant used to
+        # move the trajectory)
+        from momentcp.gmm import correlated_means, sample_gmm
+
+        rng = np.random.default_rng(3)
+        data = tmp_path / "obs.csv"
+        write_observations_csv(str(data), sample_gmm(correlated_means(6, 2, 0.5, rng), 1e-2, 300, rng))
+        recs, traces = {}, {}
+        for alpha in ("exact", "zero"):
+            out, trace = tmp_path / f"{alpha}.json", tmp_path / f"{alpha}.csv"
+            code = main([
+                "decompose", "--input", str(data), "--order", "3", "--rank", "2",
+                "--starts", "2", "--method", method, "--alpha", alpha, "--seed", "3",
+                "--output", str(out), "--trace", str(trace), *flags,
+            ])
+            assert code == 0
+            recs[alpha] = SolutionRecord.load(str(out))
+            rows = trace.read_text().splitlines()[1:]
+            traces[alpha] = [float(row.split(",")[2]) for row in rows]
+        exact, zero = recs["exact"], recs["zero"]
+        assert exact.alpha == data_norm_sq(read_observations(str(data)), 3) and zero.alpha == 0.0
+        assert exact.lam == zero.lam and exact.A_row_major == zero.A_row_major
+        assert exact.grad_inf_norm == zero.grad_inf_norm
+        assert exact.final_f == exact.alpha + zero.final_f
+        assert len(traces["exact"]) == len(traces["zero"]) > 1
+        assert traces["exact"] == [exact.alpha + f for f in traces["zero"]]
 
     def test_rank_below_one_is_usage_error(self, tmp_path):
         data = tmp_path / "obs.csv"
@@ -821,7 +870,7 @@ class TestFit:
         return sample_gmm(correlated_means(6, 2, 0.5, rng), 1e-2, p, rng)
 
     @staticmethod
-    def _by_hand(obs, cfg, seed, init, alpha, compressed=None):
+    def _by_hand(obs, cfg, seed, init, compressed=None):
         from dataclasses import replace
 
         from momentcp import (AdamConfig, SymKruskal, adam_minimize, gaussian_init,
@@ -831,7 +880,7 @@ class TestFit:
         from momentcp.implicit import principal_basis
         from momentcp.objective import lift_direction, packed_fg_compressed
 
-        full = packed_fg_implicit(obs, 3, 2, alpha)
+        full = packed_fg_implicit(obs, 3, 2)
         if isinstance(cfg, AdamConfig):
             space = obs
 
@@ -841,7 +890,7 @@ class TestFit:
             # fitted on U'V, lifted to U B and polished on the full data
             U = principal_basis(obs, 4)
             space = ObservationSet(U.T @ obs.V, obs.nu)
-            comp = (compressed or packed_fg_compressed)(space, 3, 2, alpha)
+            comp = (compressed or packed_fg_compressed)(space, 3, 2)
             polished = []  # (polished run, dense subspace model), in start order
 
             def minimize(x0, rng):
@@ -872,7 +921,7 @@ class TestFit:
         best = multistart(3, lambda rng: pack(np.full(2, 0.5), make_A(space, 2, rng)),
                           minimize, seed)
         if isinstance(cfg, AdamConfig):
-            # Adam's own f is a shifted estimate: fit reports the full objective
+            # Adam's own f is an estimate on a subset: fit reports the full objective
             best.f, g = full(pack(best.lam, best.A))
             best.grad_inf_norm = float(np.abs(g).max())
         return best
@@ -903,18 +952,17 @@ class TestFit:
             cfg = AdamConfig(batch=20)
         else:
             cfg = OptConfig(pgtol=1e-6)
-        alpha = 0.25
-        got = fit(obs, 3, 2, cfg, 3, seed(), init=init, alpha=alpha)
-        self._assert_same_bits(got, self._by_hand(obs, cfg, seed(), init, alpha))
+        got = fit(obs, 3, 2, cfg, 3, seed(), init=init)
+        self._assert_same_bits(got, self._by_hand(obs, cfg, seed(), init))
 
     def test_matches_matrix_free_multistart_bitwise(self):
         # at p = 15 < k^(d-1) = 16 the subspace stage is packed_fg_implicit on U'V
         from momentcp import OptConfig, packed_fg_implicit
 
         obs, cfg = self._problem(p=15), OptConfig(pgtol=1e-6)
-        got = fit(obs, 3, 2, cfg, 3, 9, alpha=0.25)
+        got = fit(obs, 3, 2, cfg, 3, 9)
         self._assert_same_bits(
-            got, self._by_hand(obs, cfg, 9, "rrf", 0.25, compressed=packed_fg_implicit))
+            got, self._by_hand(obs, cfg, 9, "rrf", compressed=packed_fg_implicit))
 
     def test_runs_with_optconfig_patched_to_partial(self, tmp_path, monkeypatch):
         # the benchmark caps decompose's steps by replacing cli.OptConfig

@@ -177,11 +177,11 @@ class TestPackedEvaluator:
     def test_implicit_bitwise(self, d):
         rng = np.random.default_rng(100 + d)
         obs, lam, A, _, r = self._instance(rng)
-        fg = packed_fg_implicit(obs, d, r, alpha=2.5)
+        fg = packed_fg_implicit(obs, d, r)
         for _ in range(3):
             ref = fg_implicit(obs, lam, A, d, alpha=2.5)
             f, g = fg(pack(lam, A))
-            assert f == ref.f
+            assert 2.5 + f == ref.f
             assert np.array_equal(g, pack(ref.g_lam, ref.g_A))
             lam, A = rng.standard_normal(lam.shape), rng.standard_normal(A.shape)
 
@@ -190,9 +190,9 @@ class TestPackedEvaluator:
         rng = np.random.default_rng(110 + d)
         obs, lam, A, n, r = self._instance(rng, n=7, p=60, r=3)
         X = build_moment(obs, d)
-        f, g = packed_fg(lambda B: ttsv_batch_dense(X, B), n, r, d, alpha=-1.5)(pack(lam, A))
+        f, g = packed_fg(lambda B: ttsv_batch_dense(X, B), n, r, d)(pack(lam, A))
         ref = fg_explicit(X, lam, A, alpha=-1.5)
-        assert f == ref.f
+        assert -1.5 + f == ref.f
         assert np.array_equal(g, pack(ref.g_lam, ref.g_A))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -206,9 +206,20 @@ class TestPackedEvaluator:
 
     def test_problem_checked_when_built(self):
         obs = ObservationSet(np.ones((2, 3)))
-        for d, r, alpha in [(1, 2, 0.0), (3, 0, 0.0), (3, 2, np.nan), (3, 2, np.inf)]:
+        for d, r in [(1, 2), (3, 0)]:
             with pytest.raises(ValueError):
-                packed_fg_implicit(obs, d, r, alpha)
+                packed_fg_implicit(obs, d, r)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("route", ["explicit", "implicit"])
+    def test_per_point_routes_reject_nonfinite_alpha(self, route, bad):
+        obs = ObservationSet(np.ones((2, 3)))
+        lam, A = np.ones(1), np.ones((2, 1))
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            if route == "explicit":
+                fg_explicit(build_moment(obs, 3), lam, A, bad)
+            else:
+                fg_implicit(obs, lam, A, 3, bad)
 
 
 def _term_scale(obs, x, d, r, alpha):
@@ -254,12 +265,12 @@ class TestReducedRoute:
     def test_equals_per_point_route_at_lam_star(self, d):
         rng = np.random.default_rng(150 + d)
         obs, lam, A, _, r = packed_instance(rng)
-        fg = packed_fg_implicit(obs, d, r, alpha=2.5)
+        fg = packed_fg_implicit(obs, d, r)
         x_star, f, g = fg.project(pack(lam, A))
         lam_star = x_star[:r]
         assert np.array_equal(x_star[r:], pack(lam, A)[r:])
         ref = fg_implicit(obs, lam_star, A, d, alpha=2.5)
-        assert f == ref.f
+        assert 2.5 + f == ref.f
         assert np.array_equal(g, pack(ref.g_lam, ref.g_A))
         # lam* is the optimum: the full gradient's lam part vanishes there
         assert np.abs(ref.g_lam).max() <= 1e-10 * np.abs(ref.g_A).max()
@@ -273,15 +284,17 @@ class TestReducedRoute:
     @pytest.mark.parametrize("alpha", [0.0, 2.0, -3.0])
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_rounding_scale_from_f_and_alpha(self, d, alpha):
-        # G lam* = w, so |alpha| + 3|f - alpha| is the Gram terms' scale at lam*
+        # G lam* = w, so 3|f| is the Gram terms' scale at lam*, the line
+        # search's stall scale; a caller's constant alpha adds |alpha| to
+        # the scale of the f it reports, alpha + f
         rng = np.random.default_rng(155 + d)
         obs, lam, A, _, r = packed_instance(rng)
-        fg = packed_fg_implicit(obs, d, r, alpha)
+        fg = packed_fg_implicit(obs, d, r)
         x = pack(lam, A)
         f = fg.project(x)[1]
         want = _term_scale(obs, x, d, r, alpha)
-        assert fg.alpha == alpha
-        assert abs(abs(fg.alpha) + 3.0 * abs(f - fg.alpha) - want) <= 1e-12 * want
+        assert not hasattr(fg, "alpha")
+        assert abs(abs(alpha) + 3.0 * abs(f) - want) <= 1e-12 * want
 
     @pytest.mark.parametrize("delta", [0.0, 1e-10, None])
     def test_degenerate_columns(self, delta):

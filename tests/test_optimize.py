@@ -23,7 +23,7 @@ from momentcp import (
     unpack,
 )
 from momentcp.gmm import correlated_means, sample_gmm
-from momentcp import data_norm_sq, fg_implicit, packed_fg, sample_observations, ttsv_batch
+from momentcp import fg_implicit, packed_fg, sample_observations, ttsv_batch
 from momentcp.implicit import _column_blocks, _ttsv
 from momentcp.optimize import (
     ADAM_BETA1, ADAM_BETA2, ADAM_EPS, MAX_LINE_STEPS, _line_search, packed_fg_implicit,
@@ -73,9 +73,7 @@ class _Projected:
     """A packed evaluator in miniature, for an objective ``fg(x) -> (f, g)``
     whose weight slots have the minimizer ``lam`` whatever the rest of ``x``
     is: ``project`` puts ``lam`` into them and evaluates there (variable
-    projection), and ``alpha``, the objective's offset, is 0."""
-
-    alpha = 0.0
+    projection)."""
 
     def __init__(self, fg, lam):
         self.fg, self.lam = fg, np.asarray(lam, dtype=float)
@@ -95,15 +93,36 @@ class TestLbfgs:
         assert rep.n_steps <= 50
         assert rep.reason == "tolerance"
 
+    def test_reads_only_project(self):
+        # an evaluator is read through its project method alone: a wrapper
+        # that keeps only that runs, and no other attribute is looked up
+        rng = np.random.default_rng(32)
+        c = rng.standard_normal(6)
+        inner = _Projected(lambda x: (float(np.sum((x - c) ** 2)), 2.0 * (x - c)), c[:1])
+        read = []
+
+        class OnlyProject:
+            def __getattribute__(self, name):
+                read.append(name)
+                if name != "project":
+                    raise AttributeError(name)
+                return inner.project
+
+        rep = lbfgs_minimize(OnlyProject(), rng.standard_normal(6), OptConfig(pgtol=1e-9),
+                             shape=(5, 1))
+        assert np.linalg.norm(pack(rep.lam, rep.A) - c) <= 1e-6
+        assert rep.reason == "tolerance"
+        assert set(read) == {"project"} and len(read) == rep.n_fg
+
     def test_rank_one_exact_fit(self):
         rng = np.random.default_rng(33)
         v = rng.standard_normal(5)
         v /= np.linalg.norm(v)
         obs = ObservationSet(v[:, None], np.array([1.0]))
-        fg = packed_fg_implicit(obs, 3, 1, alpha=1.0)  # alpha = ||X||^2 = 1
+        fg = packed_fg_implicit(obs, 3, 1)
         x0 = pack(np.array([1.0]), rrf_init(obs, 1, rng))
         rep = lbfgs_minimize(fg, x0, OptConfig(pgtol=1e-10), shape=(5, 1))
-        assert rep.f <= 1e-8
+        assert rep.f + 1.0 <= 1e-8  # ||X - M||^2 = ||X||^2 + f, and ||X||^2 = 1
 
     def test_infinite_pgtol_returns_immediately(self):
         fg = _Projected(lambda x: (float(x @ x), 2.0 * x), [0.0])
@@ -209,13 +228,13 @@ class TestLbfgs:
         assert cfg.max_total_iters <= rep.n_fg <= cfg.max_total_iters + MAX_LINE_STEPS
 
     def test_rounding_stall_ends_run(self):
-        # with alpha the exact data norm, f cancels to rounding near the fit
+        # near the fit f is -||X||^2 plus a residual at its rounding level,
         # and pgtol=1e-14 is out of reach: the run must end on its own, soon
         # after the last step that lowered f
         rng = np.random.default_rng(43)
         n, r, d = 6, 2, 3
         obs = sample_gmm(correlated_means(n, r, 0.3, rng), 0.01, 200, rng)
-        fg = packed_fg_implicit(obs, d, r, alpha=data_norm_sq(obs, d))
+        fg = packed_fg_implicit(obs, d, r)
         real_project, values = fg.project, []
 
         def counted_project(x):
@@ -298,7 +317,7 @@ class TestLbfgs:
         n, r, d = 60, 3, 3
         obs = sample_gmm(correlated_means(n, r, 0.3, rng), 0.01, 3000, rng)
         assert len(_column_blocks(obs.V)) == 2
-        fg = packed_fg_implicit(obs, d, r, alpha=data_norm_sq(obs, d))
+        fg = packed_fg_implicit(obs, d, r)
         passes = self._count_passes(monkeypatch)
         cfg = OptConfig(pgtol=1e-14)
         x0 = pack(np.full(r, 0.5), rrf_init(obs, r, rng))

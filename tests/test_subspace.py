@@ -103,8 +103,8 @@ class TestCompressedObjective:
         n, r, alpha = 6, 2, 0.7
         obs = _weighted(n, 45, 10 + d)
         U = principal_basis(obs, 2 * r)
-        comp = packed_fg_implicit(ObservationSet(U.T @ obs.V, obs.nu), d, r, alpha)
-        full = packed_fg_implicit(obs, d, r, alpha)
+        comp = packed_fg_implicit(ObservationSet(U.T @ obs.V, obs.nu), d, r)
+        full = packed_fg_implicit(obs, d, r)
         rng = np.random.default_rng(d)
         lam, B = rng.standard_normal(r), rng.standard_normal((2 * r, r))
         A = U @ B
@@ -113,7 +113,7 @@ class TestCompressedObjective:
         oracle = fg_explicit(build_moment(obs, d), lam, A, alpha)
         scale = max(1.0, abs(oracle.f))
         assert abs(f_comp - f_full) <= 1e-12 * scale
-        assert abs(f_comp - oracle.f) <= 1e-12 * scale
+        assert abs(alpha + f_comp - oracle.f) <= 1e-12 * scale
         # g_lam agrees, and g_B = U' g_A
         g_A = g_full[r:].reshape((n, r), order="F")
         g_B = g_comp[r:].reshape((2 * r, r), order="F")
@@ -127,9 +127,9 @@ class TestCompressedObjective:
     def test_fit_meets_full_pgtol_with_full_values(self, d):
         mixture = _mixture(9, 200, 2, 20 + d, sigma=0.1)
         obs = ObservationSet(mixture.V, _weighted(1, 200, d).nu)
-        cfg, alpha = OptConfig(pgtol=1e-7), 0.3
-        best = fit(obs, d, 2, cfg, 2, 5, alpha=alpha)
-        f, g = packed_fg_implicit(obs, d, 2, alpha)(pack(best.lam, best.A))
+        cfg = OptConfig(pgtol=1e-7)
+        best = fit(obs, d, 2, cfg, 2, 5)
+        f, g = packed_fg_implicit(obs, d, 2)(pack(best.lam, best.A))
         assert best.reason == "tolerance"
         assert best.grad_inf_norm <= cfg.pgtol
         assert best.f == f and best.grad_inf_norm == float(np.abs(g).max())
@@ -178,11 +178,11 @@ class TestTwoStage:
         self._check_stages_compose(monkeypatch, init, n, seed)
 
     def _check_stages_compose(self, monkeypatch, init, n, seed):
-        r, alpha = 2, 0.25
+        r = 2
         obs = _mixture(n, 300, r, 40)
         cfg = OptConfig(pgtol=1e-7)
         starts = self._spy(monkeypatch)
-        best = fit(obs, 3, r, cfg, 3, seed(), init=init, alpha=alpha)
+        best = fit(obs, 3, r, cfg, 3, seed(), init=init)
         assert len(starts) == 3 and len(best.runs) == 3
         U = principal_basis(obs, 2 * r)
         k = U.shape[1]
@@ -225,11 +225,11 @@ class TestTwoStage:
                 assert (run.n_fg, run.n_steps, run.wall_time) == (sub.n_fg, sub.n_steps, sub.wall_time)
                 assert run.trace == sub.trace
         # the best polished run, lowest f first and then lowest index, is the
-        # full objective with alpha at its lam and A
+        # full objective at its lam and A
         i_best = min((i for i in range(3) if joined[i] is None), key=lambda i: (best.runs[i].f, i))
         assert best is best.runs[i_best]
         assert (best.run_index, best.seed) == (i_best, 9 if isinstance(seed(), int) else None)
-        f, g = packed_fg_implicit(obs, 3, r, alpha)(pack(best.lam, best.A))
+        f, g = packed_fg_implicit(obs, 3, r)(pack(best.lam, best.A))
         assert best.f == f and best.grad_inf_norm == float(np.abs(g).max())
         assert best.setup_time > 0.0
 
@@ -384,9 +384,9 @@ class TestBasins:
         # start's f; a grouped run takes its polished start's f instead
         obs = ObservationSet(_mixture(9, 200, 2, 22, sigma=0.1).V, _weighted(1, 200, 2).nu)
         starts = TestTwoStage._spy(monkeypatch)
-        best = fit(obs, d, 2, OptConfig(pgtol=1e-7), 3, 5, alpha=0.3)
+        best = fit(obs, d, 2, OptConfig(pgtol=1e-7), 3, 5)
         assert len(best.runs) == 3
-        full = packed_fg_implicit(obs, d, 2, 0.3)
+        full = packed_fg_implicit(obs, d, 2)
         joined = _basins([(sub[3].lam, sub[3].A) for sub, _ in starts], d)
         assert joined == [None, 0, 0]
         for i in (1, 2):
@@ -409,7 +409,7 @@ class TestBasins:
         monkeypatch.setattr(cli, "multistart",
                             lambda *args: kept.append(multistart(*args)) or kept[-1])
         obs = ObservationSet(_mixture(9, 200, 2, 22, sigma=0.1).V, _weighted(1, 200, 2).nu)
-        best = fit(obs, 2, 2, OptConfig(pgtol=1e-7), 3, 5, alpha=0.3)
+        best = fit(obs, 2, 2, OptConfig(pgtol=1e-7), 3, 5)
         assert len(kept) == 1 and best is kept[0]
         assert len(best.runs) == 3 and best.failures == []
 
